@@ -13,17 +13,14 @@ the iterate mean follows plain gradient descent on the average cost.  s_k is
 consumed by step k and advanced afterwards.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as _rng
-from .compressors import LOCAL, AssumptionContract, Compressor, pnorm
-from .diagnostics import RunTrace
+from .compressors import B1, LOCAL, AssumptionContract, Compressor, pnorms
+from .diagnostics import RunTrace, lyapunov_components
 from .errors import ConfigError, DcoptError, InvalidScale, NonFiniteState
-
-B1 = 32
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +119,14 @@ class AlgorithmState:
 INIT_MODES = ("standard", "exact_first_round", "shared_x0")
 
 
+def draw_x0(n: int, d: int, init_mode: str, x0_seed: int) -> np.ndarray:
+    """The seeded n x d starting point; shared_x0 gives every agent one draw."""
+    gen = _rng.substream(x0_seed, _rng.X0, 0)
+    if init_mode == "shared_x0":
+        return np.tile(gen.standard_normal(d), (n, 1))
+    return gen.standard_normal((n, d))
+
+
 def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
                x0_seed: int = 0, x0: np.ndarray | None = None,
                contract: AssumptionContract | None = None) -> AlgorithmState:
@@ -136,11 +141,7 @@ def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
         raise ConfigError(f"unknown init mode {init_mode!r}")
     n, d = graph.n, problem.d
     if x0 is None:
-        gen = _rng.substream(x0_seed, _rng.X0, 0)
-        if init_mode == "shared_x0":
-            x0 = np.tile(gen.standard_normal(d), (n, 1))
-        else:
-            x0 = gen.standard_normal((n, d))
+        x0 = draw_x0(n, d, init_mode, x0_seed)
     else:
         x0 = np.array(x0, dtype=float)
         if x0.shape != (n, d):
@@ -156,7 +157,7 @@ def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
         x_hat = np.zeros_like(x0)
         y = np.zeros_like(x0)
         if contract is not None and contract.cls == LOCAL:
-            worst = max(pnorm(x0[i], contract.p) for i in range(n))
+            worst = float(pnorms(x0, contract.p).max())
             if worst > contract.C * s0 * (1.0 + 1e-12):
                 raise InvalidScale(
                     f"s0={s0} violates the local-class bound: need s0 >= "
@@ -166,27 +167,8 @@ def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
                           k=0, s_k=s0, bits_cum=bits)
 
 
-def _compress_round(compressor: Compressor, U: np.ndarray, k: int,
-                    executor: ThreadPoolExecutor | None):
-    n = U.shape[0]
-    Q = np.empty_like(U)
-    bits = [0] * n
-
-    def one(i):
-        q, b = compressor.compress(U[i], iteration=k, agent=i)
-        Q[i] = q
-        bits[i] = b
-
-    if executor is None:
-        for i in range(n):
-            one(i)
-    else:
-        list(executor.map(one, range(n)))
-    return Q, sum(bits)
-
-
 def step(state: AlgorithmState, problem, graph, compressor: Compressor,
-         hyper: HyperParams, executor: ThreadPoolExecutor | None = None) -> AlgorithmState:
+         hyper: HyperParams) -> AlgorithmState:
     """Advance one iteration; pure in (state, seeds)."""
     if state.s_k <= 0:
         raise ConfigError(f"s_k must be positive, got {state.s_k}")
@@ -195,7 +177,7 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
         U = (state.x - state.x_hat) / s
     if not np.all(np.isfinite(U)):
         raise NonFiniteState(f"non-finite compressor input at iteration {k}", iteration=k)
-    Q, bits = _compress_round(compressor, U, k, executor)
+    Q, bits = compressor.apply(U, k)
 
     with np.errstate(over="ignore", invalid="ignore"):
         x_hat = state.x_hat + hyper.omega * s * Q
@@ -213,14 +195,12 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
 
 def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
         init_mode: str = "standard", x0_seed: int = 0, x0: np.ndarray | None = None,
-        contract: AssumptionContract | None = None, parallel: bool = False,
+        contract: AssumptionContract | None = None,
         record_per_agent: bool = False, config_echo: dict | None = None) -> RunTrace:
     """Execute T iterations and record per-iteration diagnostics.
 
     The trace has T+1 rows; row k pairs x_k with the surrogate of the
-    previous exchange.  ``parallel`` shards the per-agent compression over a
-    thread pool; results are bit-identical to the sequential path because
-    every random draw is keyed by (agent, iteration).
+    previous exchange.
     """
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
@@ -247,27 +227,22 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     pa_pre = np.zeros((rows, n)) if record_per_agent else None
     pa_post = np.zeros((rows, n)) if record_per_agent else None
 
-    f_ref = problem.f_star if problem.f_star is not None else problem.f_low
     e4_mode = "exact" if problem.f_star is not None else "lower_gap"
-    E, F, EF = graph.E, graph.F, graph.E @ graph.F
+    EF = graph.E @ graph.F
 
     def record_pre(i_row, st):
         xbar = st.x.mean(axis=0)
         dev = st.x - xbar
         G0 = problem.gradients_at(xbar)
         gbar = G0.mean(axis=0)
-        W = st.v + G0 / hyper.gamma
-        diff = st.x - st.x_hat
-        pre_p = np.array([pnorm(diff[i], p) for i in range(n)])
+        pre_p = pnorms(st.x - st.x_hat, p)
         tr["f_bar"][i_row] = problem.f(xbar)
         tr["grad_sq"][i_row] = float(gbar @ gbar)
         tr["consensus"][i_row] = float(np.sum(dev * dev)) / n
-        tr["e1"][i_row] = 0.5 * float(np.sum(st.x * (E @ st.x)))
-        tr["e2"][i_row] = 0.5 * (hyper.beta + hyper.gamma) / hyper.gamma \
-            * float(np.sum(W * (F @ W)))
-        tr["e3"][i_row] = float(np.sum(st.x * (EF @ W)))
-        tr["e4"][i_row] = n * (tr["f_bar"][i_row] - f_ref)
-        tr["e5"][i_row] = float(np.sum(diff * diff))
+        terms = lyapunov_components(st.x, st.v, st.x_hat, problem, graph, hyper.gamma,
+                                    hyper.beta, EF=EF, G0=G0, f_bar=tr["f_bar"][i_row])
+        for name, value in zip(("e1", "e2", "e3", "e4", "e5"), terms):
+            tr[name][i_row] = value
         tr["s_k"][i_row] = st.s_k
         tr["surr_pre_pmax"][i_row] = pre_p.max()
         tr["surr_pre_l2sq"][i_row] = tr["e5"][i_row]
@@ -277,29 +252,24 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
         if pa_pre is not None:
             pa_pre[i_row] = pre_p
 
-    executor = ThreadPoolExecutor(max_workers=min(n, 8)) if parallel else None
-    try:
-        # diagnostics on a diverging state may transiently overflow; the step
-        # itself raises NonFiniteState before the next round starts
-        with np.errstate(over="ignore", invalid="ignore"):
-            for it in range(T):
-                record_pre(it, state)
-                new_state = step(state, problem, graph, compressor, hyper, executor)
-                post = state.x - new_state.x_hat
-                post_p = np.array([pnorm(post[i], p) for i in range(n)])
-                tr["surr_post_pmax"][it] = post_p.max()
-                tr["surr_post_l2sq"][it] = float(np.sum(post * post))
-                if pa_post is not None:
-                    pa_post[it] = post_p
-                state = new_state
-            record_pre(T, state)
-            tr["surr_post_pmax"][T] = np.nan
-            tr["surr_post_l2sq"][T] = np.nan
+    # diagnostics on a diverging state may transiently overflow; the step
+    # itself raises NonFiniteState before the next round starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(T):
+            record_pre(it, state)
+            new_state = step(state, problem, graph, compressor, hyper)
+            post = state.x - new_state.x_hat
+            post_p = pnorms(post, p)
+            tr["surr_post_pmax"][it] = post_p.max()
+            tr["surr_post_l2sq"][it] = float(np.sum(post * post))
             if pa_post is not None:
-                pa_post[T] = np.nan
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                pa_post[it] = post_p
+            state = new_state
+        record_pre(T, state)
+        tr["surr_post_pmax"][T] = np.nan
+        tr["surr_post_l2sq"][T] = np.nan
+        if pa_post is not None:
+            pa_post[T] = np.nan
 
     echo = dict(config_echo or {})
     echo.setdefault("T", T)

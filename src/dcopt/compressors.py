@@ -20,6 +20,7 @@ base characterizations to global contracts via the two lemma rules below.
 All bit counts use b1 = 32 bits per exactly-transmitted scalar.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -76,11 +77,15 @@ class NormContext:
         return 1.0 if self.p <= 2 else self.d ** (0.5 - 1.0 / self.p)
 
 
-def pnorm(x: np.ndarray, p: float) -> float:
+def pnorms(X: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise p-norms of a 2-d array."""
     if p == np.inf:
-        return float(np.max(np.abs(x))) if x.size else 0.0
+        return np.max(np.abs(X), axis=1, initial=0.0)
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        sums = np.sum(np.abs(X) ** p, axis=1)
+    # the root is taken per scalar: NumPy's array power (sqrt for p = 2) and
+    # the scalar pow differ in the last bit on some inputs
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
 def _sign_pos(x: np.ndarray) -> np.ndarray:
@@ -154,7 +159,11 @@ def lemma2_compose_params(rel: AssumptionContract, abs_: AssumptionContract,
 # ---------------------------------------------------------------------------
 
 class Compressor:
-    """Base interface.  Subclasses are pure given (x, iteration, agent, seed)."""
+    """Base interface.  Subclasses are pure given (x, iteration, agent, seed).
+
+    ``apply`` compresses one round whose row j is agent ``agent + j``'s input;
+    stochastic kinds draw that row from the (agent + j, iteration) substream.
+    """
 
     kind = "base"
     deterministic = True
@@ -165,11 +174,18 @@ class Compressor:
         self.seed = seed
         self.tag = tag
 
+    def apply(self, U: np.ndarray, iteration: int = 0, agent: int = 0):
+        """Return (Q, bits) for one round: Q row-wise, bits summed over rows."""
+        zeta = None
+        if not self.deterministic:
+            zeta = np.stack([self._rng(agent + j, iteration).uniform(size=U.shape[1])
+                             for j in range(U.shape[0])])
+        return self._kernel(U, zeta), sum(map(self.bits, U))
+
     def compress(self, x, iteration: int = 0, agent: int = 0):
         """Return (q, bits) for one vector."""
-        x = _check_vector(x)
-        q = self._apply(x[None, :], self._rng(agent, iteration))[0]
-        return q, self.bits(x)
+        Q, bits = self.apply(_check_vector(x)[None, :], iteration, agent)
+        return Q[0], bits
 
     def bits(self, x: np.ndarray) -> int:
         raise NotImplementedError
@@ -181,9 +197,14 @@ class Compressor:
     def _rng(self, agent: int, iteration: int) -> np.random.Generator:
         return _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, agent, iteration)
 
-    def _apply(self, X: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """One compression draw per row of X."""
+    def _kernel(self, X: np.ndarray, zeta: np.ndarray | None) -> np.ndarray:
+        """Compress every row of X; ``zeta`` holds one uniform draw per entry
+        for stochastic kinds and is None for deterministic ones."""
         raise NotImplementedError
+
+    def _apply(self, X: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """One compression draw per row of X, all from the block generator."""
+        return self._kernel(X, None if self.deterministic else gen.uniform(size=X.shape))
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
         """Monte-Carlo draws of ||C(x)/r - x||^2 (vectorized over trials)."""
@@ -219,7 +240,7 @@ class Identity(Compressor):
     def relative_delta(self, d):
         return 1.0
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         return X.copy()
 
 
@@ -241,7 +262,7 @@ class OneBit(Compressor):
         # p = inf, r = 1, C = level, delta in (0, 1/2]; the largest valid delta
         return AssumptionContract(LOCAL, np.inf, 1.0, self.level, 0.5)
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         return _sign_pos(X) * (self.level / 2.0)
 
     def describe(self):
@@ -270,7 +291,7 @@ class SaturatingQuantizer(Compressor):
         return AssumptionContract(LOCAL, np.inf, 1.0, self.level,
                                   1.0 - self.step / (2.0 * self.level))
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         idx = np.clip(np.floor(X / self.step + 0.5), self._lo, self._hi)
         return self.step * idx
 
@@ -308,7 +329,7 @@ class TopK(Compressor):
         if self.k > d:
             raise DimensionMismatch(f"k={self.k} exceeds dimension {d}")
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         self._check_k(X.shape[1])
         order = np.argsort(-np.abs(X), axis=1, kind="stable")
         Q = np.zeros_like(X)
@@ -332,7 +353,7 @@ class NormSign(Compressor):
     def contract(self, d, C: float = 1.0):
         return AssumptionContract(LOCAL, np.inf, 1.0, C, 0.5)
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         m = np.max(np.abs(X), axis=1, keepdims=True)
         out = (m / 2.0) * _sign_pos(X)
         out[m[:, 0] == 0.0] = 0.0
@@ -366,9 +387,8 @@ class UnbiasedKBit(Compressor):
     def contract(self, d):
         return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, self.relative_delta(d))
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         m = np.max(np.abs(X), axis=1, keepdims=True)
-        zeta = gen.uniform(size=X.shape)
         safe = np.where(m == 0.0, 1.0, m)
         scale = 2.0 ** (self.kbits - 1)
         q = (safe / scale) * _sign_pos(X) * np.floor(scale * np.abs(X) / safe + zeta)
@@ -406,11 +426,10 @@ class RandK(Compressor):
     def contract(self, d):
         return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, self.relative_delta(d))
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         if self.k > X.shape[1]:
             raise DimensionMismatch(f"k={self.k} exceeds dimension {X.shape[1]}")
-        u = gen.uniform(size=X.shape)
-        keep = np.argsort(u, axis=1, kind="stable")[:, :self.k]
+        keep = np.argsort(zeta, axis=1, kind="stable")[:, :self.k]
         Q = np.zeros_like(X)
         rows = np.arange(X.shape[0])[:, None]
         Q[rows, keep] = X[rows, keep]
@@ -445,10 +464,10 @@ class Scalarization(Compressor):
         gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, 0, iteration)
         return _rng.sphere_point(gen, d)
 
-    def compress(self, x, iteration: int = 0, agent: int = 0):
-        x = _check_vector(x)
-        psi = self.direction(x.size, iteration)
-        return psi * float(psi @ x), self.bits(x)
+    def apply(self, U, iteration: int = 0, agent: int = 0):
+        psi = self.direction(U.shape[1], iteration)
+        # vecdot matches the per-row psi @ x bit for bit; U @ psi does not
+        return psi * np.vecdot(U, psi)[:, None], sum(map(self.bits, U))
 
     def _apply(self, X, gen):
         G = gen.standard_normal(size=X.shape)
@@ -479,7 +498,7 @@ class UniformQuantizer(Compressor):
     def contract(self, d):
         return AssumptionContract(GLOBAL, 2.0, 1.0, self.absolute_error(d), 1.0)
 
-    def _apply(self, X, gen):
+    def _kernel(self, X, zeta):
         return self.step * np.floor(X / self.step + 0.5)
 
     def describe(self):
@@ -515,10 +534,13 @@ class Noisy(Compressor):
                                           self.noise_bound)
         raise IncompatibleContracts(f"{self.base.kind} has no global base characterization")
 
-    def compress(self, x, iteration: int = 0, agent: int = 0):
-        q, bits = self.base.compress(x, iteration, agent)
-        gen = _rng.substream(self.seed, _rng.NOISE, self.tag, agent, iteration)
-        return q + _rng.ball_point(gen, q.size, self.noise_bound), bits
+    def apply(self, U, iteration: int = 0, agent: int = 0):
+        Q, bits = self.base.apply(U, iteration, agent)
+        noise = np.stack([
+            _rng.ball_point(_rng.substream(self.seed, _rng.NOISE, self.tag, agent + j, iteration),
+                            U.shape[1], self.noise_bound)
+            for j in range(U.shape[0])])
+        return Q + noise, bits
 
     def _apply(self, X, gen):
         Q = self.base._apply(X, gen)
@@ -556,17 +578,13 @@ class Compose(Compressor):
                 f"composition needs one relative and one absolute stage, got {roles}")
         super().__init__(inner.seed, inner.tag)
         # the stages must draw from distinct substreams, otherwise e.g. two
-        # noise wrappers would inject the identical realization twice
+        # noise wrappers would inject the identical realization twice; the
+        # outer stage is retagged on a copy so the caller's object is kept
         if outer.tag == inner.tag:
-            outer.tag = inner.tag + 1
-            if isinstance(outer, Noisy):
-                outer.base.tag = outer.tag
+            outer = _retagged(outer, inner.tag + 1)
         self.inner = inner
         self.outer = outer
         self.kind = f"compose_{outer.kind}_of_{inner.kind}"
-
-    def bits(self, x):
-        raise NotImplementedError("bits depend on the inner output; use compress")
 
     def contract(self, d):
         def noisy_parts(c):
@@ -584,11 +602,11 @@ class Compose(Compressor):
         abs_ = lemma1_absolute_params(abs_base.absolute_error(d), abs_base.r, abs_noise)
         return lemma2_compose_params(rel, abs_, self.order)
 
-    def compress(self, x, iteration: int = 0, agent: int = 0):
-        mid, _ = self.inner.compress(x, iteration, agent)
+    def apply(self, U, iteration: int = 0, agent: int = 0):
+        mid, _ = self.inner.apply(U, iteration, agent)
         if self.order == "rel_of_abs":
             mid = mid / self.inner.r
-        return self.outer.compress(mid, iteration, agent)
+        return self.outer.apply(mid, iteration, agent)
 
     def _apply(self, X, gen):
         mid = self.inner._apply(X, gen)
@@ -598,6 +616,15 @@ class Compose(Compressor):
 
     def describe(self):
         return f"{self.inner!r} -> {self.outer!r}"
+
+
+def _retagged(c: Compressor, tag: int) -> Compressor:
+    """Copy of ``c`` (and of a noise wrapper's base) drawing under ``tag``."""
+    c = copy.copy(c)
+    c.tag = tag
+    if isinstance(c, Noisy):
+        c.base = _retagged(c.base, tag)
+    return c
 
 
 def compose_kbit_of_uniform(kbits: int, step: float, noise_inner: float = 0.0,
@@ -661,7 +688,7 @@ def _boundary_cases(gen: np.random.Generator, p: float, d: int, C: float) -> lis
     ones = np.ones(d)
     alt = np.array([(-1.0) ** j for j in range(d)])
     for sigma in (ones, alt):
-        x = C * sigma / pnorm(sigma, p)
+        x = C * sigma / pnorms(sigma[None, :], p)[0]
         cases.extend([x, -x, 0.5 * x])
     if p == np.inf:
         for _ in range(8):
@@ -681,22 +708,21 @@ def verify_local_assumption(compressor: Compressor, contract: AssumptionContract
         raise OutOfRange("samples must be >= 1")
     p, C, r, delta = contract.p, contract.C, contract.r, contract.delta
     gen = _rng.substream(seed, _rng.VERIFY, 0)
-    points = list(_pball_samples(gen, p, d, C, samples))
-    points += _boundary_cases(gen, p, d, C)
+    P = np.vstack([_pball_samples(gen, p, d, C, samples), *_boundary_cases(gen, p, d, C)])
     bound = C * (1.0 - delta)
 
-    max_ratio = 0.0
-    worst = {}
-    for i, x in enumerate(points):
-        q, _ = compressor.compress(x, iteration=i)
-        err = pnorm(q / r - x, p)
-        ratio = err / bound if bound > 0 else (0.0 if err <= 1e-15 * max(C, 1.0) else np.inf)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = {"x": x.tolist(), "error": err, "bound": bound}
-    return VerificationReport(kind=compressor.kind, cls=LOCAL, max_ratio=float(max_ratio),
+    Q, _ = compressor.apply(P)
+    errs = pnorms(Q / r - P, p)
+    if bound > 0:
+        ratios = errs / bound
+    else:
+        ratios = np.where(errs <= 1e-15 * max(C, 1.0), 0.0, np.inf)
+    i = int(np.argmax(ratios))
+    max_ratio = max(float(ratios[i]), 0.0)
+    worst = {"x": P[i].tolist(), "error": float(errs[i]), "bound": bound} if max_ratio > 0 else {}
+    return VerificationReport(kind=compressor.kind, cls=LOCAL, max_ratio=max_ratio,
                               passed=bool(max_ratio <= 1.0 + 1e-12),
-                              samples=len(points), worst=worst)
+                              samples=len(P), worst=worst)
 
 
 def verify_global_assumption(compressor: Compressor, contract: AssumptionContract,

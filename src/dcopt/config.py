@@ -13,7 +13,7 @@ Sections and keys::
                 level, step, k, kbits, noise, noise_inner, noise_outer
     [algorithm] mode = empirical | T1_local_nonconvex | T2_local_exact_first |
                        T3_local_PL | T5_global_nonconvex | T6_global_PL
-                T, init_mode, seed, parallel
+                T, init_mode, seed
                 empirical: alpha, gamma, tau_1, omega, schedule
                            (constant | geometric), s0, rate, s0_margin
                 theoretical: clamp_alpha, tau_0, epsilon, gamma_margin
@@ -29,12 +29,9 @@ import configparser
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import compressors as comp
-from . import rng as _rng
-from .algorithm import ConstantSchedule, GeometricSchedule, HyperParams
-from .compressors import LOCAL, pnorm
+from .algorithm import ConstantSchedule, GeometricSchedule, HyperParams, draw_x0
+from .compressors import LOCAL, pnorms
 from .constants import theorem_params
 from .errors import ConfigError
 from .graph import build_graph
@@ -164,13 +161,6 @@ def compressor_contract(compressor, d: int, cfg: dict):
         return compressor.contract(d)
 
 
-def _draw_x0(problem, graph, init_mode: str, x0_seed: int) -> np.ndarray:
-    gen = _rng.substream(x0_seed, _rng.X0, 0)
-    if init_mode == "shared_x0":
-        return np.tile(gen.standard_normal(problem.d), (graph.n, 1))
-    return gen.standard_normal((graph.n, problem.d))
-
-
 def build_run_plan(cfg: dict):
     """Resolve a config into (problem, graph, compressor, hyper, run kwargs)."""
     graph = build_graph_from(cfg)
@@ -184,12 +174,11 @@ def build_run_plan(cfg: dict):
         raise ConfigError("algorithm.T must be an integer >= 1")
     mode = _get(alg, "mode", str, "empirical")
     init_mode = _get(alg, "init_mode", str, "standard")
-    parallel = _get(alg, "parallel", bool, False)
 
     feasibility = {}
     extras = {}
     if mode == "empirical":
-        x0 = _draw_x0(problem, graph, init_mode, seed)
+        x0 = draw_x0(graph.n, problem.d, init_mode, seed)
         gamma = _get(alg, "gamma", float, required=True)
         tau_1 = _get(alg, "tau_1", float, required=True)
         alpha = _get(alg, "alpha", float, required=True)
@@ -201,7 +190,7 @@ def build_run_plan(cfg: dict):
         if s0 is None:
             if contract.cls == LOCAL and init_mode != "exact_first_round":
                 margin = _get(alg, "s0_margin", float, 1.0)
-                worst = max(pnorm(x0[i], contract.p) for i in range(graph.n))
+                worst = float(pnorms(x0, contract.p).max())
                 s0 = max(margin * worst / contract.C, 1e-12)
             else:
                 s0 = 1.0
@@ -232,7 +221,6 @@ def build_run_plan(cfg: dict):
         raise ConfigError(f"unknown algorithm mode {mode!r}")
 
     run_kwargs = dict(T=T, init_mode=init_mode, x0=x0, contract=contract,
-                      parallel=parallel,
                       record_per_agent=_get(cfg.get("output", {}),
                                             "per_agent_trace", bool, False))
     echo = {"mode": mode, "seed": seed, "alpha": hyper.alpha, "beta": hyper.beta,

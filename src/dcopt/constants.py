@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import GeometricSchedule, HyperParams, RecursiveSchedule
-from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext, pnorm
+from .algorithm import GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0
+from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext, pnorms
+from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
 
 
@@ -244,23 +245,9 @@ class ParamSelection:
 def initial_l1_bound(x0: np.ndarray, problem, graph, gamma: float, beta: float) -> float:
     """Upper bound on the initial Lyapunov value using the known lower bound
     in place of the (possibly unknown) optimal value."""
-    n = graph.n
-    xbar = x0.mean(axis=0)
-    G0 = problem.gradients_at(xbar)
-    W = G0 / gamma                   # v_0 = 0
-    e1 = 0.5 * float(np.sum(x0 * (graph.E @ x0)))
-    e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * (graph.F @ W)))
-    e3 = float(np.sum(x0 * ((graph.E @ graph.F) @ W)))
-    e4 = n * (problem.f(xbar) - problem.f_low)
+    e1, e2, e3, e4, _ = lyapunov_components(x0, np.zeros_like(x0), x0, problem, graph,
+                                            gamma, beta, f_ref=problem.f_low)
     return max(e1 + e2 + e3 + e4, 1e-12)
-
-
-def _draw_x0(problem, graph, init_mode: str, x0_seed: int) -> np.ndarray:
-    from . import rng as _rng
-    gen = _rng.substream(x0_seed, _rng.X0, 0)
-    if init_mode == "shared_x0":
-        return np.tile(gen.standard_normal(problem.d), (graph.n, 1))
-    return gen.standard_normal((graph.n, problem.d))
 
 
 def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
@@ -298,7 +285,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     nu = problem.pl_nu
     init_mode = "exact_first_round" if regime == "T2_local_exact_first" else "standard"
     if x0 is None:
-        x0 = _draw_x0(problem, graph, init_mode, x0_seed)
+        x0 = draw_x0(n, d, init_mode, x0_seed)
 
     omega = omega if omega is not None else 1.0 / contract.r
     if not 0 < omega <= 1.0 / contract.r:
@@ -327,7 +314,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     if regime in ("T1_local_nonconvex", "T2_local_exact_first"):
         if regime == "T1_local_nonconvex":
             alpha_display = 1.0 / (n ** 0.25 * dt * math.sqrt(T))
-            s0 = max(pnorm(x0[i], contract.p) for i in range(n)) / contract.C
+            s0 = float(pnorms(x0, contract.p).max()) / contract.C
             s0 = max(s0, 1e-12)
         else:
             alpha_display = tau_0 / (n ** (1.0 / 3.0) * dt ** (2.0 / 3.0) * T ** (1.0 / 3.0))
@@ -382,7 +369,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         eps = 0.5 * (1.0 + eps_lo)
         kappa_nu = _kappa_nu(x0, problem, graph, gamma, beta, nu)
         s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
-                 max(pnorm(x0[i], contract.p) for i in range(n)) / contract.C)
+                 float(pnorms(x0, contract.p).max()) / contract.C)
         schedule = GeometricSchedule(s0=s0, rate=eps)
         feas["alpha_below_kappa_0_prime"] = (alpha < tab.kappa_0_prime, alpha,
                                              tab.kappa_0_prime)
@@ -423,12 +410,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
 def _kappa_nu(x0, problem, graph, gamma, beta, nu) -> float:
     """Computable upper bound on the initial Lyapunov value under gradient
     domination: e1 + e2 + e3 at the initial state plus ||gbar0||^2 / (2 nu)."""
-    n = graph.n
-    xbar = x0.mean(axis=0)
-    G0 = problem.gradients_at(xbar)
-    W = G0 / gamma
-    e1 = 0.5 * float(np.sum(x0 * (graph.E @ x0)))
-    e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * (graph.F @ W)))
-    e3 = float(np.sum(x0 * ((graph.E @ graph.F) @ W)))
-    gbar = problem.grad_f(xbar)
-    return e1 + e2 + e3 + n * float(gbar @ gbar) / (2.0 * nu)
+    e1, e2, e3, _, _ = lyapunov_components(x0, np.zeros_like(x0), x0, problem, graph,
+                                           gamma, beta, f_ref=problem.f_low)
+    gbar = problem.grad_f(x0.mean(axis=0))
+    return e1 + e2 + e3 + graph.n * float(gbar @ gbar) / (2.0 * nu)

@@ -62,11 +62,16 @@ class RunTrace:
 
 def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
                         problem, graph, gamma: float, beta: float,
-                        f_ref: float | None = None, exact: bool = False):
+                        f_ref: float | None = None, exact: bool = False, *,
+                        EF: np.ndarray | None = None, G0: np.ndarray | None = None,
+                        f_bar: float | None = None):
     """Evaluate (e1, ..., e5) at a state snapshot.
 
     e4 uses the problem's exact optimal value when available, else the known
-    lower bound; ``exact=True`` insists on the oracle.
+    lower bound; ``exact=True`` insists on the oracle.  A caller evaluating
+    many snapshots passes ``EF = graph.E @ graph.F`` built once, and one that
+    already holds them passes ``G0 = problem.gradients_at(xbar)`` and
+    ``f_bar = problem.f(xbar)`` for the agents' mean xbar.
     """
     if f_ref is None:
         if problem.f_star is not None:
@@ -77,13 +82,19 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
             f_ref = problem.f_low
     n = graph.n
     xbar = X.mean(axis=0)
+    if EF is None:
+        EF = graph.E @ graph.F
+    if G0 is None:
+        G0 = problem.gradients_at(xbar)
+    if f_bar is None:
+        f_bar = problem.f(xbar)
     e1 = 0.5 * float(np.sum(X * (graph.E @ X)))
-    G0 = problem.gradients_at(xbar)
     W = V + G0 / gamma
     e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * (graph.F @ W)))
-    e3 = float(np.sum(X * ((graph.E @ graph.F) @ W)))
-    e4 = n * (problem.f(xbar) - f_ref)
-    e5 = float(np.sum((X - Xhat) ** 2))
+    e3 = float(np.sum(X * (EF @ W)))
+    e4 = n * (f_bar - f_ref)
+    diff = X - Xhat
+    e5 = float(np.sum(diff * diff))
     return e1, e2, e3, e4, e5
 
 

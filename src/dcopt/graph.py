@@ -82,6 +82,19 @@ def _is_connected(A: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray, lambda_np1: float,
+                E: np.ndarray) -> np.ndarray:
+    """F from the eigendecomposition L = V diag(lam) V^T, checked against F L = E."""
+    n = L.shape[0]
+    q = np.ones(n) / np.sqrt(n)
+    Q = V[:, 1:]
+    F = np.outer(q, q) / lambda_np1 + Q @ np.diag(1.0 / lam[1:]) @ Q.T
+    F = 0.5 * (F + F.T)
+    if np.max(np.abs(F @ L - E)) > _IDENTITY_TOL:
+        raise NumericalFailure("FL = E identity residual exceeds tolerance")
+    return F
+
+
 def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
     """Assemble a NetworkGraph from a symmetric nonnegative adjacency matrix."""
     A = np.asarray(A, dtype=float)
@@ -102,15 +115,8 @@ def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
         raise DisconnectedGraph("smallest positive Laplacian eigenvalue is numerically zero")
 
     lambda_np1 = rho2  # any value in [lambda_2, lambda_n] works; lambda_2 is deterministic
-    q = np.ones(n) / np.sqrt(n)
-    Q = V[:, 1:]
-    F = np.outer(q, q) / lambda_np1 + Q @ np.diag(1.0 / lam[1:]) @ Q.T
-    F = 0.5 * (F + F.T)
     E = np.eye(n) - np.ones((n, n)) / n
-
-    if np.max(np.abs(F @ L - E)) > _IDENTITY_TOL:
-        raise NumericalFailure("FL = E identity residual exceeds tolerance")
-
+    F = _assemble_F(L, lam, V, lambda_np1, E)
     return NetworkGraph(n=n, adjacency=A, laplacian=L, eigenvalues=lam, rho=rho,
                         rho2=rho2, lambda_np1=lambda_np1, E=E, F=F, topology=topology)
 
@@ -135,18 +141,9 @@ def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> Netw
 
 def build_F(graph: NetworkGraph, lambda_np1: float | None = None) -> np.ndarray:
     """Recompute F for a given lambda_np1 in [lambda_2, lambda_n]."""
-    lam = graph.eigenvalues
     if lambda_np1 is None:
         lambda_np1 = graph.rho2
     if not graph.rho2 - 1e-12 <= lambda_np1 <= graph.rho + 1e-12:
         raise NumericalFailure(f"lambda_np1={lambda_np1} outside [{graph.rho2}, {graph.rho}]")
-    n = graph.n
-    L = graph.laplacian
-    _, V = np.linalg.eigh(L)
-    q = np.ones(n) / np.sqrt(n)
-    Q = V[:, 1:]
-    F = np.outer(q, q) / lambda_np1 + Q @ np.diag(1.0 / lam[1:]) @ Q.T
-    F = 0.5 * (F + F.T)
-    if np.max(np.abs(F @ L - graph.E)) > _IDENTITY_TOL:
-        raise NumericalFailure("FL = E identity residual exceeds tolerance")
-    return F
+    _, V = np.linalg.eigh(graph.laplacian)
+    return _assemble_F(graph.laplacian, graph.eigenvalues, V, lambda_np1, graph.E)

@@ -15,6 +15,7 @@ Per-agent data are drawn independently, so local gradients disagree at the
 optimum (a genuinely heterogeneous instance).
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,58 +24,74 @@ import numpy as np
 from . import rng as _rng
 from .errors import IndexOutOfRange, SingularSystem
 
+_ALL = slice(None)
+
 
 @dataclass
 class ProblemInstance:
-    """Bundle of n local costs with gradient oracles and certificates."""
+    """Bundle of n local costs with batched oracles and certificates.
+
+    ``batch_cost(X, rows)`` and ``batch_grad(X, rows)`` evaluate agent
+    ``rows[j]``'s cost and gradient at ``X[j]`` for every row j at once
+    (``rows`` is a slice of the agents); every other oracle derives from them.
+    """
 
     n: int
     d: int
     ell: float                       # certified smoothness constant
     f_low: float                     # known lower bound on f*
-    local_cost: Callable             # (i, x) -> float
-    local_grad: Callable             # (i, x) -> ndarray
+    batch_cost: Callable             # (X, rows) -> costs, one per row
+    batch_grad: Callable             # (X, rows) -> gradients, one per row
     pl_nu: float | None = None       # gradient-domination constant, if certified
     f_star: float | None = None      # exact optimal value, if known
     x_star: np.ndarray | None = None
     family: str = "custom"
     meta: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)   # stacked per-agent arrays
 
     def _check(self, i: int):
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"agent index {i} outside [0, {self.n})")
 
+    def _shared(self, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(x, dtype=float), (self.n, self.d))
+
     def cost(self, i: int, x: np.ndarray) -> float:
         self._check(i)
-        return self.local_cost(i, np.asarray(x, dtype=float))
+        return float(self.batch_cost(np.asarray(x, dtype=float)[None, :], slice(i, i + 1))[0])
 
     def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check(i)
-        return self.local_grad(i, np.asarray(x, dtype=float))
+        return self.batch_grad(np.asarray(x, dtype=float)[None, :], slice(i, i + 1))[0]
 
     def f(self, x: np.ndarray) -> float:
         """Global objective (1/n) sum_i f_i(x)."""
-        return sum(self.cost(i, x) for i in range(self.n)) / self.n
+        # a Python sum keeps the agent order; np.sum would reorder it
+        return sum(self.batch_cost(self._shared(x), _ALL).tolist()) / self.n
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the global objective at a single point."""
-        g = np.zeros(self.d)
-        for i in range(self.n):
-            g += self.gradient(i, x)
-        return g / self.n
+        # summed in agent order; np.sum reorders a single column (d = 1)
+        return functools.reduce(np.add, self.gradients_at(x)) / self.n
 
     def stacked_gradients(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(X[i]); X is n x d."""
-        return np.stack([self.gradient(i, X[i]) for i in range(self.n)])
+        return self.batch_grad(X, _ALL)
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x) for a shared point x."""
-        return np.stack([self.gradient(i, x) for i in range(self.n)])
+        return self.batch_grad(self._shared(x), _ALL)
 
 
 def gradient(problem: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
     """Exact analytic gradient of f_agent at x."""
     return problem.gradient(agent, x)
+
+
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row j is M[j] @ X[j].  Stacked matmul matches the per-agent product
+    bit for bit; einsum does not."""
+    return (M @ X[:, :, None])[:, :, 0]
 
 
 def make_quadratic(n: int, d: int, seed: int = 0,
@@ -107,16 +124,17 @@ def make_quadratic(n: int, d: int, seed: int = 0,
     ell = float(max(np.linalg.eigvalsh(A[i].T @ A[i])[-1] for i in range(n)))
     nu = float(eigs[eigs > 1e-12 * eigs[-1]][0])
 
-    def cost(i, x):
-        r = A[i] @ x - b[i]
-        return 0.5 * float(r @ r)
+    def costs(X, rows):
+        R = _matvec(A[rows], X) - b[rows]
+        return 0.5 * np.vecdot(R, R)
 
-    def grad(i, x):
-        return A[i].T @ (A[i] @ x - b[i])
+    def grads(X, rows):
+        return _matvec(A[rows].transpose(0, 2, 1), _matvec(A[rows], X) - b[rows])
 
-    prob = ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, local_cost=cost,
-                           local_grad=grad, pl_nu=nu, family="quadratic",
-                           meta={"condition_number": condition_number, "seed": seed})
+    prob = ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, batch_cost=costs,
+                           batch_grad=grads, pl_nu=nu, family="quadratic",
+                           meta={"condition_number": condition_number, "seed": seed},
+                           data={"A": A, "b": b})
     prob.x_star = x_star
     prob.f_star = prob.f(x_star)
     return prob
@@ -142,20 +160,21 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
 
     ell = 0.25 + 2.0 * lam
 
-    def cost(i, x):
-        z = -y[i] * (A[i] @ x)
-        logistic = float(np.mean(np.logaddexp(0.0, z)))
-        return logistic + lam * float(np.sum(x * x / (1.0 + x * x)))
+    def costs(X, rows):
+        Z = -y[rows] * _matvec(A[rows], X)
+        logistic = np.mean(np.logaddexp(0.0, Z), axis=1)
+        return logistic + lam * np.sum(X * X / (1.0 + X * X), axis=1)
 
-    def grad(i, x):
-        z = -y[i] * (A[i] @ x)
-        sig = 1.0 / (1.0 + np.exp(-z))
-        g = -(A[i].T @ (y[i] * sig)) / m
-        return g + lam * 2.0 * x / (1.0 + x * x) ** 2
+    def grads(X, rows):
+        Z = -y[rows] * _matvec(A[rows], X)
+        sig = 1.0 / (1.0 + np.exp(-Z))
+        G = -_matvec(A[rows].transpose(0, 2, 1), y[rows] * sig) / m
+        return G + lam * 2.0 * X / (1.0 + X * X) ** 2
 
-    return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, local_cost=cost,
-                           local_grad=grad, family="nonconvex",
-                           meta={"lam": lam, "m": m, "seed": seed})
+    return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, batch_cost=costs,
+                           batch_grad=grads, family="nonconvex",
+                           meta={"lam": lam, "m": m, "seed": seed},
+                           data={"A": A, "y": y})
 
 
 def estimate_f_star(problem: ProblemInstance, restarts: int = 5, iters: int = 2000,

@@ -3,8 +3,8 @@
 Every random draw in the library flows from a single 64-bit seed through a
 named Philox substream keyed by (seed, purpose) with the counter set from
 (tag, agent, iteration).  A fresh generator is built per call, so draws are
-independent of execution order: parallel and sequential runs, or sharded
-verification sweeps, produce identical results.
+independent of execution order: a batched round and a loop over agents, or
+sharded verification sweeps, produce identical results.
 """
 
 import numpy as np

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import oracle
 import pytest
 
 import dcopt
@@ -389,16 +390,16 @@ directory = {tmp_path / 'run'}
     assert cli.cmd_run(str(p), force=True) == 0
     second = (tmp_path / "run" / "trace.csv").read_bytes()
 
-    # parallel-agents execution must equal the sequential run bit for bit
+    # the batched engine must equal the per-agent reference loop bit for bit
     from dcopt.config import build_run_plan, load_config
     problem, graph, cpr, hyper, kwargs, _, _, _ = build_run_plan(load_config(p))
-    seq = dcopt.run(problem, graph, cpr, hyper, **kwargs)
-    kwargs["parallel"] = True
-    par = dcopt.run(problem, graph, cpr, hyper, **kwargs)
+    batched = dcopt.run(problem, graph, cpr, hyper, **kwargs)
+    ref, _ = oracle.run(problem, graph, cpr, hyper, kwargs["T"], kwargs["init_mode"],
+                        x0=kwargs["x0"], contract=kwargs["contract"])
     csv_equal = first == second
-    arrays_equal = all(np.array_equal(getattr(seq, f), getattr(par, f), equal_nan=True)
+    arrays_equal = all(np.array_equal(getattr(batched, f), ref[f], equal_nan=True)
                        for f in ("f_bar", "grad_sq", "consensus", "e1", "e2", "e3",
                                  "e4", "e5", "s_k", "bits_cum", "surr_post_pmax"))
     _report("12", csv_equal and arrays_equal,
-            "same config+seed gives byte-identical CSV; parallel run equals "
-            "sequential bit for bit")
+            "same config+seed gives byte-identical CSV; batched run equals "
+            "the per-agent reference bit for bit")

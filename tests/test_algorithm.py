@@ -1,4 +1,5 @@
 import numpy as np
+import oracle
 import pytest
 
 from dcopt import (
@@ -156,7 +157,7 @@ def test_uncompressed_baseline_monotone():
     assert np.all(np.diff(f[10:]) <= 1e-10)
 
 
-def test_run_deterministic_and_parallel_equal():
+def test_run_deterministic_and_matches_oracle():
     prob = make_quadratic(5, 3, seed=12)
     g = build_graph("complete", 5)
     hyper = _hyper(alpha=0.05, beta=1.0, gamma=0.5, omega=1.0,
@@ -164,11 +165,10 @@ def test_run_deterministic_and_parallel_equal():
     cpr = comp.Noisy(comp.RandK(2, seed=21), 0.5)
     t1 = run(prob, g, cpr, hyper, T=30, x0_seed=13)
     t2 = run(prob, g, cpr, hyper, T=30, x0_seed=13)
-    t3 = run(prob, g, cpr, hyper, T=30, x0_seed=13, parallel=True)
-    for a, b in ((t1, t2), (t1, t3)):
-        np.testing.assert_array_equal(a.f_bar, b.f_bar)
-        np.testing.assert_array_equal(a.e5, b.e5)
-        np.testing.assert_array_equal(a.bits_cum, b.bits_cum)
+    ref, _ = oracle.run(prob, g, cpr, hyper, 30, x0_seed=13, contract=cpr.contract(3))
+    for name in ("f_bar", "e5", "bits_cum"):
+        np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
+        np.testing.assert_array_equal(getattr(t1, name), ref[name])
 
 
 def test_bits_accounting():

@@ -161,6 +161,20 @@ def test_compose_orders():
         comp.Compose(comp.UniformQuantizer(0.5), comp.UniformQuantizer(0.2))
 
 
+def test_compose_keeps_callers_stages():
+    inner = comp.Noisy(comp.UniformQuantizer(0.5, seed=4, tag=7), 0.2)
+    outer = comp.Noisy(comp.UnbiasedKBit(3, seed=4, tag=7), 0.2)
+    c = comp.Compose(inner, outer)
+    assert (outer.tag, outer.base.tag, inner.tag, inner.base.tag) == (7, 7, 7, 7)
+    assert c.outer is not outer and c.outer.tag == c.outer.base.tag == 8
+    # the two noise stages draw different realizations from distinct substreams
+    x = np.array([0.8, -1.7, 2.2])
+    mid, _ = inner.compress(x, iteration=3, agent=1)
+    q, _ = c.compress(x, iteration=3, agent=1)
+    q_same_stream, _ = outer.compress(mid, iteration=3, agent=1)
+    assert not np.array_equal(q, q_same_stream)
+
+
 def test_parameter_validation():
     with pytest.raises(OutOfRange):
         comp.OneBit(0.0)

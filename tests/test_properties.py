@@ -1,0 +1,116 @@
+"""Property tests: the batched engine against the per-agent oracle, and the
+paper's state-machine identities, over random graphs, compressor kinds, init
+modes and seeds."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from dcopt import config
+from dcopt.algorithm import (
+    INIT_MODES,
+    GeometricSchedule,
+    HyperParams,
+    draw_x0,
+    init_state,
+    run,
+    step,
+)
+from dcopt.compressors import B1, LOCAL, pnorms
+from dcopt.errors import IncompatibleContracts
+from dcopt.graph import build_graph
+from dcopt.problems import make_nonconvex, make_quadratic
+
+KINDS = ("one_bit", "sat_quant", "top_k", "norm_sign", "unbiased_kbit", "rand_k",
+         "scalarization", "uniform_quant", "identity",
+         "compose_kbit_of_uniform", "compose_uniform_of_kbit")
+T = 5
+
+
+@st.composite
+def cases(draw, kind, init_mode):
+    n = draw(st.integers(3, 10))
+    d = draw(st.integers(2, 6))
+    graph = build_graph(draw(st.sampled_from(("ring", "path", "erdos_renyi"))), n,
+                        seed=draw(st.integers(0, 2 ** 16)))
+    make = draw(st.sampled_from((make_quadratic, make_nonconvex)))
+    problem = make(n, d, seed=draw(st.integers(0, 2 ** 16)))
+    noise = draw(st.sampled_from(("0", "0.3")))
+    section = {"kind": kind, "level": "1.5", "step": "0.4",
+               "k": "2", "kbits": "3", "noise": noise, "noise_inner": noise,
+               "noise_outer": draw(st.sampled_from(("0", "0.2")))}
+    compressor = config.build_compressor_from({"compressor": section},
+                                              draw(st.integers(0, 2 ** 64 - 1)))
+    try:
+        contract = compressor.contract(d)
+    except IncompatibleContracts:       # noise around a local kind
+        contract = None
+    x0_seed = draw(st.integers(0, 2 ** 64 - 1))
+    s0 = 1.0
+    if contract is not None and contract.cls == LOCAL:
+        x0 = draw_x0(n, d, init_mode, x0_seed)
+        s0 = 1.05 * float(pnorms(x0, contract.p).max()) / contract.C
+    hyper = HyperParams(alpha=draw(st.sampled_from((0.0, 0.02, 0.05))), beta=1.2,
+                        gamma=0.7, omega=draw(st.sampled_from((0.6, 1.0))),
+                        schedule=GeometricSchedule(s0, 0.97))
+    return problem, graph, compressor, contract, hyper, x0_seed
+
+
+def _close(a, b, tol=1e-10):
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) <= tol * scale
+
+
+SETTINGS = settings(max_examples=6, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+every_kind_and_mode = pytest.mark.parametrize(
+    "kind,init_mode", [(k, m) for k in KINDS for m in INIT_MODES])
+
+
+@every_kind_and_mode
+@SETTINGS
+@given(data=st.data())
+def test_batched_step_matches_oracle_and_keeps_identities(kind, init_mode, data):
+    problem, graph, compressor, contract, hyper, x0_seed = data.draw(cases(kind, init_mode))
+    n, d = graph.n, problem.d
+    state = init_state(problem, graph, hyper, init_mode, x0_seed, contract=contract)
+    assert state.bits_cum == (n * d * B1 if init_mode == "exact_first_round" else 0)
+    ref = state
+    for _ in range(T):
+        # apply's row i, compress for agent i and the oracle agree
+        U = (state.x - state.x_hat) / state.s_k
+        Q, _ = compressor.apply(U, state.k)
+        for i in range(n):
+            q, _ = oracle.compress(compressor, U[i], state.k, i)
+            assert np.array_equal(Q[i], q)
+            assert np.array_equal(compressor.compress(U[i], state.k, i)[0], q)
+        new = step(state, problem, graph, compressor, hyper)
+        ref, agent_bits = oracle.step(ref, problem, graph, compressor, hyper)
+        for name in ("x", "v", "x_hat", "y"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+        assert (new.k, new.s_k) == (ref.k, ref.s_k)
+        # exact bit accounting: the round costs each agent's bits on its own input
+        assert new.bits_cum == state.bits_cum + sum(agent_bits) == ref.bits_cum
+        assert _close(new.y, graph.laplacian @ new.x_hat)
+        assert _close(new.v.mean(axis=0), np.zeros(d))
+        G = oracle.stacked_gradients(problem, state.x)
+        assert _close(new.x.mean(axis=0), state.x.mean(axis=0) - hyper.alpha * G.mean(axis=0))
+        state = new
+
+
+@every_kind_and_mode
+@SETTINGS
+@given(data=st.data())
+def test_batched_run_matches_oracle(kind, init_mode, data):
+    problem, graph, compressor, contract, hyper, x0_seed = data.draw(cases(kind, init_mode))
+    trace = run(problem, graph, compressor, hyper, T=T, init_mode=init_mode,
+                x0_seed=x0_seed, contract=contract)
+    ref, final = oracle.run(problem, graph, compressor, hyper, T, init_mode, x0_seed,
+                            contract=contract)
+    for name in oracle.COLUMNS:
+        assert np.array_equal(getattr(trace, name), ref[name], equal_nan=True), name
+    for name in ("x", "v", "x_hat", "y"):
+        assert np.array_equal(getattr(trace.final_state, name), getattr(final, name)), name
+    assert trace.final_state.bits_cum == final.bits_cum
