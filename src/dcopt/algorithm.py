@@ -228,7 +228,6 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     pa_post = np.zeros((rows, n)) if record_per_agent else None
 
     e4_mode = "exact" if problem.f_star is not None else "lower_gap"
-    EF = graph.E @ graph.F
 
     def record_pre(i_row, st):
         xbar = st.x.mean(axis=0)
@@ -240,7 +239,7 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
         tr["grad_sq"][i_row] = float(gbar @ gbar)
         tr["consensus"][i_row] = float(np.sum(dev * dev)) / n
         terms = lyapunov_components(st.x, st.v, st.x_hat, problem, graph, hyper.gamma,
-                                    hyper.beta, EF=EF, G0=G0, f_bar=tr["f_bar"][i_row])
+                                    hyper.beta, G0=G0, f_bar=tr["f_bar"][i_row])
         for name, value in zip(("e1", "e2", "e3", "e4", "e5"), terms):
             tr[name][i_row] = value
         tr["s_k"][i_row] = st.s_k

@@ -20,7 +20,6 @@ base characterizations to global contracts via the two lemma rules below.
 All bit counts use b1 = 32 bits per exactly-transmitted scalar.
 """
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -159,10 +158,10 @@ def lemma2_compose_params(rel: AssumptionContract, abs_: AssumptionContract,
 # ---------------------------------------------------------------------------
 
 class Compressor:
-    """Base interface.  Subclasses are pure given (x, iteration, agent, seed).
+    """Base interface.  Subclasses are pure given (U, iteration, agent, seed).
 
     ``apply`` compresses one round whose row j is agent ``agent + j``'s input;
-    stochastic kinds draw that row from the (agent + j, iteration) substream.
+    stochastic kinds draw the whole round as one block.
     """
 
     kind = "base"
@@ -175,15 +174,19 @@ class Compressor:
         self.tag = tag
 
     def apply(self, U: np.ndarray, iteration: int = 0, agent: int = 0):
-        """Return (Q, bits) for one round: Q row-wise, bits summed over rows."""
-        zeta = None
+        """Return (Q, bits) for one round: Q row-wise, bits summed over rows.
+
+        Stochastic kinds build one generator per round, from the (agent,
+        iteration) substream, and draw every row from it in one block.
+        """
+        gen = None
         if not self.deterministic:
-            zeta = np.stack([self._rng(agent + j, iteration).uniform(size=U.shape[1])
-                             for j in range(U.shape[0])])
-        return self._kernel(U, zeta), sum(map(self.bits, U))
+            gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, agent, iteration)
+        Q, charged = self._apply(U, gen, iteration)
+        return Q, sum(map(self.bits, charged))
 
     def compress(self, x, iteration: int = 0, agent: int = 0):
-        """Return (q, bits) for one vector."""
+        """Return (q, bits) for one vector: a round of one row."""
         Q, bits = self.apply(_check_vector(x)[None, :], iteration, agent)
         return Q[0], bits
 
@@ -194,24 +197,28 @@ class Compressor:
         raise NotImplementedError
 
     # -- internals ----------------------------------------------------------
-    def _rng(self, agent: int, iteration: int) -> np.random.Generator:
-        return _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, agent, iteration)
-
     def _kernel(self, X: np.ndarray, zeta: np.ndarray | None) -> np.ndarray:
         """Compress every row of X; ``zeta`` holds one uniform draw per entry
         for stochastic kinds and is None for deterministic ones."""
         raise NotImplementedError
 
-    def _apply(self, X: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """One compression draw per row of X, all from the block generator."""
-        return self._kernel(X, None if self.deterministic else gen.uniform(size=X.shape))
+    def _apply(self, X: np.ndarray, gen: np.random.Generator | None,
+               iteration: int | None = None):
+        """Compress every row of X with one block draw from ``gen``.
+
+        Returns the output and the rows the ``bits`` formula is charged on
+        (X itself, except for a composition).  The rows are the agents of
+        round ``iteration``, or independent draws when it is None; only
+        scalarization tells the two apart.
+        """
+        return self._kernel(X, None if self.deterministic else gen.uniform(size=X.shape)), X
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
         """Monte-Carlo draws of ||C(x)/r - x||^2 (vectorized over trials)."""
         x = _check_vector(x)
         gen = _rng.substream(seed, _rng.VERIFY, tag)
         X = np.broadcast_to(x, (trials, x.size)).copy()
-        Q = self._apply(X, gen)
+        Q, _ = self._apply(X, gen)
         diff = Q / self.r - x[None, :]
         return np.sum(diff * diff, axis=1)
 
@@ -464,15 +471,14 @@ class Scalarization(Compressor):
         gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, 0, iteration)
         return _rng.sphere_point(gen, d)
 
-    def apply(self, U, iteration: int = 0, agent: int = 0):
-        psi = self.direction(U.shape[1], iteration)
-        # vecdot matches the per-row psi @ x bit for bit; U @ psi does not
-        return psi * np.vecdot(U, psi)[:, None], sum(map(self.bits, U))
-
-    def _apply(self, X, gen):
+    def _apply(self, X, gen, iteration=None):
+        if iteration is not None:
+            psi = self.direction(X.shape[1], iteration)
+            # vecdot matches the per-row psi @ x bit for bit; X @ psi does not
+            return psi * np.vecdot(X, psi)[:, None], X
         G = gen.standard_normal(size=X.shape)
         G /= np.linalg.norm(G, axis=1, keepdims=True)
-        return G * np.sum(G * X, axis=1, keepdims=True)
+        return G * np.sum(G * X, axis=1, keepdims=True), X
 
 
 class UniformQuantizer(Compressor):
@@ -507,7 +513,10 @@ class UniformQuantizer(Compressor):
 
 class Noisy(Compressor):
     """Wrap a compressor with additive noise drawn uniformly from the
-    Euclidean ball of radius noise_bound (so ||xi|| <= noise_bound a.s.)."""
+    Euclidean ball of radius noise_bound (so ||xi|| <= noise_bound a.s.).
+
+    A round's base draws and noise come from the wrapper's one generator.
+    """
 
     kind = "noisy"
 
@@ -534,20 +543,12 @@ class Noisy(Compressor):
                                           self.noise_bound)
         raise IncompatibleContracts(f"{self.base.kind} has no global base characterization")
 
-    def apply(self, U, iteration: int = 0, agent: int = 0):
-        Q, bits = self.base.apply(U, iteration, agent)
-        noise = np.stack([
-            _rng.ball_point(_rng.substream(self.seed, _rng.NOISE, self.tag, agent + j, iteration),
-                            U.shape[1], self.noise_bound)
-            for j in range(U.shape[0])])
-        return Q + noise, bits
-
-    def _apply(self, X, gen):
-        Q = self.base._apply(X, gen)
+    def _apply(self, X, gen, iteration=None):
+        Q, charged = self.base._apply(X, gen, iteration)
         G = gen.standard_normal(size=Q.shape)
         G /= np.linalg.norm(G, axis=1, keepdims=True)
         radii = self.noise_bound * gen.uniform(size=(Q.shape[0], 1)) ** (1.0 / Q.shape[1])
-        return Q + G * radii
+        return Q + G * radii, charged
 
     def describe(self):
         return f"{self.base!r}, noise={self.noise_bound}"
@@ -560,6 +561,8 @@ class Compose(Compressor):
     the outer compression, matching rel(abs(x)/r_a); with an absolute outer
     stage the relative output is passed through unscaled, abs(rel(x)).
     Bits are charged as the outer stage's formula on the inner output.
+    Both stages draw from one generator, keyed by the inner stage's seed
+    and tag.
     """
 
     kind = "compose"
@@ -577,11 +580,6 @@ class Compose(Compressor):
             raise IncompatibleContracts(
                 f"composition needs one relative and one absolute stage, got {roles}")
         super().__init__(inner.seed, inner.tag)
-        # the stages must draw from distinct substreams, otherwise e.g. two
-        # noise wrappers would inject the identical realization twice; the
-        # outer stage is retagged on a copy so the caller's object is kept
-        if outer.tag == inner.tag:
-            outer = _retagged(outer, inner.tag + 1)
         self.inner = inner
         self.outer = outer
         self.kind = f"compose_{outer.kind}_of_{inner.kind}"
@@ -602,29 +600,20 @@ class Compose(Compressor):
         abs_ = lemma1_absolute_params(abs_base.absolute_error(d), abs_base.r, abs_noise)
         return lemma2_compose_params(rel, abs_, self.order)
 
-    def apply(self, U, iteration: int = 0, agent: int = 0):
-        mid, _ = self.inner.apply(U, iteration, agent)
-        if self.order == "rel_of_abs":
-            mid = mid / self.inner.r
-        return self.outer.apply(mid, iteration, agent)
+    def bits(self, x):
+        # x is the outer stage's input, which _apply charges
+        return self.outer.bits(x)
 
-    def _apply(self, X, gen):
-        mid = self.inner._apply(X, gen)
+    def _apply(self, X, gen, iteration=None):
+        # both stages draw from the one generator, inner first, so two noise
+        # wrappers never inject the same realization
+        mid, _ = self.inner._apply(X, gen, iteration)
         if self.order == "rel_of_abs":
             mid = mid / self.inner.r
-        return self.outer._apply(mid, gen)
+        return self.outer._apply(mid, gen, iteration)
 
     def describe(self):
         return f"{self.inner!r} -> {self.outer!r}"
-
-
-def _retagged(c: Compressor, tag: int) -> Compressor:
-    """Copy of ``c`` (and of a noise wrapper's base) drawing under ``tag``."""
-    c = copy.copy(c)
-    c.tag = tag
-    if isinstance(c, Noisy):
-        c.base = _retagged(c.base, tag)
-    return c
 
 
 def compose_kbit_of_uniform(kbits: int, step: float, noise_inner: float = 0.0,

@@ -27,6 +27,7 @@ topology sample can be reused across algorithm seeds.
 
 import configparser
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from . import compressors as comp
@@ -225,7 +226,7 @@ def build_run_plan(cfg: dict):
                                             "per_agent_trace", bool, False))
     echo = {"mode": mode, "seed": seed, "alpha": hyper.alpha, "beta": hyper.beta,
             "gamma": hyper.gamma, "omega": hyper.omega,
-            "schedule": type(hyper.schedule).__name__,
+            "schedule": {"mode": hyper.schedule.mode, **asdict(hyper.schedule)},
             "compressor": repr(compressor), "graph": graph.topology, "n": graph.n,
             "d": problem.d, "family": problem.family}
     return problem, graph, compressor, hyper, run_kwargs, feasibility, extras, echo

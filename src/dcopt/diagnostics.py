@@ -63,15 +63,16 @@ class RunTrace:
 def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
                         problem, graph, gamma: float, beta: float,
                         f_ref: float | None = None, exact: bool = False, *,
-                        EF: np.ndarray | None = None, G0: np.ndarray | None = None,
-                        f_bar: float | None = None):
+                        G0: np.ndarray | None = None, f_bar: float | None = None):
     """Evaluate (e1, ..., e5) at a state snapshot.
 
     e4 uses the problem's exact optimal value when available, else the known
-    lower bound; ``exact=True`` insists on the oracle.  A caller evaluating
-    many snapshots passes ``EF = graph.E @ graph.F`` built once, and one that
-    already holds them passes ``G0 = problem.gradients_at(xbar)`` and
+    lower bound; ``exact=True`` insists on the oracle.  A caller that already
+    holds them passes ``G0 = problem.gradients_at(xbar)`` and
     ``f_bar = problem.f(xbar)`` for the agents' mean xbar.
+
+    E is the symmetric centering projector, so E X = X - xbar and
+    <X, E F W> = <X - xbar, F W>: one dense product, F W, serves e2 and e3.
     """
     if f_ref is None:
         if problem.f_star is not None:
@@ -82,16 +83,16 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
             f_ref = problem.f_low
     n = graph.n
     xbar = X.mean(axis=0)
-    if EF is None:
-        EF = graph.E @ graph.F
     if G0 is None:
         G0 = problem.gradients_at(xbar)
     if f_bar is None:
         f_bar = problem.f(xbar)
-    e1 = 0.5 * float(np.sum(X * (graph.E @ X)))
+    dev = X - xbar
+    e1 = 0.5 * float(np.sum(dev * dev))
     W = V + G0 / gamma
-    e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * (graph.F @ W)))
-    e3 = float(np.sum(X * (EF @ W)))
+    FW = graph.F @ W
+    e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * FW))
+    e3 = float(np.sum(dev * FW))
     e4 = n * (f_bar - f_ref)
     diff = X - Xhat
     e5 = float(np.sum(diff * diff))

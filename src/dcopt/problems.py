@@ -151,12 +151,12 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
         raise SingularSystem("need n, d, m >= 1 and lam >= 0")
     gen = _rng.substream(seed, _rng.PROBLEM, 1)
     A = gen.standard_normal((n, m, d))
-    y = np.empty((n, m))
-    for i in range(n):
-        top = np.linalg.eigvalsh(A[i].T @ A[i] / m)[-1]
-        A[i] /= np.sqrt(top)
-        w = gen.standard_normal(d)
-        y[i] = np.where(A[i] @ w + 0.3 * gen.standard_normal(m) >= 0, 1.0, -1.0)
+    # A_i^T A_i and A_i A_i^T share their top eigenvalue; use the smaller one
+    gram = A @ A.transpose(0, 2, 1) if m < d else A.transpose(0, 2, 1) @ A
+    A /= np.sqrt(np.linalg.eigvalsh(gram / m)[:, -1])[:, None, None]
+    # one row per agent: its d weights, then its m label-noise draws
+    draws = gen.standard_normal((n, d + m))
+    y = np.where(_matvec(A, draws[:, :d]) + 0.3 * draws[:, d:] >= 0, 1.0, -1.0)
 
     ell = 0.25 + 2.0 * lam
 

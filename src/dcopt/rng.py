@@ -2,9 +2,13 @@
 
 Every random draw in the library flows from a single 64-bit seed through a
 named Philox substream keyed by (seed, purpose) with the counter set from
-(tag, agent, iteration).  A fresh generator is built per call, so draws are
-independent of execution order: a batched round and a loop over agents, or
-sharded verification sweeps, produce identical results.
+(tag, agent, iteration).  A stream's draws depend only on its coordinates,
+never on execution order.  A compression round is one block draw: the
+round's generator comes from its (tag, agent, iteration) coordinates, with
+``agent`` the round's first row, and fills every row in turn.  So row j of
+a round is not the draw that agent j would get compressing alone; compressing
+one vector is a round of one row.  Scalarization's shared direction has its
+own stream keyed by the iteration alone.
 """
 
 import numpy as np
@@ -13,7 +17,6 @@ import numpy as np
 GRAPH = 1
 X0 = 2
 COMPRESSOR = 3
-NOISE = 4
 SCALARIZATION = 5
 PROBLEM = 6
 VERIFY = 7
@@ -25,15 +28,6 @@ def substream(seed: int, purpose: int, tag: int = 0, agent: int = 0,
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
     counter = np.array([0, tag, agent, iteration], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def ball_point(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
-    """Uniform draw from the closed Euclidean ball of the given radius."""
-    g = rng.standard_normal(d)
-    nrm = np.linalg.norm(g)
-    if nrm == 0.0:
-        return np.zeros(d)
-    return g / nrm * radius * rng.uniform() ** (1.0 / d)
 
 
 def sphere_point(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -397,9 +397,9 @@ directory = {tmp_path / 'run'}
     ref, _ = oracle.run(problem, graph, cpr, hyper, kwargs["T"], kwargs["init_mode"],
                         x0=kwargs["x0"], contract=kwargs["contract"])
     csv_equal = first == second
-    arrays_equal = all(np.array_equal(getattr(batched, f), ref[f], equal_nan=True)
-                       for f in ("f_bar", "grad_sq", "consensus", "e1", "e2", "e3",
-                                 "e4", "e5", "s_k", "bits_cum", "surr_post_pmax"))
+    arrays_equal = not oracle.mismatches(
+        batched, ref, ("f_bar", "grad_sq", "consensus", "e1", "e2", "e3", "e4", "e5",
+                       "s_k", "bits_cum", "surr_post_pmax"))
     _report("12", csv_equal and arrays_equal,
             "same config+seed gives byte-identical CSV; batched run equals "
-            "the per-agent reference bit for bit")
+            "the per-agent reference bit for bit (e1, e3 to 1e-12 of their scale)")

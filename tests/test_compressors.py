@@ -54,7 +54,7 @@ def test_one_bit_error_bound():
     rng = np.random.default_rng(3)
     X = rng.uniform(-level, level, size=(10_000, 5))
     X = np.vstack([X, np.full((1, 5), level), np.full((1, 5), -level), np.zeros((1, 5))])
-    Q = c._apply(X, rng)
+    Q, _ = c._apply(X, rng)
     assert np.abs(Q - X).max() <= level / 2 + 1e-15
 
 
@@ -64,12 +64,12 @@ def test_sat_quant_region_and_range():
     rng = np.random.default_rng(4)
     lo, hi = math.floor(-2.5) * 1.0, math.floor(2.5) * 1.0
     X = rng.uniform(-8, 8, size=(5000, 3))
-    Q = c._apply(X, rng)
+    Q, _ = c._apply(X, rng)
     assert Q.min() >= lo - 1e-12 and Q.max() <= hi + 1e-12
     # inside the unsaturated region the rounding error is at most step/2
     region = math.floor(2.5 / 1.0) * 1.0 + 0.5
     Xin = rng.uniform(-region, region, size=(5000, 3))
-    Qin = c._apply(Xin, rng)
+    Qin, _ = c._apply(Xin, rng)
     assert np.abs(Qin - Xin).max() <= 0.5 + 1e-12
 
 
@@ -88,11 +88,30 @@ def test_unbiased_kbit_is_unbiased():
     c = comp.UnbiasedKBit(3, seed=7)
     x = np.array([0.7, -1.3, 0.2, 2.1, 0.0])
     gen = np.random.default_rng(0)
-    draws = c._apply(np.broadcast_to(x, (100_000, 5)).copy(), gen)
+    draws, _ = c._apply(np.broadcast_to(x, (100_000, 5)).copy(), gen)
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     # absolute headroom covers summation rounding on zero-variance coordinates
     assert np.all(np.abs(mean - x) <= 4 * se + 1e-9)
+
+
+@pytest.mark.parametrize("make,mean_factor", [
+    (lambda: comp.UnbiasedKBit(2, seed=3), 1.0),
+    (lambda: comp.Noisy(comp.UnbiasedKBit(2, seed=3), 0.5), 1.0),
+    (lambda: comp.RandK(2, seed=3), 2 / 5),
+], ids=["unbiased_kbit", "noisy_unbiased_kbit", "rand_k"])
+def test_round_rows_are_unbiased_and_independent(make, mean_factor):
+    c = make()
+    x = np.array([0.7, -1.3, 0.2, 2.1, -0.4])
+    rounds = 4000
+    # every row of a round has the same input; rows >= 1 must be as good as row 0
+    Q = np.stack([c.apply(np.tile(x, (4, 1)), k)[0] for k in range(rounds)])
+    mean = Q.mean(axis=0)
+    se = Q.std(axis=0, ddof=1) / math.sqrt(rounds)
+    # absolute headroom covers summation rounding on zero-variance coordinates
+    assert np.all(np.abs(mean - mean_factor * x) <= 4 * se + 1e-9)
+    # equal inputs, separate draws: row 1 does not reuse row 0's randomness
+    assert not np.array_equal(Q[:, 1], Q[:, 0])
 
 
 def test_scalarization_direction_moments():
@@ -166,8 +185,9 @@ def test_compose_keeps_callers_stages():
     outer = comp.Noisy(comp.UnbiasedKBit(3, seed=4, tag=7), 0.2)
     c = comp.Compose(inner, outer)
     assert (outer.tag, outer.base.tag, inner.tag, inner.base.tag) == (7, 7, 7, 7)
-    assert c.outer is not outer and c.outer.tag == c.outer.base.tag == 8
-    # the two noise stages draw different realizations from distinct substreams
+    assert c.inner is inner and c.outer is outer
+    # the two noise stages draw different realizations: the outer stage goes
+    # on drawing from the round's generator where the inner stage stopped
     x = np.array([0.8, -1.7, 2.2])
     mid, _ = inner.compress(x, iteration=3, agent=1)
     q, _ = c.compress(x, iteration=3, agent=1)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dcopt import cli
+from dcopt.algorithm import ConstantSchedule, GeometricSchedule, RecursiveSchedule
 from dcopt.config import build_run_plan, load_config
 from dcopt.errors import ConfigError
 
@@ -88,6 +89,24 @@ def test_cmd_run_writes_outputs(tmp_path, capsys):
     # write-once: rerun refuses without force
     assert cli.cmd_run(path) == cli.EXIT_CONFIG
     assert cli.cmd_run(path, force=True) == cli.EXIT_OK
+
+
+SCHEDULES = {"constant": ConstantSchedule, "geometric": GeometricSchedule,
+             "recursive": RecursiveSchedule}
+
+
+@pytest.mark.parametrize("edit", [
+    ("schedule = geometric", "schedule = geometric"),
+    ("schedule = geometric", "schedule = constant\ns0 = 3.5"),
+    ("mode = empirical", "mode = T1_local_nonconvex"),
+])
+def test_summary_reproduces_schedule(tmp_path, edit):
+    out = tmp_path / "out"
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace(*edit))
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    saved = json.loads((out / "summary.json").read_text())["config"]["schedule"]
+    rebuilt = SCHEDULES[saved.pop("mode")](**saved)
+    assert rebuilt == build_run_plan(load_config(path))[3].schedule
 
 
 def test_cmd_run_deterministic_csv(tmp_path):

@@ -74,6 +74,16 @@ def test_gradients_match_finite_differences(factory):
         assert np.linalg.norm(g - gd) / denom <= 1e-4
 
 
+@pytest.mark.parametrize("m,d", [(4, 9), (12, 5)])
+def test_nonconvex_data_scaled_to_unit_spectral_radius(m, d):
+    # the scale comes from the smaller Gram matrix; the certificate is the d x d one
+    prob = make_nonconvex(6, d, seed=17, lam=0.2, m=m)
+    A = prob.data["A"]
+    tops = [np.linalg.eigvalsh(A[i].T @ A[i] / m)[-1] for i in range(6)]
+    np.testing.assert_allclose(tops, 1.0, rtol=0, atol=1e-12)
+    assert prob.ell == 0.25 + 2.0 * 0.2
+
+
 @pytest.mark.parametrize("factory", [
     lambda: make_quadratic(4, 3, seed=9, condition_number=6.0),
     lambda: make_nonconvex(4, 3, seed=9),
