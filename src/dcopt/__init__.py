@@ -47,7 +47,6 @@ from .compressors import (
 from .constants import ParamSelection, compute_constants, initial_l1_bound, theorem_params
 from .diagnostics import (
     RunTrace,
-    contraction_check,
     contraction_global_check,
     contraction_local_check,
     lyapunov_components,
@@ -58,6 +57,6 @@ from .diagnostics import (
     write_summary,
 )
 from .graph import NetworkGraph, build_F, build_graph, from_adjacency
-from .problems import ProblemInstance, estimate_f_star, gradient, make_nonconvex, make_quadratic
+from .problems import ProblemInstance, estimate_f_star, make_nonconvex, make_quadratic
 
 __version__ = "0.1.0"

@@ -77,13 +77,17 @@ class RecursiveSchedule:
         return float(np.sqrt(decay * self.s0 ** 2 + self.kappa4 * (1.0 - decay) / self.eps8))
 
 
+def _check_horizon(schedule, T: int | None) -> None:
+    if isinstance(schedule, RecursiveSchedule) and T is not None and T > schedule.horizon:
+        raise ConfigError(f"recursive schedule derived for horizon {schedule.horizon}, "
+                          f"cannot run T={T}")
+
+
 def scaling_value(schedule, k: int, T: int | None = None) -> float:
     """Evaluate s_k for any schedule kind."""
     if k < 0:
         raise ConfigError(f"iteration must be >= 0, got {k}")
-    if isinstance(schedule, RecursiveSchedule) and T is not None and T > schedule.horizon:
-        raise ConfigError(f"recursive schedule derived for horizon {schedule.horizon}, "
-                          f"cannot run T={T}")
+    _check_horizon(schedule, T)
     return schedule.value(k)
 
 
@@ -127,6 +131,12 @@ def draw_x0(n: int, d: int, init_mode: str, x0_seed: int) -> np.ndarray:
     return gen.standard_normal((n, d))
 
 
+def s0_floor(x0: np.ndarray, contract: AssumptionContract, margin: float = 1.0) -> float:
+    """margin * max_i ||x_i0||_p / C: the smallest s0 (at margin 1) that puts
+    every agent's first compressor input in the local region."""
+    return margin * float(pnorms(x0, contract.p).max()) / contract.C
+
+
 def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
                x0_seed: int = 0, x0: np.ndarray | None = None,
                contract: AssumptionContract | None = None) -> AlgorithmState:
@@ -157,11 +167,11 @@ def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
         x_hat = np.zeros_like(x0)
         y = np.zeros_like(x0)
         if contract is not None and contract.cls == LOCAL:
-            worst = float(pnorms(x0, contract.p).max())
-            if worst > contract.C * s0 * (1.0 + 1e-12):
+            floor = s0_floor(x0, contract)
+            if floor > s0 * (1.0 + 1e-12):
                 raise InvalidScale(
                     f"s0={s0} violates the local-class bound: need s0 >= "
-                    f"max_i ||x_i0||_p / C = {worst / contract.C}")
+                    f"max_i ||x_i0||_p / C = {floor}")
 
     return AlgorithmState(x=x0, v=np.zeros_like(x0), x_hat=x_hat, y=y,
                           k=0, s_k=s0, bits_cum=bits)
@@ -196,7 +206,7 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
 def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
         init_mode: str = "standard", x0_seed: int = 0, x0: np.ndarray | None = None,
         contract: AssumptionContract | None = None,
-        record_per_agent: bool = False, config_echo: dict | None = None) -> RunTrace:
+        config_echo: dict | None = None) -> RunTrace:
     """Execute T iterations and record per-iteration diagnostics.
 
     The trace has T+1 rows; row k pairs x_k with the surrogate of the
@@ -204,9 +214,7 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     """
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
-    if isinstance(hyper.schedule, RecursiveSchedule) and T > hyper.schedule.horizon:
-        raise ConfigError(f"recursive schedule derived for horizon "
-                          f"{hyper.schedule.horizon}, cannot run T={T}")
+    _check_horizon(hyper.schedule, T)
     if contract is None and hasattr(compressor, "contract"):
         try:
             contract = compressor.contract(problem.d)
@@ -214,7 +222,7 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
             contract = None
 
     state = init_state(problem, graph, hyper, init_mode, x0_seed, x0, contract)
-    n, d = graph.n, problem.d
+    n = graph.n
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
 
@@ -224,8 +232,6 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
            "surr_pre_pmax", "surr_post_pmax", "surr_pre_l2sq", "surr_post_l2sq")}
     bits_cum = np.zeros(rows, dtype=np.int64)
     region_ok = np.ones(rows, dtype=bool)
-    pa_pre = np.zeros((rows, n)) if record_per_agent else None
-    pa_post = np.zeros((rows, n)) if record_per_agent else None
 
     e4_mode = "exact" if problem.f_star is not None else "lower_gap"
 
@@ -248,8 +254,6 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
         bits_cum[i_row] = st.bits_cum
         if local:
             region_ok[i_row] = pre_p.max() <= contract.C * st.s_k * (1.0 + 1e-12)
-        if pa_pre is not None:
-            pa_pre[i_row] = pre_p
 
     # diagnostics on a diverging state may transiently overflow; the step
     # itself raises NonFiniteState before the next round starts
@@ -258,17 +262,12 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
             record_pre(it, state)
             new_state = step(state, problem, graph, compressor, hyper)
             post = state.x - new_state.x_hat
-            post_p = pnorms(post, p)
-            tr["surr_post_pmax"][it] = post_p.max()
+            tr["surr_post_pmax"][it] = pnorms(post, p).max()
             tr["surr_post_l2sq"][it] = float(np.sum(post * post))
-            if pa_post is not None:
-                pa_post[it] = post_p
             state = new_state
         record_pre(T, state)
         tr["surr_post_pmax"][T] = np.nan
         tr["surr_post_l2sq"][T] = np.nan
-        if pa_post is not None:
-            pa_post[T] = np.nan
 
     echo = dict(config_echo or {})
     echo.setdefault("T", T)
@@ -276,5 +275,4 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     if local:
         echo.setdefault("contract_C", contract.C)
     return RunTrace(k=np.arange(rows), bits_cum=bits_cum, region_ok=region_ok,
-                    e4_mode=e4_mode, per_agent_pre=pa_pre, per_agent_post=pa_post,
-                    final_state=state, config=echo, **tr)
+                    e4_mode=e4_mode, final_state=state, config=echo, **tr)

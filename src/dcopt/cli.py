@@ -19,13 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithm, config as cfgmod, diagnostics
-from .compressors import (
-    LOCAL,
-    NormContext,
-    verify_global_assumption,
-    verify_local_assumption,
-)
-from .constants import compute_constants, initial_l1_bound
+from .compressors import LOCAL, verify_global_assumption, verify_local_assumption
+from .constants import table_at
 from .errors import (
     ConfigError,
     DcoptError,
@@ -228,15 +223,12 @@ def cmd_params(config_path: str) -> int:
         cfg = cfgmod.load_config(config_path)
         problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
             cfgmod.build_run_plan(cfg)
-        contract = run_kwargs["contract"]
-        norms = NormContext(p=contract.p, d=problem.d)
-        l1_0 = initial_l1_bound(run_kwargs["x0"], problem, graph,
-                                hyper.gamma, hyper.beta)
         sched = hyper.schedule
-        table = compute_constants(
-            graph, problem.ell, hyper.gamma, hyper.tau_1 or hyper.beta / hyper.gamma,
-            hyper.omega, hyper.alpha, contract, norms, T=run_kwargs["T"],
-            l1_0=l1_0, s0=sched.value(0), nu=problem.pl_nu)
+        table = table_at(problem, graph, run_kwargs["contract"], hyper.gamma, hyper.tau_1,
+                         hyper.omega, hyper.alpha,
+                         s0=sched.s0 if sched.mode == "recursive" else None,
+                         T=run_kwargs["T"], tau_0=cfgmod.regime_options(cfg)["tau_0"],
+                         x0=run_kwargs["x0"])
     except InfeasibleParams as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
     except DcoptError as exc:
@@ -244,8 +236,7 @@ def cmd_params(config_path: str) -> int:
 
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
-                  "omega": hyper.omega, "tau_1": hyper.tau_1,
-                  "schedule": type(sched).__name__, "s0": sched.value(0)},
+                  "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": echo["schedule"]},
         "constants": table.as_dict(),
         "feasibility": {k: {"ok": ok, "value": v, "bound": b}
                         for k, (ok, v, b) in feas.items()},

@@ -174,7 +174,7 @@ class Compressor:
         self.tag = tag
 
     def apply(self, U: np.ndarray, iteration: int = 0, agent: int = 0):
-        """Return (Q, bits) for one round: Q row-wise, bits summed over rows.
+        """Return (Q, bits) for one round: Q row-wise, bits the round's total.
 
         Stochastic kinds build one generator per round, from the (agent,
         iteration) substream, and draw every row from it in one block.
@@ -183,14 +183,15 @@ class Compressor:
         if not self.deterministic:
             gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, agent, iteration)
         Q, charged = self._apply(U, gen, iteration)
-        return Q, sum(map(self.bits, charged))
+        return Q, self.bits(charged)
 
     def compress(self, x, iteration: int = 0, agent: int = 0):
         """Return (q, bits) for one vector: a round of one row."""
         Q, bits = self.apply(_check_vector(x)[None, :], iteration, agent)
         return Q[0], bits
 
-    def bits(self, x: np.ndarray) -> int:
+    def bits(self, X: np.ndarray) -> int:
+        """Total bits to transmit every row of the 2-d block X."""
         raise NotImplementedError
 
     def contract(self, d: int) -> AssumptionContract:
@@ -206,7 +207,7 @@ class Compressor:
                iteration: int | None = None):
         """Compress every row of X with one block draw from ``gen``.
 
-        Returns the output and the rows the ``bits`` formula is charged on
+        Returns the output and the block the ``bits`` formula is charged on
         (X itself, except for a composition).  The rows are the agents of
         round ``iteration``, or independent draws when it is None; only
         scalarization tells the two apart.
@@ -235,8 +236,8 @@ class Identity(Compressor):
     kind = "identity"
     role = "relative"
 
-    def bits(self, x):
-        return x.size * B1
+    def bits(self, X):
+        return X.size * B1
 
     def contract(self, d):
         return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, 1.0)
@@ -262,8 +263,8 @@ class OneBit(Compressor):
             raise OutOfRange(f"quantization level must be positive, got {level}")
         self.level = level
 
-    def bits(self, x):
-        return x.size
+    def bits(self, X):
+        return X.size
 
     def contract(self, d):
         # p = inf, r = 1, C = level, delta in (0, 1/2]; the largest valid delta
@@ -290,9 +291,9 @@ class SaturatingQuantizer(Compressor):
         self._lo = math.floor(-level / step)
         self._hi = math.floor(level / step)
 
-    def bits(self, x):
+    def bits(self, X):
         levels = math.floor(self.level / self.step) + math.ceil(self.level / self.step) + 1
-        return x.size * math.ceil(math.log2(levels))
+        return X.size * math.ceil(math.log2(levels))
 
     def contract(self, d):
         return AssumptionContract(LOCAL, np.inf, 1.0, self.level,
@@ -317,9 +318,9 @@ class TopK(Compressor):
             raise OutOfRange(f"k must be >= 1, got {k}")
         self.k = k
 
-    def bits(self, x):
-        self._check_k(x.size)
-        return self.k * B1
+    def bits(self, X):
+        self._check_k(X.shape[1])
+        return len(X) * self.k * B1
 
     def contract(self, d, C: float = 1.0):
         # advertised contract: p = 2, r = 1, any C > 0, delta = k/d
@@ -354,8 +355,8 @@ class NormSign(Compressor):
 
     kind = "norm_sign"
 
-    def bits(self, x):
-        return x.size + B1
+    def bits(self, X):
+        return X.size + len(X) * B1
 
     def contract(self, d, C: float = 1.0):
         return AssumptionContract(LOCAL, np.inf, 1.0, C, 0.5)
@@ -380,8 +381,8 @@ class UnbiasedKBit(Compressor):
             raise OutOfRange(f"kbits must be >= 1, got {kbits}")
         self.kbits = kbits
 
-    def bits(self, x):
-        return (self.kbits + 1) * x.size + B1
+    def bits(self, X):
+        return (self.kbits + 1) * X.size + len(X) * B1
 
     def relative_delta(self, d):
         # E||C(x)-x||^2 <= (||x||_inf / 2^{k-1})^2 * d/4 <= (d / 4^k) ||x||^2
@@ -419,10 +420,10 @@ class RandK(Compressor):
             raise OutOfRange(f"k must be >= 1, got {k}")
         self.k = k
 
-    def bits(self, x):
-        if self.k > x.size:
-            raise DimensionMismatch(f"k={self.k} exceeds dimension {x.size}")
-        return self.k * B1
+    def bits(self, X):
+        if self.k > X.shape[1]:
+            raise DimensionMismatch(f"k={self.k} exceeds dimension {X.shape[1]}")
+        return len(X) * self.k * B1
 
     def relative_delta(self, d):
         # unscaled pass-through: E||C(x)-x||^2 = (1 - k/d) ||x||^2 exactly
@@ -457,8 +458,8 @@ class Scalarization(Compressor):
     deterministic = False
     role = "relative"
 
-    def bits(self, x):
-        return B1
+    def bits(self, X):
+        return len(X) * B1
 
     def relative_delta(self, d):
         # E[psi psi^T] = I/d gives E||psi psi^T x - x||^2 = (1 - 1/d) ||x||^2
@@ -493,9 +494,12 @@ class UniformQuantizer(Compressor):
             raise OutOfRange(f"step must be positive, got {step}")
         self.step = step
 
-    def bits(self, x):
-        levels = 2 * math.floor(np.max(np.abs(x), initial=0.0) / self.step) + 1
-        return x.size * max(1, math.ceil(math.log2(levels)))
+    def bits(self, X):
+        # row j sends ceil(log2(2 q_j + 1)) = 1 + bitlength(q_j) bits per
+        # coordinate for q_j = floor(max |X_j| / step); frexp's exponent is
+        # the bit length of the integer-valued float q_j
+        q = np.floor(np.max(np.abs(X), axis=1, initial=0.0) / self.step)
+        return X.size + X.shape[1] * int(np.frexp(q)[1].sum())
 
     def absolute_error(self, d):
         # per-coordinate rounding error <= step/2
@@ -531,8 +535,8 @@ class Noisy(Compressor):
         self.r = base.r
         self.kind = f"noisy_{base.kind}"
 
-    def bits(self, x):
-        return self.base.bits(x)
+    def bits(self, X):
+        return self.base.bits(X)
 
     def contract(self, d):
         if self.role == "relative":
@@ -600,9 +604,9 @@ class Compose(Compressor):
         abs_ = lemma1_absolute_params(abs_base.absolute_error(d), abs_base.r, abs_noise)
         return lemma2_compose_params(rel, abs_, self.order)
 
-    def bits(self, x):
-        # x is the outer stage's input, which _apply charges
-        return self.outer.bits(x)
+    def bits(self, X):
+        # X is the outer stage's input, which _apply charges
+        return self.outer.bits(X)
 
     def _apply(self, X, gen, iteration=None):
         # both stages draw from the one generator, inner first, so two noise

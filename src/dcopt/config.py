@@ -16,8 +16,9 @@ Sections and keys::
                 T, init_mode, seed
                 empirical: alpha, gamma, tau_1, omega, schedule
                            (constant | geometric), s0, rate, s0_margin
-                theoretical: clamp_alpha, tau_0, epsilon, gamma_margin
-    [output]    directory, csv, svg, per_agent_trace, force
+                theoretical: clamp_alpha, tau_0, epsilon, gamma_margin,
+                             tau1_margin, omega, strict
+    [output]    directory, csv, svg, force
 
 A JSON file holding one object with the same section names is accepted as an
 alternative input.  All randomness derives from the [algorithm] seed (64-bit
@@ -31,15 +32,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import compressors as comp
-from .algorithm import ConstantSchedule, GeometricSchedule, HyperParams, draw_x0
-from .compressors import LOCAL, pnorms
-from .constants import theorem_params
+from .algorithm import ConstantSchedule, GeometricSchedule, HyperParams, draw_x0, s0_floor
+from .compressors import LOCAL
+from .constants import REGIMES, theorem_params
 from .errors import ConfigError
 from .graph import build_graph
 from .problems import make_nonconvex, make_quadratic
-
-REGIME_MODES = ("T1_local_nonconvex", "T2_local_exact_first", "T3_local_PL",
-                "T5_global_nonconvex", "T6_global_PL")
 
 
 def load_config(path) -> dict:
@@ -151,15 +149,19 @@ def build_compressor_from(cfg: dict, seed: int):
 
 
 def compressor_contract(compressor, d: int, cfg: dict):
-    sec = cfg.get("compressor", {})
-    C = _get(sec, "contract_c", float, None)
-    try:
-        if C is not None and hasattr(compressor, "contract") \
-                and compressor.kind in ("top_k", "norm_sign"):
-            return compressor.contract(d, C=C)
-        return compressor.contract(d)
-    except TypeError:
-        return compressor.contract(d)
+    return compressor.contract(d)
+
+
+def regime_options(cfg: dict) -> dict:
+    """The [algorithm] keys a theoretical mode passes to theorem_params."""
+    alg = cfg.get("algorithm", {})
+    return dict(gamma_margin=_get(alg, "gamma_margin", float, 1.05),
+                tau1_margin=_get(alg, "tau1_margin", float, 1.05),
+                omega=_get(alg, "omega", float, None),
+                tau_0=_get(alg, "tau_0", float, 1.0),
+                epsilon=_get(alg, "epsilon", float, 0.99),
+                clamp_alpha=_get(alg, "clamp_alpha", bool, False),
+                strict=_get(alg, "strict", bool, False))
 
 
 def build_run_plan(cfg: dict):
@@ -190,9 +192,7 @@ def build_run_plan(cfg: dict):
         s0 = _get(alg, "s0", float, None)
         if s0 is None:
             if contract.cls == LOCAL and init_mode != "exact_first_round":
-                margin = _get(alg, "s0_margin", float, 1.0)
-                worst = float(pnorms(x0, contract.p).max())
-                s0 = max(margin * worst / contract.C, 1e-12)
+                s0 = max(s0_floor(x0, contract, _get(alg, "s0_margin", float, 1.0)), 1e-12)
             else:
                 s0 = 1.0
         if sched_kind == "geometric":
@@ -204,16 +204,9 @@ def build_run_plan(cfg: dict):
                               f"got {sched_kind!r}")
         hyper = HyperParams(alpha=alpha, beta=tau_1 * gamma, gamma=gamma,
                             omega=omega, schedule=schedule, tau_1=tau_1)
-    elif mode in REGIME_MODES:
-        sel = theorem_params(
-            mode, problem, graph, contract, T=T, x0_seed=seed,
-            gamma_margin=_get(alg, "gamma_margin", float, 1.05),
-            tau1_margin=_get(alg, "tau1_margin", float, 1.05),
-            omega=_get(alg, "omega", float, None),
-            tau_0=_get(alg, "tau_0", float, 1.0),
-            epsilon=_get(alg, "epsilon", float, 0.99),
-            clamp_alpha=_get(alg, "clamp_alpha", bool, False),
-            strict=_get(alg, "strict", bool, False))
+    elif mode in REGIMES:
+        sel = theorem_params(mode, problem, graph, contract, T=T, x0_seed=seed,
+                             **regime_options(cfg))
         hyper, x0 = sel.hyper, sel.x0
         init_mode = sel.init_mode
         feasibility = sel.feasibility
@@ -221,9 +214,7 @@ def build_run_plan(cfg: dict):
     else:
         raise ConfigError(f"unknown algorithm mode {mode!r}")
 
-    run_kwargs = dict(T=T, init_mode=init_mode, x0=x0, contract=contract,
-                      record_per_agent=_get(cfg.get("output", {}),
-                                            "per_agent_trace", bool, False))
+    run_kwargs = dict(T=T, init_mode=init_mode, x0=x0, contract=contract)
     echo = {"mode": mode, "seed": seed, "alpha": hyper.alpha, "beta": hyper.beta,
             "gamma": hyper.gamma, "omega": hyper.omega,
             "schedule": {"mode": hyper.schedule.mode, **asdict(hyper.schedule)},

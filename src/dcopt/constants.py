@@ -11,15 +11,19 @@ conservative at desk scale, are evaluated and reported as feasibility flags
 (raised only in strict mode).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0
-from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext, pnorms
+from .algorithm import GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0, s0_floor
+from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext
 from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
+
+SAFETY = 0.9         # selected stepsizes sit at this fraction of their caps
+KAPPA_HAT_3 = 1.0    # free constant in the last term of kappa_tilde_3
 
 
 class ConstantTable(dict):
@@ -57,7 +61,7 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
                       alpha: float, contract: AssumptionContract, norms: NormContext,
                       T: int | None = None, l1_0: float | None = None,
                       s0: float | None = None, nu: float | None = None,
-                      tau_0: float = 1.0, kappa_hat_3: float = 1.0) -> ConstantTable:
+                      tau_0: float = 1.0) -> ConstantTable:
     """Evaluate the full constant table at one parameter point."""
     if gamma <= 0 or tau_1 <= 0 or omega <= 0 or alpha <= 0:
         raise OutOfRange("gamma, tau_1, omega, alpha must be positive")
@@ -146,7 +150,7 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
             (2.0 * t["psi_4"] * l1_0 / (e8 * C ** 2 * s0 ** 2 * n)) * math.sqrt(n) / dt ** 2,
             (4.0 * one_minus ** 2 * t["psi_2"] ** 2 * t["psi_4"] ** 2 / e8 ** 2)
             * math.sqrt(n) / dt ** 2,
-            kappa_hat_3 * dt ** 2 / math.sqrt(n),
+            KAPPA_HAT_3 * dt ** 2 / math.sqrt(n),
         )
         # exact-first-round constants
         t["kappa_0"] = (e8 / (2.0 * one_minus * t["psi_2"] * t["psi_4"])) ** (1.0 / 3.0)
@@ -242,12 +246,50 @@ class ParamSelection:
         return all(ok for ok, _, _ in self.feasibility.values())
 
 
-def initial_l1_bound(x0: np.ndarray, problem, graph, gamma: float, beta: float) -> float:
-    """Upper bound on the initial Lyapunov value using the known lower bound
-    in place of the (possibly unknown) optimal value."""
+def _initial_lyapunov(x0: np.ndarray, problem, graph, gamma: float,
+                      beta: float) -> tuple:
+    """(bound on L1, e1 + e2 + e3) at the initial state (x0, v = 0, xhat = x0),
+    with the known lower bound in place of the (possibly unknown) optimal
+    value in e4."""
     e1, e2, e3, e4, _ = lyapunov_components(x0, np.zeros_like(x0), x0, problem, graph,
                                             gamma, beta, f_ref=problem.f_low)
-    return max(e1 + e2 + e3 + e4, 1e-12)
+    return max(e1 + e2 + e3 + e4, 1e-12), e1 + e2 + e3
+
+
+def initial_l1_bound(x0: np.ndarray, problem, graph, gamma: float, beta: float) -> float:
+    """Upper bound on the initial Lyapunov value."""
+    return _initial_lyapunov(x0, problem, graph, gamma, beta)[0]
+
+
+def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: float,
+             omega: float, alpha: float, s0: float | None = None, T: int | None = None,
+             tau_0: float = 1.0, l1_0: float | None = None,
+             x0: np.ndarray | None = None) -> ConstantTable:
+    """The constant table at one parameter point of a problem, graph and contract.
+
+    The horizon family (kappa_8, kappa_tilde_3, kappa_tilde_4, kappa_0,
+    kappa_3, kappa_4) parameterizes a recursive schedule and is evaluated
+    only with its s0 and T; it also needs the initial Lyapunov bound, taken
+    at x0 unless the caller passes l1_0.
+    """
+    if s0 is not None and l1_0 is None:
+        l1_0 = initial_l1_bound(x0, problem, graph, gamma, tau_1 * gamma)
+    return compute_constants(graph, problem.ell, gamma, tau_1, omega, alpha, contract,
+                             NormContext(p=contract.p, d=problem.d), T=T, l1_0=l1_0,
+                             s0=s0, nu=problem.pl_nu, tau_0=tau_0)
+
+
+def _fixed_point_alpha(table, cap: str) -> tuple:
+    """Iterate alpha = SAFETY * cap(alpha) down from a tiny stepsize until it
+    stops decreasing; returns the stepsize and the table at it."""
+    alpha, tab = None, table(1e-9)
+    for _ in range(32):
+        cand = SAFETY * tab[cap]
+        if alpha is not None and cand >= alpha:
+            break
+        alpha = cand
+        tab = table(alpha)
+    return alpha, tab
 
 
 def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
@@ -255,8 +297,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
                    x0: np.ndarray | None = None, gamma_margin: float = 1.05,
                    tau1_margin: float = 1.05, omega: float | None = None,
                    tau_0: float = 1.0, epsilon: float = 0.99,
-                   clamp_alpha: bool = False, safety: float = 0.9,
-                   strict: bool = False) -> ParamSelection:
+                   clamp_alpha: bool = False, strict: bool = False) -> ParamSelection:
     """Produce a complete parameter set for one convergence regime.
 
     Structural constraints are satisfied by construction; horizon-style
@@ -281,7 +322,6 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     n, d = graph.n, problem.d
     norms = NormContext(p=contract.p, d=d)
     dt = norms.d_tilde
-    ell = problem.ell
     nu = problem.pl_nu
     init_mode = "exact_first_round" if regime == "T2_local_exact_first" else "standard"
     if x0 is None:
@@ -292,7 +332,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         raise InfeasibleParams(f"omega must be in (0, 1/r], got {omega}")
 
     # gamma and tau_1 need only the graph spectrum
-    probe = compute_constants(graph, ell, gamma=1.0, tau_1=1.0, omega=omega,
+    probe = compute_constants(graph, problem.ell, gamma=1.0, tau_1=1.0, omega=omega,
                               alpha=1e-12, contract=contract, norms=norms)
     gamma = gamma_margin * probe.kappa_2
     tau_1 = tau1_margin * probe.kappa_1
@@ -302,45 +342,38 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     if tau_1 < probe.kappa_1:
         raise InfeasibleParams(f"tau_1 below kappa_1: {tau_1} < {probe.kappa_1}")
     beta = tau_1 * gamma
-    l1_0 = initial_l1_bound(x0, problem, graph, gamma, beta)
-
-    def table_at(alpha, s0=None):
-        return compute_constants(graph, ell, gamma, tau_1, omega, alpha, contract,
-                                 norms, T=T, l1_0=l1_0, s0=s0, nu=nu, tau_0=tau_0)
+    l1_0, e123_0 = _initial_lyapunov(x0, problem, graph, gamma, beta)
+    at = functools.partial(table_at, problem, graph, contract, gamma, tau_1, omega,
+                           T=T, tau_0=tau_0, l1_0=l1_0)
 
     feas = {}
     extras = {"l1_0": l1_0}
 
     if regime in ("T1_local_nonconvex", "T2_local_exact_first"):
         if regime == "T1_local_nonconvex":
-            alpha_display = 1.0 / (n ** 0.25 * dt * math.sqrt(T))
-            s0 = float(pnorms(x0, contract.p).max()) / contract.C
-            s0 = max(s0, 1e-12)
+            alpha = 1.0 / (n ** 0.25 * dt * math.sqrt(T))
+            s0 = max(s0_floor(x0, contract), 1e-12)
         else:
-            alpha_display = tau_0 / (n ** (1.0 / 3.0) * dt ** (2.0 / 3.0) * T ** (1.0 / 3.0))
-            s0 = None  # depends on alpha below
-
-        alpha = alpha_display
+            alpha = tau_0 / (n ** (1.0 / 3.0) * dt ** (2.0 / 3.0) * T ** (1.0 / 3.0))
+            # kappa_4 depends on neither alpha nor s0; tau_4 = kappa_4 makes
+            # the second stepsize cap collapse onto alpha itself, so a
+            # factor-2 margin keeps the cap non-binding
+            tau_4 = 2.0 * max(at(alpha, s0=1.0).kappa_4, 1e-12)
+        alpha_display = alpha
         for _ in range(4):
-            s0_cur = s0
-            tab = table_at(alpha, s0=s0 if s0 is not None else 1.0)
             if regime == "T2_local_exact_first":
-                # tau_4 = kappa_4 makes the second stepsize cap collapse onto
-                # alpha itself; a factor-2 margin keeps the cap non-binding
-                tau_4 = 2.0 * max(tab.kappa_4, 1e-12)
-                s0_cur = math.sqrt(tau_4 * n) * alpha
-                tab = table_at(alpha, s0=s0_cur)
-            limit = safety * tab.kappa_tilde_0_prime
-            if clamp_alpha and alpha > limit:
-                alpha = limit
-            else:
-                s0 = s0_cur
+                s0 = math.sqrt(tau_4 * n) * alpha
+            tab = at(alpha, s0=s0)
+            limit = SAFETY * tab.kappa_tilde_0_prime
+            if not (clamp_alpha and alpha > limit):
                 break
-            s0 = s0_cur
+            alpha = limit
+        else:
+            # after the fourth clamp s0 stays at the previous stepsize's value
+            tab = at(alpha, s0=s0)
 
-        tab = table_at(alpha, s0=s0)
         if regime == "T2_local_exact_first":
-            extras["tau_4"] = 2.0 * max(tab.kappa_4, 1e-12)
+            extras["tau_4"] = tau_4
             feas["tau_0_at_most_kappa_0"] = (tau_0 <= tab.kappa_0, tau_0, tab.kappa_0)
             feas["T_above_kappa_3"] = (T > tab.kappa_3, float(T), tab.kappa_3)
         else:
@@ -356,20 +389,17 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         extras["alpha_display"] = alpha_display
 
     elif regime == "T3_local_PL":
-        alpha = None
-        for _ in range(32):
-            cand = safety * table_at(alpha if alpha is not None else 1e-9).kappa_0_prime
-            if alpha is not None and cand >= alpha:
-                break
-            alpha = cand
-        tab = table_at(alpha)
+        alpha, tab = _fixed_point_alpha(at, "kappa_0_prime")
         eps_lo = max(tab.kappa_9, tab.kappa_10)
         if not eps_lo < 1.0:
             raise InfeasibleParams("no geometric ratio in (max(kappa_9, kappa_10), 1)")
         eps = 0.5 * (1.0 + eps_lo)
-        kappa_nu = _kappa_nu(x0, problem, graph, gamma, beta, nu)
+        # computable bound on the initial Lyapunov value under gradient
+        # domination: e1 + e2 + e3 plus n ||gbar_0||^2 / (2 nu)
+        gbar = problem.grad_f(x0.mean(axis=0))
+        kappa_nu = e123_0 + n * float(gbar @ gbar) / (2.0 * nu)
         s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
-                 float(pnorms(x0, contract.p).max()) / contract.C)
+                 s0_floor(x0, contract))
         schedule = GeometricSchedule(s0=s0, rate=eps)
         feas["alpha_below_kappa_0_prime"] = (alpha < tab.kappa_0_prime, alpha,
                                              tab.kappa_0_prime)
@@ -377,13 +407,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         extras.update({"kappa_nu": kappa_nu, "epsilon": eps})
 
     else:  # T5 / T6 global regimes
-        alpha = None
-        for _ in range(8):
-            cand = safety * table_at(alpha if alpha is not None else 1e-9).kappa_hat_0_prime
-            if alpha is not None and cand >= alpha:
-                break
-            alpha = cand
-        tab = table_at(alpha)
+        alpha, tab = _fixed_point_alpha(at, "kappa_hat_0_prime")
         if not 0.0 < epsilon < 1.0:
             raise InfeasibleParams(f"epsilon must be in (0,1), got {epsilon}")
         s0 = max(max(np.linalg.norm(x0[i]) for i in range(n)), 1e-12)
@@ -405,12 +429,3 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
                         schedule=schedule, tau_1=tau_1)
     return ParamSelection(regime=regime, hyper=hyper, init_mode=init_mode, x0=x0,
                           table=tab, feasibility=feas, norms=norms, extras=extras)
-
-
-def _kappa_nu(x0, problem, graph, gamma, beta, nu) -> float:
-    """Computable upper bound on the initial Lyapunov value under gradient
-    domination: e1 + e2 + e3 at the initial state plus ||gbar0||^2 / (2 nu)."""
-    e1, e2, e3, _, _ = lyapunov_components(x0, np.zeros_like(x0), x0, problem, graph,
-                                           gamma, beta, f_ref=problem.f_low)
-    gbar = problem.grad_f(x0.mean(axis=0))
-    return e1 + e2 + e3 + graph.n * float(gbar @ gbar) / (2.0 * nu)

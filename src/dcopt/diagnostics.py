@@ -43,8 +43,6 @@ class RunTrace:
     surr_pre_l2sq: np.ndarray
     surr_post_l2sq: np.ndarray
     e4_mode: str = "exact"
-    per_agent_pre: np.ndarray | None = None
-    per_agent_post: np.ndarray | None = None
     final_state: object = None
     config: dict = field(default_factory=dict)
 
@@ -179,20 +177,6 @@ def contraction_global_check(traces: list, contract, omega: float,
     bad = slack < 0
     return CheckReport("contraction_global", rows, int(bad.sum()), float(slack.min()),
                        {"seeds": len(traces)})
-
-
-def contraction_check(traces, contract, omega: float, n: int | None = None) -> CheckReport:
-    """Dispatch on the contract class: a local contract gets the
-    deterministic per-step check on one trace, a global one the aggregate
-    mean-square check across a batch of independently seeded traces."""
-    if contract.cls == "local":
-        trace = traces[0] if isinstance(traces, (list, tuple)) else traces
-        return contraction_local_check(trace, contract, omega)
-    if isinstance(traces, RunTrace):
-        raise DegenerateSeries("global contraction needs a list of traces")
-    if n is None:
-        raise DegenerateSeries("global contraction needs the agent count n")
-    return contraction_global_check(list(traces), contract, omega, n)
 
 
 def rate_fit(ts, vs, model: str = "power_law", burn_in_frac: float = 0.1):

@@ -34,9 +34,6 @@ class NetworkGraph:
     F: np.ndarray
     topology: str = field(default="custom", compare=False)
 
-    def neighbor_counts(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
 
 def _adjacency(topology: str, n: int, prob: float, seed: int, attempt: int) -> np.ndarray:
     A = np.zeros((n, n))

@@ -83,11 +83,6 @@ class ProblemInstance:
         return self.batch_grad(self._shared(x), _ALL)
 
 
-def gradient(problem: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
-    """Exact analytic gradient of f_agent at x."""
-    return problem.gradient(agent, x)
-
-
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row j is M[j] @ X[j].  Stacked matmul matches the per-agent product
     bit for bit; einsum does not."""

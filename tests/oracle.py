@@ -74,9 +74,9 @@ def compress(c, x, k, row):
         return compress(c.outer, mid, k, row)
     if isinstance(c, Scalarization):
         psi = c.direction(x.size, k)
-        return psi * float(psi @ x), c.bits(x)
+        return psi * float(psi @ x), c.bits(x[None])
     zeta = None if c.deterministic else next(row)[None, :]
-    return c._kernel(x[None, :], zeta)[0], c.bits(x)
+    return c._kernel(x[None, :], zeta)[0], c.bits(x[None])
 
 
 def compress_round(c, U, k, agent=0):

@@ -136,6 +136,11 @@ def test_uniform_quant_bits_depend_on_input():
     _, bits = c.compress(x)
     levels = 2 * math.floor(3.3 / 0.5) + 1
     assert bits == 3 * max(1, math.ceil(math.log2(levels)))
+    # a block is charged row by row, in integers: ceil(log2(2q + 1)) is the
+    # bit length of 2q, also where a float log2 of 2q + 1 would round down
+    X = np.array([[0.0, 0.0, 0.0], [3.3, -0.2, 1.0], [2.0 ** 59, 0.0, -1.0]])
+    qs = [math.floor(float(np.max(np.abs(row))) / 0.5) for row in X]
+    assert c.bits(X) == sum(3 * max(1, (2 * q).bit_length()) for q in qs) == 3 + 12 + 186
 
 
 def test_unbiased_kbit_bits():

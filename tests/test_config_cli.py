@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from dcopt import cli
+from dcopt import cli, config, theorem_params
 from dcopt.algorithm import ConstantSchedule, GeometricSchedule, RecursiveSchedule
 from dcopt.config import build_run_plan, load_config
 from dcopt.errors import ConfigError
@@ -174,6 +175,41 @@ def test_cmd_params(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["constants"]["kappa_1"] == pytest.approx(4.0 / 2.0)  # ring-4 rho2 = 2
     assert payload["hyper"]["alpha"] == 0.05
+
+
+@pytest.mark.parametrize("edits", [
+    [("mode = empirical", "mode = T1_local_nonconvex")],
+    [("mode = empirical", "mode = T2_local_exact_first\ntau_0 = 0.5")],
+    [("mode = empirical", "mode = T3_local_PL")],
+    [("mode = empirical", "mode = T5_global_nonconvex"),
+     ("kind = one_bit", "kind = unbiased_kbit\nkbits = 3\nnoise = 1.0")],
+])
+def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
+    text = BASE_CONFIG.format(out=tmp_path / "o10")
+    for edit in edits:
+        text = text.replace(*edit)
+    path = _write(tmp_path, text)
+    assert cli.cmd_params(path) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+
+    cfg = load_config(path)
+    graph = config.build_graph_from(cfg)
+    problem = config.build_problem_from(cfg, graph.n)
+    compressor = config.build_compressor_from(cfg, 9)
+    sel = theorem_params(cfg["algorithm"]["mode"], problem, graph, compressor.contract(problem.d),
+                         T=20, x0_seed=9, **config.regime_options(cfg))
+    constants = payload["constants"]
+    np.testing.assert_equal(constants, sel.table.as_dict())
+    # a bound named after a table entry is that entry
+    matched = 0
+    for name, flag in payload["feasibility"].items():
+        keys = [k for k in constants if name.endswith("_" + k)]
+        if keys:
+            assert flag["bound"] == constants[max(keys, key=len)], name
+            matched += 1
+    assert matched >= 3
+    saved = payload["hyper"]["schedule"]
+    assert SCHEDULES[saved.pop("mode")](**saved) == sel.hyper.schedule
 
 
 def test_main_entrypoint(tmp_path):

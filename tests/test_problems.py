@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcopt import estimate_f_star, gradient, make_nonconvex, make_quadratic
+from dcopt import estimate_f_star, make_nonconvex, make_quadratic
 from dcopt.errors import IndexOutOfRange
 
 
@@ -44,7 +44,7 @@ def test_quadratic_gradient_examples():
     # the global optimum has zero average gradient
     assert np.linalg.norm(prob.grad_f(prob.x_star)) <= 1e-9
     x = np.zeros(4)
-    g = gradient(prob, 0, x)
+    g = prob.gradient(0, x)
     gd = _finite_diff(lambda y: prob.cost(0, y), x)
     np.testing.assert_allclose(g, gd, rtol=1e-4, atol=1e-7)
     with pytest.raises(IndexOutOfRange):
