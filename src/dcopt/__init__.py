@@ -18,7 +18,6 @@ from .algorithm import (
     RecursiveSchedule,
     init_state,
     run,
-    scaling_value,
     step,
 )
 from .compressors import (
@@ -44,7 +43,7 @@ from .compressors import (
     verify_global_assumption,
     verify_local_assumption,
 )
-from .constants import ParamSelection, compute_constants, initial_l1_bound, theorem_params
+from .constants import ParamSelection, compute_constants, theorem_params
 from .diagnostics import (
     RunTrace,
     contraction_global_check,
@@ -56,7 +55,7 @@ from .diagnostics import (
     write_csv,
     write_summary,
 )
-from .graph import NetworkGraph, build_F, build_graph, from_adjacency
+from .graph import NetworkGraph, build_graph, from_adjacency
 from .problems import ProblemInstance, estimate_f_star, make_nonconvex, make_quadratic
 
 __version__ = "0.1.0"

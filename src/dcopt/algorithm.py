@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as _rng
 from .compressors import B1, LOCAL, AssumptionContract, Compressor, pnorms
-from .diagnostics import RunTrace, lyapunov_components
+from .diagnostics import ROW_DTYPE, RunTrace, trace_row
 from .errors import ConfigError, DcoptError, InvalidScale, NonFiniteState
 
 
@@ -81,14 +81,6 @@ def _check_horizon(schedule, T: int | None) -> None:
     if isinstance(schedule, RecursiveSchedule) and T is not None and T > schedule.horizon:
         raise ConfigError(f"recursive schedule derived for horizon {schedule.horizon}, "
                           f"cannot run T={T}")
-
-
-def scaling_value(schedule, k: int, T: int | None = None) -> float:
-    """Evaluate s_k for any schedule kind."""
-    if k < 0:
-        raise ConfigError(f"iteration must be >= 0, got {k}")
-    _check_horizon(schedule, T)
-    return schedule.value(k)
 
 
 @dataclass(frozen=True)
@@ -222,57 +214,26 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
             contract = None
 
     state = init_state(problem, graph, hyper, init_mode, x0_seed, x0, contract)
-    n = graph.n
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
+    C = contract.C if local else None
 
-    rows = T + 1
-    tr = {name: np.zeros(rows) for name in
-          ("f_bar", "grad_sq", "consensus", "e1", "e2", "e3", "e4", "e5", "s_k",
-           "surr_pre_pmax", "surr_post_pmax", "surr_pre_l2sq", "surr_post_l2sq")}
-    bits_cum = np.zeros(rows, dtype=np.int64)
-    region_ok = np.ones(rows, dtype=bool)
-
-    e4_mode = "exact" if problem.f_star is not None else "lower_gap"
-
-    def record_pre(i_row, st):
-        xbar = st.x.mean(axis=0)
-        dev = st.x - xbar
-        G0 = problem.gradients_at(xbar)
-        gbar = G0.mean(axis=0)
-        pre_p = pnorms(st.x - st.x_hat, p)
-        tr["f_bar"][i_row] = problem.f(xbar)
-        tr["grad_sq"][i_row] = float(gbar @ gbar)
-        tr["consensus"][i_row] = float(np.sum(dev * dev)) / n
-        terms = lyapunov_components(st.x, st.v, st.x_hat, problem, graph, hyper.gamma,
-                                    hyper.beta, G0=G0, f_bar=tr["f_bar"][i_row])
-        for name, value in zip(("e1", "e2", "e3", "e4", "e5"), terms):
-            tr[name][i_row] = value
-        tr["s_k"][i_row] = st.s_k
-        tr["surr_pre_pmax"][i_row] = pre_p.max()
-        tr["surr_pre_l2sq"][i_row] = tr["e5"][i_row]
-        bits_cum[i_row] = st.bits_cum
-        if local:
-            region_ok[i_row] = pre_p.max() <= contract.C * st.s_k * (1.0 + 1e-12)
-
+    rows = np.zeros(T + 1, ROW_DTYPE)
+    post = np.full((T + 1, 2), np.nan)
     # diagnostics on a diverging state may transiently overflow; the step
     # itself raises NonFiniteState before the next round starts
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(T):
-            record_pre(it, state)
+        for k in range(T):
+            rows[k] = trace_row(state, problem, graph, hyper.gamma, hyper.beta, p, C)
             new_state = step(state, problem, graph, compressor, hyper)
-            post = state.x - new_state.x_hat
-            tr["surr_post_pmax"][it] = pnorms(post, p).max()
-            tr["surr_post_l2sq"][it] = float(np.sum(post * post))
+            diff = state.x - new_state.x_hat
+            post[k] = pnorms(diff, p).max(), float(np.sum(diff * diff))
             state = new_state
-        record_pre(T, state)
-        tr["surr_post_pmax"][T] = np.nan
-        tr["surr_post_l2sq"][T] = np.nan
+        rows[T] = trace_row(state, problem, graph, hyper.gamma, hyper.beta, p, C)
 
     echo = dict(config_echo or {})
     echo.setdefault("T", T)
     echo.setdefault("init_mode", init_mode)
     if local:
         echo.setdefault("contract_C", contract.C)
-    return RunTrace(k=np.arange(rows), bits_cum=bits_cum, region_ok=region_ok,
-                    e4_mode=e4_mode, final_state=state, config=echo, **tr)
+    return RunTrace.from_rows(rows, post, problem, state, echo)

@@ -6,11 +6,13 @@ regime-dependent reparameterization and a power-law fit), ``verify`` (alias
 table and selected hyperparameters without running).
 
 Exit codes: 0 success, 2 config error, 3 infeasible parameters, 4 numerical
-divergence, 5 verification failure.  The output root can be overridden with
+divergence, 5 verification failure; ``EXIT_CODES`` maps each library error
+to one of them for every command.  The output root can be overridden with
 the ``DCOPT_OUTPUT_ROOT`` environment variable.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,10 +37,28 @@ EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 EXIT_VERIFY_FAILED = 5
 
+# the first matching row decides a library error's exit code and label
+EXIT_CODES = (
+    (InfeasibleParams, EXIT_INFEASIBLE, "infeasible"),
+    (InvalidScale, EXIT_INFEASIBLE, "infeasible"),
+    (NonFiniteState, EXIT_DIVERGED, "divergence"),
+    (DcoptError, EXIT_CONFIG, "config"),
+)
 
-def _fail(code: int, kind: str, message: str) -> int:
-    print(f"error: {kind}: {message}", file=sys.stderr)
-    return code
+
+def _exit_codes(cmd):
+    """Run a command, reporting a library error on stderr and returning its
+    exit code from ``EXIT_CODES``."""
+    @functools.wraps(cmd)
+    def wrapped(*args, **kwargs) -> int:
+        try:
+            return cmd(*args, **kwargs)
+        except DcoptError as exc:
+            code, label = next((code, label) for cls, code, label in EXIT_CODES
+                               if isinstance(exc, cls))
+            print(f"error: {label}: {exc}", file=sys.stderr)
+            return code
+    return wrapped
 
 
 def _out_dir(cfg: dict, default: str) -> Path:
@@ -82,29 +102,18 @@ def _plot(trace, path: Path) -> None:
         print(f"note: plotting skipped ({exc})", file=sys.stderr)
 
 
+@_exit_codes
 def cmd_run(config_path: str, force: bool = False) -> int:
-    try:
-        cfg = cfgmod.load_config(config_path)
-        problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
-            cfgmod.build_run_plan(cfg)
-        out = cfg.get("output", {})
-        want_csv = cfgmod._get(out, "csv", bool, True)
-        want_svg = cfgmod._get(out, "svg", bool, False)
-        force = force or cfgmod._get(out, "force", bool, False)
-        path = _out_dir(cfg, "dcopt-out")
-        _prepare_dir(path, force, ["trace.csv", "summary.json"])
-    except InfeasibleParams as exc:
-        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
-    except DcoptError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-
-    try:
-        trace = algorithm.run(problem, graph, compressor, hyper,
-                              config_echo=echo, **run_kwargs)
-    except NonFiniteState as exc:
-        return _fail(EXIT_DIVERGED, "divergence", str(exc))
-    except InvalidScale as exc:
-        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
+    cfg = cfgmod.load_config(config_path)
+    problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
+        cfgmod.build_run_plan(cfg)
+    out = cfg.get("output", {})
+    want_csv = cfgmod._get(out, "csv", bool, True)
+    want_svg = cfgmod._get(out, "svg", bool, False)
+    force = force or cfgmod._get(out, "force", bool, False)
+    path = _out_dir(cfg, "dcopt-out")
+    _prepare_dir(path, force, ["trace.csv", "summary.json"])
+    trace = algorithm.run(problem, graph, compressor, hyper, config_echo=echo, **run_kwargs)
 
     if want_csv:
         diagnostics.write_csv(trace, path / "trace.csv")
@@ -138,32 +147,24 @@ def cmd_run(config_path: str, force: bool = False) -> int:
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
     if len(horizons) < 3:
-        return _fail(EXIT_CONFIG, "config", "sweep needs at least 3 horizons")
-    try:
-        cfg = cfgmod.load_config(config_path)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+        raise ConfigError("sweep needs at least 3 horizons")
+    cfg = cfgmod.load_config(config_path)
 
     rows = []
     for T in sorted(horizons):
         cfg_t = {sec: dict(vals) for sec, vals in cfg.items()}
         cfg_t.setdefault("algorithm", {})["T"] = str(T)
         cfg_t["algorithm"].pop("t", None)
+        problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
+            cfgmod.build_run_plan(cfg_t)
         try:
-            problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
-                cfgmod.build_run_plan(cfg_t)
             trace = algorithm.run(problem, graph, compressor, hyper,
                                   config_echo=echo, **run_kwargs)
-        except InfeasibleParams as exc:
-            return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
         except NonFiniteState as exc:
-            return _fail(EXIT_DIVERGED, "divergence", f"T={T}: {exc}")
-        except InvalidScale as exc:
-            return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
-        except DcoptError as exc:
-            return _fail(EXIT_CONFIG, "config", str(exc))
+            raise NonFiniteState(f"T={T}: {exc}", exc.iteration) from exc
         metric = float(np.mean(trace.grad_sq[:-1] + trace.consensus[:-1]))
         rows.append({"T": T, "avg_metric": metric, "alpha": hyper.alpha,
                      "bits": int(trace.bits_cum[-1])})
@@ -172,33 +173,27 @@ def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
                                         [r["avg_metric"] for r in rows],
                                         "power_law", burn_in_frac=0.0)
     result = {"rows": rows, "fit": {"exponent": exponent, "r_squared": r2}}
-    try:
-        path = _out_dir(cfg, "dcopt-sweep")
-        _prepare_dir(path, force or cfgmod._get(cfg.get("output", {}), "force", bool, False),
-                     ["sweep.json"])
-        with open(path / "sweep.json", "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    path = _out_dir(cfg, "dcopt-sweep")
+    _prepare_dir(path, force or cfgmod._get(cfg.get("output", {}), "force", bool, False),
+                 ["sweep.json"])
+    with open(path / "sweep.json", "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
     for r in rows:
         print(f"T={r['T']:>8d}  avg_metric={r['avg_metric']:.6e}  alpha={r['alpha']:.3e}")
     print(f"power-law fit: exponent={exponent:.4f}, R^2={r2:.4f}")
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_verify(config_path: str, samples: int = 10_000,
                trials: int = 10_000) -> int:
-    try:
-        cfg = cfgmod.load_config(config_path)
-        graph = cfgmod.build_graph_from(cfg)
-        problem = cfgmod.build_problem_from(cfg, graph.n)
-        seed = cfgmod._seed(cfg.get("algorithm", {}), "seed", 0)
-        compressor = cfgmod.build_compressor_from(cfg, seed)
-        contract = cfgmod.compressor_contract(compressor, problem.d, cfg)
-    except DcoptError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-
+    cfg = cfgmod.load_config(config_path)
+    graph = cfgmod.build_graph_from(cfg)
+    problem = cfgmod.build_problem_from(cfg, graph.n)
+    seed = cfgmod._seed(cfg.get("algorithm", {}), "seed", 0)
+    compressor = cfgmod.build_compressor_from(cfg, seed)
+    contract = cfgmod.compressor_contract(compressor, problem.d, cfg)
     if contract.cls == LOCAL:
         report = verify_local_assumption(compressor, contract, samples=samples,
                                          seed=seed, d=problem.d)
@@ -218,22 +213,17 @@ def cmd_verify(config_path: str, samples: int = 10_000,
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+@_exit_codes
 def cmd_params(config_path: str) -> int:
-    try:
-        cfg = cfgmod.load_config(config_path)
-        problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
-            cfgmod.build_run_plan(cfg)
-        sched = hyper.schedule
-        table = table_at(problem, graph, run_kwargs["contract"], hyper.gamma, hyper.tau_1,
-                         hyper.omega, hyper.alpha,
-                         s0=sched.s0 if sched.mode == "recursive" else None,
-                         T=run_kwargs["T"], tau_0=cfgmod.regime_options(cfg)["tau_0"],
-                         x0=run_kwargs["x0"])
-    except InfeasibleParams as exc:
-        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
-    except DcoptError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-
+    cfg = cfgmod.load_config(config_path)
+    problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
+        cfgmod.build_run_plan(cfg)
+    sched = hyper.schedule
+    table = table_at(problem, graph, run_kwargs["contract"], hyper.gamma, hyper.tau_1,
+                     hyper.omega, hyper.alpha,
+                     s0=sched.s0 if sched.mode == "recursive" else None,
+                     T=run_kwargs["T"], tau_0=cfgmod.regime_options(cfg)["tau_0"],
+                     x0=run_kwargs["x0"])
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
                   "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": echo["schedule"]},

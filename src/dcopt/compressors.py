@@ -195,6 +195,13 @@ class Compressor:
         raise NotImplementedError
 
     def contract(self, d: int) -> AssumptionContract:
+        """The noise-free global contract of a relative kind (delta from
+        ``relative_delta``) or an absolute kind (C from ``absolute_error``);
+        local kinds define their own."""
+        if self.role == "relative":
+            return AssumptionContract(GLOBAL, 2.0, self.r, 0.0, self.relative_delta(d))
+        if self.role == "absolute":
+            return AssumptionContract(GLOBAL, 2.0, self.r, self.absolute_error(d), 1.0)
         raise NotImplementedError
 
     # -- internals ----------------------------------------------------------
@@ -238,12 +245,6 @@ class Identity(Compressor):
 
     def bits(self, X):
         return X.size * B1
-
-    def contract(self, d):
-        return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, 1.0)
-
-    def local_contract(self, d, C: float = 1.0, p: float = np.inf):
-        return AssumptionContract(LOCAL, p, 1.0, C, 1.0)
 
     def relative_delta(self, d):
         return 1.0
@@ -296,8 +297,11 @@ class SaturatingQuantizer(Compressor):
         return X.size * math.ceil(math.log2(levels))
 
     def contract(self, d):
-        return AssumptionContract(LOCAL, np.inf, 1.0, self.level,
-                                  1.0 - self.step / (2.0 * self.level))
+        # on [-level, level] the rounding error is at most step/2, except
+        # above the top output step * _hi, which can sit up to one step
+        # below level: there the error reaches level - step * _hi
+        error =max(self.step / 2.0, self.level - self.step * self._hi)
+        return AssumptionContract(LOCAL, np.inf, 1.0, self.level, 1.0 - error / self.level)
 
     def _kernel(self, X, zeta):
         idx = np.clip(np.floor(X / self.step + 0.5), self._lo, self._hi)
@@ -392,9 +396,6 @@ class UnbiasedKBit(Compressor):
                              f"contract for d={d} (needs 4^k > d)")
         return delta
 
-    def contract(self, d):
-        return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, self.relative_delta(d))
-
     def _kernel(self, X, zeta):
         m = np.max(np.abs(X), axis=1, keepdims=True)
         safe = np.where(m == 0.0, 1.0, m)
@@ -431,9 +432,6 @@ class RandK(Compressor):
             raise DimensionMismatch(f"k={self.k} exceeds dimension {d}")
         return self.k / d
 
-    def contract(self, d):
-        return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, self.relative_delta(d))
-
     def _kernel(self, X, zeta):
         if self.k > X.shape[1]:
             raise DimensionMismatch(f"k={self.k} exceeds dimension {X.shape[1]}")
@@ -464,9 +462,6 @@ class Scalarization(Compressor):
     def relative_delta(self, d):
         # E[psi psi^T] = I/d gives E||psi psi^T x - x||^2 = (1 - 1/d) ||x||^2
         return 1.0 / d
-
-    def contract(self, d):
-        return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, self.relative_delta(d))
 
     def direction(self, d: int, iteration: int) -> np.ndarray:
         gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, 0, iteration)
@@ -505,9 +500,6 @@ class UniformQuantizer(Compressor):
         # per-coordinate rounding error <= step/2
         return d * self.step ** 2 / 4.0
 
-    def contract(self, d):
-        return AssumptionContract(GLOBAL, 2.0, 1.0, self.absolute_error(d), 1.0)
-
     def _kernel(self, X, zeta):
         return self.step * np.floor(X / self.step + 0.5)
 
@@ -539,13 +531,7 @@ class Noisy(Compressor):
         return self.base.bits(X)
 
     def contract(self, d):
-        if self.role == "relative":
-            return lemma1_relative_params(self.base.relative_delta(d), self.base.r,
-                                          self.noise_bound)
-        if self.role == "absolute":
-            return lemma1_absolute_params(self.base.absolute_error(d), self.base.r,
-                                          self.noise_bound)
-        raise IncompatibleContracts(f"{self.base.kind} has no global base characterization")
+        return lemma1_contract(self, d)
 
     def _apply(self, X, gen, iteration=None):
         Q, charged = self.base._apply(X, gen, iteration)
@@ -589,20 +575,10 @@ class Compose(Compressor):
         self.kind = f"compose_{outer.kind}_of_{inner.kind}"
 
     def contract(self, d):
-        def noisy_parts(c):
-            bound = c.noise_bound if isinstance(c, Noisy) else 0.0
-            base = c.base if isinstance(c, Noisy) else c
-            return base, bound
-
-        if self.order == "rel_of_abs":
-            rel_base, rel_noise = noisy_parts(self.outer)
-            abs_base, abs_noise = noisy_parts(self.inner)
-        else:
-            rel_base, rel_noise = noisy_parts(self.inner)
-            abs_base, abs_noise = noisy_parts(self.outer)
-        rel = lemma1_relative_params(rel_base.relative_delta(d), rel_base.r, rel_noise)
-        abs_ = lemma1_absolute_params(abs_base.absolute_error(d), abs_base.r, abs_noise)
-        return lemma2_compose_params(rel, abs_, self.order)
+        rel, abs_ = ((self.outer, self.inner) if self.order == "rel_of_abs"
+                     else (self.inner, self.outer))
+        return lemma2_compose_params(lemma1_contract(rel, d), lemma1_contract(abs_, d),
+                                     self.order)
 
     def bits(self, X):
         # X is the outer stage's input, which _apply charges
@@ -618,6 +594,17 @@ class Compose(Compressor):
 
     def describe(self):
         return f"{self.inner!r} -> {self.outer!r}"
+
+
+def lemma1_contract(c: Compressor, d: int) -> AssumptionContract:
+    """Lemma 1's global contract of a relative or absolute kind under additive
+    noise: a Noisy wrapper's noise bound, or 0 for a plain compressor."""
+    base, bound = (c.base, c.noise_bound) if isinstance(c, Noisy) else (c, 0.0)
+    if base.role == "relative":
+        return lemma1_relative_params(base.relative_delta(d), base.r, bound)
+    if base.role == "absolute":
+        return lemma1_absolute_params(base.absolute_error(d), base.r, bound)
+    raise IncompatibleContracts(f"{base.kind} has no global base characterization")
 
 
 def compose_kbit_of_uniform(kbits: int, step: float, noise_inner: float = 0.0,

@@ -256,11 +256,6 @@ def _initial_lyapunov(x0: np.ndarray, problem, graph, gamma: float,
     return max(e1 + e2 + e3 + e4, 1e-12), e1 + e2 + e3
 
 
-def initial_l1_bound(x0: np.ndarray, problem, graph, gamma: float, beta: float) -> float:
-    """Upper bound on the initial Lyapunov value."""
-    return _initial_lyapunov(x0, problem, graph, gamma, beta)[0]
-
-
 def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: float,
              omega: float, alpha: float, s0: float | None = None, T: int | None = None,
              tau_0: float = 1.0, l1_0: float | None = None,
@@ -273,7 +268,7 @@ def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: 
     at x0 unless the caller passes l1_0.
     """
     if s0 is not None and l1_0 is None:
-        l1_0 = initial_l1_bound(x0, problem, graph, gamma, tau_1 * gamma)
+        l1_0 = _initial_lyapunov(x0, problem, graph, gamma, tau_1 * gamma)[0]
     return compute_constants(graph, problem.ell, gamma, tau_1, omega, alpha, contract,
                              NormContext(p=contract.p, d=problem.d), T=T, l1_0=l1_0,
                              s0=s0, nu=problem.pl_nu, tau_0=tau_0)

@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSeries, MissingOracle
+from .compressors import pnorms
+from .errors import DegenerateSeries
 
 CSV_COLUMNS = ["k", "f_bar", "grad_sq", "consensus", "e1", "e2", "e3", "e4",
                "e5", "s_k", "bits_cum", "region_ok"]
+
+# one trace row: the RunTrace columns from f_bar to surr_pre_pmax
+ROW_DTYPE = np.dtype([(name, np.float64) for name in ("f_bar", "grad_sq", "consensus", "e1",
+                                                      "e2", "e3", "e4", "e5", "s_k")]
+                     + [("bits_cum", np.int64), ("region_ok", np.bool_),
+                        ("surr_pre_pmax", np.float64)], align=True)
 
 
 @dataclass
@@ -40,11 +47,26 @@ class RunTrace:
     # l2-squared summed over agents); post entries are NaN at the final row
     surr_pre_pmax: np.ndarray
     surr_post_pmax: np.ndarray
-    surr_pre_l2sq: np.ndarray
     surr_post_l2sq: np.ndarray
     e4_mode: str = "exact"
     final_state: object = None
     config: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, post: np.ndarray, problem, final_state,
+                  config: dict) -> "RunTrace":
+        """Assemble the trace from T+1 :func:`trace_row` rows of ``ROW_DTYPE``
+        and the T+1 x 2 (p-norm max, l2-squared) distances after each
+        exchange, NaN at the final row."""
+        return cls(np.arange(len(rows)), *(rows[name] for name in ROW_DTYPE.names),
+                   post[:, 0], post[:, 1],
+                   e4_mode="exact" if problem.f_star is not None else "lower_gap",
+                   final_state=final_state, config=config)
+
+    @property
+    def surr_pre_l2sq(self) -> np.ndarray:
+        """||x_k - xhat_{k-1}||^2 summed over agents: the e5 column."""
+        return self.e5
 
     @property
     def T(self) -> int:
@@ -60,25 +82,20 @@ class RunTrace:
 
 def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
                         problem, graph, gamma: float, beta: float,
-                        f_ref: float | None = None, exact: bool = False, *,
+                        f_ref: float | None = None, *,
                         G0: np.ndarray | None = None, f_bar: float | None = None):
     """Evaluate (e1, ..., e5) at a state snapshot.
 
     e4 uses the problem's exact optimal value when available, else the known
-    lower bound; ``exact=True`` insists on the oracle.  A caller that already
-    holds them passes ``G0 = problem.gradients_at(xbar)`` and
-    ``f_bar = problem.f(xbar)`` for the agents' mean xbar.
+    lower bound.  A caller that already holds them passes
+    ``G0 = problem.gradients_at(xbar)`` and ``f_bar = problem.f(xbar)`` for
+    the agents' mean xbar.
 
     E is the symmetric centering projector, so E X = X - xbar and
     <X, E F W> = <X - xbar, F W>: one dense product, F W, serves e2 and e3.
     """
     if f_ref is None:
-        if problem.f_star is not None:
-            f_ref = problem.f_star
-        elif exact:
-            raise MissingOracle("exact e4 requested but the problem has no f* oracle")
-        else:
-            f_ref = problem.f_low
+        f_ref = problem.f_star if problem.f_star is not None else problem.f_low
     n = graph.n
     xbar = X.mean(axis=0)
     if G0 is None:
@@ -95,6 +112,24 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     diff = X - Xhat
     e5 = float(np.sum(diff * diff))
     return e1, e2, e3, e4, e5
+
+
+def trace_row(state, problem, graph, gamma: float, beta: float, p: float,
+              C: float | None) -> tuple:
+    """Row k of the trace at state k, in ``ROW_DTYPE`` order.  ``p`` is the
+    norm of the distances and ``C`` the local region radius (None for a
+    global contract, whose region always holds)."""
+    xbar = state.x.mean(axis=0)
+    G0 = problem.gradients_at(xbar)
+    gbar = G0.mean(axis=0)
+    f_bar = problem.f(xbar)
+    e = lyapunov_components(state.x, state.v, state.x_hat, problem, graph, gamma, beta,
+                            G0=G0, f_bar=f_bar)
+    pre = pnorms(state.x - state.x_hat, p).max()
+    region_ok = C is None or pre <= C * state.s_k * (1.0 + 1e-12)
+    # consensus ||x - xbar||^2 / n is 2 e1 / n
+    return (f_bar, float(gbar @ gbar), 2.0 * e[0] / graph.n, *e, state.s_k,
+            state.bits_cum, region_ok, pre)
 
 
 @dataclass
@@ -143,12 +178,16 @@ def contraction_local_check(trace: RunTrace, contract, omega: float,
                             rtol: float = 1e-12) -> CheckReport:
     """Deterministic per-step check of
     ||x_k - xhat_k||_p^2 <= (1 - omega r (2 delta - delta^2)) C^2 s_k^2,
-    conditional on the region guarantee holding at step k."""
+    conditional on the region guarantee holding at step k.
+
+    ``rtol`` is relative to the region's scale C^2 s_k^2, not to the bound:
+    an exact compressor at omega = 1 has bound 0 and a rounding-level error.
+    """
     factor = 1.0 - omega * contract.r * (2.0 * contract.delta - contract.delta ** 2)
     post = trace.surr_post_pmax[:-1]
-    bound = factor * contract.C ** 2 * trace.s_k[:-1] ** 2
+    scale = contract.C ** 2 * trace.s_k[:-1] ** 2
     ok_rows = trace.region_ok[:-1]
-    slack = bound * (1.0 + rtol) - post ** 2
+    slack = (factor + rtol) * scale - post ** 2
     bad = (slack < 0) & ok_rows
     checked = int(ok_rows.sum())
     worst = float(slack[ok_rows].min()) if checked else 0.0
@@ -221,21 +260,9 @@ def write_csv(trace: RunTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for i in range(len(trace.k)):
-            writer.writerow([
-                int(trace.k[i]),
-                repr(float(trace.f_bar[i])),
-                repr(float(trace.grad_sq[i])),
-                repr(float(trace.consensus[i])),
-                repr(float(trace.e1[i])),
-                repr(float(trace.e2[i])),
-                repr(float(trace.e3[i])),
-                repr(float(trace.e4[i])),
-                repr(float(trace.e5[i])),
-                repr(float(trace.s_k[i])),
-                int(trace.bits_cum[i]),
-                int(trace.region_ok[i]),
-            ])
+        columns = [getattr(trace, name).tolist() for name in CSV_COLUMNS]
+        for row in zip(*columns):
+            writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in row])
 
 
 def summary(trace: RunTrace) -> dict:

@@ -63,7 +63,3 @@ class InfeasibleParams(DcoptError):
 
 class DegenerateSeries(DcoptError):
     """Rate fit input has too few points or nonpositive values."""
-
-
-class MissingOracle(DcoptError):
-    """Exact optimal value requested but no oracle is available."""

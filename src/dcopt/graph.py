@@ -1,10 +1,10 @@
 """Communication graphs and their Laplacian-derived matrices.
 
 Builds undirected connected graphs with unit edge weights, the Laplacian
-L = D - A, the centering projector E = I - (1/n) 1 1^T, and the positive
-definite matrix F obtained from the eigendecomposition of L by replacing
-the zero eigenvalue with a value lambda_np1 in [lambda_2, lambda_n] and
-inverting.  F satisfies F L = E and rho(L)^-1 I <= F <= rho_2(L)^-1 I.
+L = D - A, and the positive definite matrix F obtained from the
+eigendecomposition of L by replacing the zero eigenvalue with lambda_2 and
+inverting.  With the centering projector E = I - (1/n) 1 1^T, F satisfies
+F L = E and rho(L)^-1 I <= F <= rho_2(L)^-1 I.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +29,6 @@ class NetworkGraph:
     eigenvalues: np.ndarray          # ascending, eigenvalues of L
     rho: float                       # spectral radius of L
     rho2: float                      # smallest positive eigenvalue of L
-    lambda_np1: float
-    E: np.ndarray
     F: np.ndarray
     topology: str = field(default="custom", compare=False)
 
@@ -65,41 +63,29 @@ def _adjacency(topology: str, n: int, prob: float, seed: int, attempt: int) -> n
     return A
 
 
-def _is_connected(A: np.ndarray) -> bool:
-    n = A.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(A[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
-
-
-def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray, lambda_np1: float,
-                E: np.ndarray) -> np.ndarray:
-    """F from the eigendecomposition L = V diag(lam) V^T, checked against F L = E."""
+def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """F from the eigendecomposition L = V diag(lam) V^T, with lam[1] in place
+    of the zero eigenvalue (any value in [lambda_2, lambda_n] works; lambda_2
+    is deterministic), checked against F L = E."""
     n = L.shape[0]
     q = np.ones(n) / np.sqrt(n)
     Q = V[:, 1:]
-    F = np.outer(q, q) / lambda_np1 + Q @ np.diag(1.0 / lam[1:]) @ Q.T
+    F = np.outer(q, q) / lam[1] + (Q * (1.0 / lam[1:])) @ Q.T
     F = 0.5 * (F + F.T)
-    if np.max(np.abs(F @ L - E)) > _IDENTITY_TOL:
+    if np.max(np.abs(F @ L - (np.eye(n) - 1.0 / n))) > _IDENTITY_TOL:
         raise NumericalFailure("FL = E identity residual exceeds tolerance")
     return F
 
 
 def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
-    """Assemble a NetworkGraph from a symmetric nonnegative adjacency matrix."""
+    """Assemble a NetworkGraph from a symmetric nonnegative adjacency matrix
+    of a connected graph on at least two agents."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or not np.allclose(A, A.T) or (A < 0).any() or np.diag(A).any():
-        raise InvalidTopology("adjacency must be square, symmetric, nonnegative, zero diagonal")
-    if not _is_connected(A):
-        raise DisconnectedGraph("graph is not connected")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
+        raise InvalidTopology(f"adjacency must be a square matrix over at least 2 agents, "
+                              f"got shape {A.shape}")
+    if not np.allclose(A, A.T) or (A < 0).any() or np.diag(A).any():
+        raise InvalidTopology("adjacency must be symmetric, nonnegative, zero diagonal")
 
     L = np.diag(A.sum(axis=1)) - A
     lam, V = np.linalg.eigh(L)
@@ -108,14 +94,11 @@ def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
         raise NumericalFailure(f"eigendecomposition residual {resid:.3e} exceeds tolerance")
     rho2 = float(lam[1])
     rho = float(lam[-1])
+    # lambda_2 is zero exactly when the graph is disconnected
     if rho2 <= 1e-9 * max(rho, 1.0):
-        raise DisconnectedGraph("smallest positive Laplacian eigenvalue is numerically zero")
-
-    lambda_np1 = rho2  # any value in [lambda_2, lambda_n] works; lambda_2 is deterministic
-    E = np.eye(n) - np.ones((n, n)) / n
-    F = _assemble_F(L, lam, V, lambda_np1, E)
-    return NetworkGraph(n=n, adjacency=A, laplacian=L, eigenvalues=lam, rho=rho,
-                        rho2=rho2, lambda_np1=lambda_np1, E=E, F=F, topology=topology)
+        raise DisconnectedGraph("graph is not connected: lambda_2 of L is numerically zero")
+    return NetworkGraph(n=len(A), adjacency=A, laplacian=L, eigenvalues=lam, rho=rho,
+                        rho2=rho2, F=_assemble_F(L, lam, V), topology=topology)
 
 
 def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> NetworkGraph:
@@ -134,13 +117,3 @@ def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> Netw
             last = exc
     raise DisconnectedGraph(
         f"no connected graph after {attempts} attempts (topology={topology}, n={n})") from last
-
-
-def build_F(graph: NetworkGraph, lambda_np1: float | None = None) -> np.ndarray:
-    """Recompute F for a given lambda_np1 in [lambda_2, lambda_n]."""
-    if lambda_np1 is None:
-        lambda_np1 = graph.rho2
-    if not graph.rho2 - 1e-12 <= lambda_np1 <= graph.rho + 1e-12:
-        raise NumericalFailure(f"lambda_np1={lambda_np1} outside [{graph.rho2}, {graph.rho}]")
-    _, V = np.linalg.eigh(graph.laplacian)
-    return _assemble_F(graph.laplacian, graph.eigenvalues, V, lambda_np1, graph.E)

@@ -142,7 +142,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
     f_ref = problem.f_star if problem.f_star is not None else problem.f_low
-    E, F = graph.E, graph.F
+    E, F = np.eye(n) - 1.0 / n, graph.F
     EF = E @ F
     tr = {name: np.zeros(T + 1) for name in COLUMNS + tuple(ROUNDED.values())}
     tr["bits_cum"] = np.zeros(T + 1, dtype=np.int64)

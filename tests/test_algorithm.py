@@ -13,7 +13,6 @@ from dcopt import (
     init_state,
     make_quadratic,
     run,
-    scaling_value,
     step,
 )
 from dcopt import compressors as comp
@@ -27,10 +26,10 @@ def _hyper(alpha=0.05, beta=2.0, gamma=1.0, omega=1.0, schedule=None):
 
 def test_schedule_values():
     geo = GeometricSchedule(1.0, 0.9)
-    assert scaling_value(geo, 2) == pytest.approx(0.81)
+    assert geo.value(2) == pytest.approx(0.81)
     rec = RecursiveSchedule(s0=10.0, eps8=0.5, kappa4=0.5, horizon=100)
     # fixed point kappa4/eps8 = 1
-    assert scaling_value(rec, 60) ** 2 == pytest.approx(1.0)
+    assert rec.value(60) ** 2 == pytest.approx(1.0)
     # step-by-step recursion agrees with the closed form
     s2 = rec.s0 ** 2
     for k in range(1, 8):
@@ -42,8 +41,6 @@ def test_schedule_values():
     assert all(rec2.value(k) <= rec2.s0 + 1e-12 for k in range(50))
     with pytest.raises(ConfigError):
         GeometricSchedule(1.0, 1.1)
-    with pytest.raises(ConfigError):
-        scaling_value(rec, 5, T=200)
 
 
 def test_init_modes():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,26 @@ def test_cmd_sweep(tmp_path, capsys):
     assert len(data["rows"]) == 3
     assert "exponent" in data["fit"]
     assert cli.cmd_sweep(path, [20, 40]) == cli.EXIT_CONFIG
+
+
+def test_cmd_sweep_divergence_names_the_horizon(tmp_path, capsys):
+    text = BASE_CONFIG.format(out=tmp_path / "o11").replace(
+        "alpha = 0.05", "alpha = 80.0").replace("tau_1 = 2.0", "tau_1 = 40.0")
+    path = _write(tmp_path, text, "diverge.ini")
+    assert cli.cmd_sweep(path, [300, 310, 320]) == cli.EXIT_DIVERGED
+    assert capsys.readouterr().err.startswith("error: divergence: T=300: ")
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", str(DEMO_CONFIGS / "one_bit_ring.ini"), "--samples", "0"],
+    ["verify", str(DEMO_CONFIGS / "kbit_noisy_verify.ini"), "--trials", "1"],
+])
+def test_verify_rejects_bad_sample_counts(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config: ")
 
 
 def test_cmd_params(tmp_path, capsys):

@@ -46,6 +46,8 @@ def test_lemma2_composition_values():
     lambda: comp.OneBit(1.0),
     lambda: comp.SaturatingQuantizer(2.0, 1.0),
     lambda: comp.NormSign(),
+    # level/step = 3.75: the top output 1.2 sits 0.3 (> step/2) below level
+    lambda: comp.SaturatingQuantizer(1.5, 0.4),
 ])
 def test_local_contracts_pass(make):
     c = make()

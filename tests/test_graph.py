@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcopt import build_F, build_graph, from_adjacency
+from dcopt import build_graph, from_adjacency
 from dcopt.errors import DisconnectedGraph, InvalidTopology
 
 
@@ -38,12 +38,15 @@ def test_complete2():
                                         ("erdos_renyi", 9)])
 def test_matrix_identities(topology, n):
     g = build_graph(topology, n, prob=0.5, seed=11)
-    L, E, F = g.laplacian, g.E, g.F
+    L, F = g.laplacian, g.F
+    E = np.eye(n) - 1.0 / n
     assert np.abs(F @ L - E).max() <= 1e-10
     assert np.abs(E @ L - L).max() <= 1e-10
     assert np.abs(L @ np.ones(n)).max() <= 1e-12
     lam = g.eigenvalues
     assert abs(lam[0]) < 1e-9 and np.all(np.diff(lam) >= -1e-9)
+    w = np.linalg.eigvalsh(F)
+    assert w[0] >= 1.0 / g.rho - 1e-9 and w[-1] <= 1.0 / g.rho2 + 1e-9
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.standard_normal(n)
@@ -54,15 +57,6 @@ def test_matrix_identities(topology, n):
         assert qL <= g.rho * qE + 1e-8 * scale
         y = rng.standard_normal(n)
         assert y @ F @ y > 0.0
-
-
-def test_build_F_alternative_lambda():
-    g = build_graph("path", 4)
-    F = build_F(g, lambda_np1=g.rho)
-    assert np.abs(F @ g.laplacian - g.E).max() <= 1e-10
-    w = np.linalg.eigvalsh(F)
-    assert w[0] >= 1.0 / g.rho - 1e-9
-    assert w[-1] <= 1.0 / g.rho2 + 1e-9
 
 
 def test_erdos_renyi_deterministic_and_connected():
@@ -84,3 +78,7 @@ def test_rejections():
                                  [0.0, 0.0, 1.0, 0.0]]))
     with pytest.raises(DisconnectedGraph):
         build_graph("erdos_renyi", 30, prob=0.01, seed=1)
+    # no spectral gap to read below two agents
+    for A in (np.zeros((1, 1)), np.zeros((0, 0)), np.zeros(3)):
+        with pytest.raises(InvalidTopology):
+            from_adjacency(A)

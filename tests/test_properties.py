@@ -2,6 +2,8 @@
 paper's state-machine identities, over random graphs, compressor kinds, init
 modes and seeds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +21,7 @@ from dcopt.algorithm import (
     step,
 )
 from dcopt.compressors import B1, LOCAL, pnorms
+from dcopt.diagnostics import contraction_local_check
 from dcopt.errors import IncompatibleContracts
 from dcopt.graph import build_graph
 from dcopt.problems import make_nonconvex, make_quadratic
@@ -30,14 +33,14 @@ T = 5
 
 
 @st.composite
-def cases(draw, kind, init_mode):
+def cases(draw, kind, init_mode, noises=("0", "0.3")):
     n = draw(st.integers(3, 10))
     d = draw(st.integers(2, 6))
     graph = build_graph(draw(st.sampled_from(("ring", "path", "erdos_renyi"))), n,
                         seed=draw(st.integers(0, 2 ** 16)))
     make = draw(st.sampled_from((make_quadratic, make_nonconvex)))
     problem = make(n, d, seed=draw(st.integers(0, 2 ** 16)))
-    noise = draw(st.sampled_from(("0", "0.3")))
+    noise = draw(st.sampled_from(noises))
     section = {"kind": kind, "level": "1.5", "step": "0.4",
                "k": "2", "kbits": "3", "noise": noise, "noise_inner": noise,
                "noise_outer": draw(st.sampled_from(("0", "0.2")))}
@@ -118,3 +121,20 @@ def test_batched_run_matches_oracle(kind, init_mode, data):
     for name in ("x", "v", "x_hat", "y"):
         assert np.array_equal(getattr(trace.final_state, name), getattr(final, name)), name
     assert trace.final_state.bits_cum == final.bits_cum
+
+
+@pytest.mark.parametrize("kind,init_mode,omega", [
+    (k, m, w) for k in ("one_bit", "sat_quant", "norm_sign", "top_k")
+    for m in INIT_MODES for w in (0.3, 0.6, 1.0)])
+@SETTINGS
+@given(data=st.data())
+def test_local_contraction_holds_where_the_region_holds(kind, init_mode, omega, data):
+    problem, graph, compressor, contract, hyper, x0_seed = data.draw(
+        cases(kind, init_mode, noises=("0",)))
+    if kind == "top_k":
+        contract = compressor.sound_contract(problem.d)
+    hyper = dataclasses.replace(hyper, omega=omega)
+    trace = run(problem, graph, compressor, hyper, T=30, init_mode=init_mode,
+                x0_seed=x0_seed, contract=contract)
+    report = contraction_local_check(trace, contract, omega)
+    assert report.violations == 0, report
