@@ -17,7 +17,7 @@ from dcopt import (
     make_nonconvex,
     run,
 )
-from dcopt import rng
+from dcopt.algorithm import draw_x0, s0_floor
 
 n, d, T = 10, 6, 800
 problem = make_nonconvex(n, d, seed=4)
@@ -29,8 +29,8 @@ contract = compressor.contract(d)
 # compressor sees x0 / s0, which has to fit inside the level-C region.
 # omega < 1 softens the surrogate jumps (each one is +-omega s_k C/2 per
 # coordinate), keeping later inputs inside the region as s_k shrinks.
-x0 = rng.substream(3, rng.X0, 0).standard_normal((n, d))
-s0 = 1.5 * np.abs(x0).max() / contract.C
+x0 = draw_x0(n, d, "standard", 3)
+s0 = s0_floor(x0, contract, margin=1.5)
 hyper = HyperParams(alpha=0.2, beta=0.9, gamma=0.6, omega=0.3,
                     schedule=GeometricSchedule(s0, 0.998))
 trace = run(problem, graph, compressor, hyper, T=T, x0=x0, contract=contract)

@@ -56,6 +56,6 @@ from .diagnostics import (
     write_summary,
 )
 from .graph import NetworkGraph, build_graph, from_adjacency
-from .problems import ProblemInstance, estimate_f_star, make_nonconvex, make_quadratic
+from .problems import ProblemInstance, make_nonconvex, make_quadratic
 
 __version__ = "0.1.0"

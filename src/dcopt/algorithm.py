@@ -207,7 +207,7 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     _check_horizon(hyper.schedule, T)
-    if contract is None and hasattr(compressor, "contract"):
+    if contract is None:
         try:
             contract = compressor.contract(problem.d)
         except DcoptError:

@@ -78,13 +78,8 @@ class NormContext:
 
 def pnorms(X: np.ndarray, p: float) -> np.ndarray:
     """Row-wise p-norms of a 2-d array."""
-    if p == np.inf:
-        return np.max(np.abs(X), axis=1, initial=0.0)
     with np.errstate(over="ignore"):
-        sums = np.sum(np.abs(X) ** p, axis=1)
-    # the root is taken per scalar: NumPy's array power (sqrt for p = 2) and
-    # the scalar pow differ in the last bit on some inputs
-    return np.array([s ** (1.0 / p) for s in sums.tolist()])
+        return np.linalg.norm(X, ord=p, axis=1)
 
 
 def _sign_pos(x: np.ndarray) -> np.ndarray:
@@ -326,16 +321,16 @@ class TopK(Compressor):
         self._check_k(X.shape[1])
         return len(X) * self.k * B1
 
-    def contract(self, d, C: float = 1.0):
-        # advertised contract: p = 2, r = 1, any C > 0, delta = k/d
+    def contract(self, d):
+        # advertised contract: p = 2, r = 1, C = 1 (any C > 0 holds), delta = k/d
         self._check_k(d)
-        return AssumptionContract(LOCAL, 2.0, 1.0, C, self.k / d)
+        return AssumptionContract(LOCAL, 2.0, 1.0, 1.0, self.k / d)
 
-    def sound_contract(self, d, C: float = 1.0):
+    def sound_contract(self, d):
         """Largest delta for which the unsquared p=2 error bound actually
         holds for all x in the ball: delta = 1 - sqrt(1 - k/d)."""
         self._check_k(d)
-        return AssumptionContract(LOCAL, 2.0, 1.0, C, 1.0 - math.sqrt(1.0 - self.k / d))
+        return AssumptionContract(LOCAL, 2.0, 1.0, 1.0, 1.0 - math.sqrt(1.0 - self.k / d))
 
     def _check_k(self, d):
         if self.k > d:
@@ -362,8 +357,8 @@ class NormSign(Compressor):
     def bits(self, X):
         return X.size + len(X) * B1
 
-    def contract(self, d, C: float = 1.0):
-        return AssumptionContract(LOCAL, np.inf, 1.0, C, 0.5)
+    def contract(self, d):
+        return AssumptionContract(LOCAL, np.inf, 1.0, 1.0, 0.5)
 
     def _kernel(self, X, zeta):
         m = np.max(np.abs(X), axis=1, keepdims=True)

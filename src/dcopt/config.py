@@ -53,6 +53,9 @@ def load_config(path) -> dict:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be a single object")
+        bad = [k for k, v in data.items() if not isinstance(v, dict)]
+        if bad:
+            raise ConfigError(f"JSON config section {bad[0]!r} must be an object")
         return {str(k): {str(a): b for a, b in v.items()} for k, v in data.items()}
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:

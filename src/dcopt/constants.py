@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithm import GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0, s0_floor
-from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext
+from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext, pnorms
 from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
 
@@ -405,7 +405,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         alpha, tab = _fixed_point_alpha(at, "kappa_hat_0_prime")
         if not 0.0 < epsilon < 1.0:
             raise InfeasibleParams(f"epsilon must be in (0,1), got {epsilon}")
-        s0 = max(max(np.linalg.norm(x0[i]) for i in range(n)), 1e-12)
+        s0 = max(float(pnorms(x0, 2.0).max()), 1e-12)
         schedule = GeometricSchedule(s0=s0, rate=epsilon)
         feas["alpha_below_kappa_hat_0_prime"] = (alpha < tab.kappa_hat_0_prime,
                                                  alpha, tab.kappa_hat_0_prime)

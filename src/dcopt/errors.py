@@ -37,10 +37,6 @@ class DimensionMismatch(DcoptError):
     """Vector dimension incompatible with compressor parameters."""
 
 
-class IndexOutOfRange(DcoptError, IndexError):
-    """Agent index outside [0, n)."""
-
-
 class SingularSystem(DcoptError):
     """Aggregate normal matrix is rank deficient."""
 

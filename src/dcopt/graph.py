@@ -38,13 +38,13 @@ def _adjacency(topology: str, n: int, prob: float, seed: int, attempt: int) -> n
     if topology == "ring":
         if n < 3:
             raise InvalidTopology(f"ring needs n >= 3, got {n}")
-        for i in range(n):
-            A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1.0
+        i = np.arange(n)
+        A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1.0
     elif topology == "path":
         if n < 2:
             raise InvalidTopology(f"path needs n >= 2, got {n}")
-        for i in range(n - 1):
-            A[i, i + 1] = A[i + 1, i] = 1.0
+        i = np.arange(n - 1)
+        A[i, i + 1] = A[i + 1, i] = 1.0
     elif topology == "complete":
         if n < 2:
             raise InvalidTopology(f"complete needs n >= 2, got {n}")

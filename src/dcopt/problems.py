@@ -15,33 +15,29 @@ Per-agent data are drawn independently, so local gradients disagree at the
 optimum (a genuinely heterogeneous instance).
 """
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import rng as _rng
-from .errors import IndexOutOfRange, SingularSystem
-
-_ALL = slice(None)
+from .errors import SingularSystem
 
 
 @dataclass
 class ProblemInstance:
     """Bundle of n local costs with batched oracles and certificates.
 
-    ``batch_cost(X, rows)`` and ``batch_grad(X, rows)`` evaluate agent
-    ``rows[j]``'s cost and gradient at ``X[j]`` for every row j at once
-    (``rows`` is a slice of the agents); every other oracle derives from them.
+    ``batch_cost(X)`` and ``batch_grad(X)`` give agent i's cost and gradient
+    at ``X[i]`` for every agent at once; every other oracle derives from them.
     """
 
     n: int
     d: int
     ell: float                       # certified smoothness constant
     f_low: float                     # known lower bound on f*
-    batch_cost: Callable             # (X, rows) -> costs, one per row
-    batch_grad: Callable             # (X, rows) -> gradients, one per row
+    batch_cost: Callable             # X -> costs, one per agent
+    batch_grad: Callable             # X -> gradients, one per agent
     pl_nu: float | None = None       # gradient-domination constant, if certified
     f_star: float | None = None      # exact optimal value, if known
     x_star: np.ndarray | None = None
@@ -49,38 +45,24 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)   # stacked per-agent arrays
 
-    def _check(self, i: int):
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"agent index {i} outside [0, {self.n})")
-
     def _shared(self, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(x, dtype=float), (self.n, self.d))
 
-    def cost(self, i: int, x: np.ndarray) -> float:
-        self._check(i)
-        return float(self.batch_cost(np.asarray(x, dtype=float)[None, :], slice(i, i + 1))[0])
-
-    def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check(i)
-        return self.batch_grad(np.asarray(x, dtype=float)[None, :], slice(i, i + 1))[0]
-
     def f(self, x: np.ndarray) -> float:
         """Global objective (1/n) sum_i f_i(x)."""
-        # a Python sum keeps the agent order; np.sum would reorder it
-        return sum(self.batch_cost(self._shared(x), _ALL).tolist()) / self.n
+        return float(np.sum(self.batch_cost(self._shared(x)))) / self.n
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the global objective at a single point."""
-        # summed in agent order; np.sum reorders a single column (d = 1)
-        return functools.reduce(np.add, self.gradients_at(x)) / self.n
+        return np.sum(self.gradients_at(x), axis=0) / self.n
 
     def stacked_gradients(self, X: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(X[i]); X is n x d."""
-        return self.batch_grad(X, _ALL)
+        return self.batch_grad(X)
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x) for a shared point x."""
-        return self.batch_grad(self._shared(x), _ALL)
+        return self.batch_grad(self._shared(x))
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -100,14 +82,12 @@ def make_quadratic(n: int, d: int, seed: int = 0,
         raise SingularSystem(f"need n, d >= 1 and condition_number >= 1")
     gen = _rng.substream(seed, _rng.PROBLEM, 0)
     sigmas = np.logspace(-0.5 * np.log10(condition_number), 0.0, d)
-    A = np.empty((n, d, d))
-    b = np.empty((n, d))
-    for i in range(n):
-        U, _ = np.linalg.qr(gen.standard_normal((d, d)))
-        V, _ = np.linalg.qr(gen.standard_normal((d, d)))
-        A[i] = U @ np.diag(sigmas) @ V.T
-        x_loc = gen.standard_normal(d)
-        b[i] = A[i] @ x_loc
+    # one row per agent: its U and V draws, then its local solution
+    draws = gen.standard_normal((n, 2 * d * d + d))
+    U, _ = np.linalg.qr(draws[:, :d * d].reshape(n, d, d))
+    V, _ = np.linalg.qr(draws[:, d * d:2 * d * d].reshape(n, d, d))
+    A = (U * sigmas) @ V.transpose(0, 2, 1)
+    b = _matvec(A, draws[:, 2 * d * d:])
 
     H = np.einsum("ikj,ikl->jl", A, A) / n          # (1/n) sum A_i^T A_i
     rhs = np.einsum("ikj,ik->j", A, b) / n
@@ -116,15 +96,15 @@ def make_quadratic(n: int, d: int, seed: int = 0,
         raise SingularSystem("aggregate normal matrix is rank deficient; retry with a new seed")
     x_star = np.linalg.solve(H, rhs)
 
-    ell = float(max(np.linalg.eigvalsh(A[i].T @ A[i])[-1] for i in range(n)))
+    ell = float(np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)[:, -1].max())
     nu = float(eigs[eigs > 1e-12 * eigs[-1]][0])
 
-    def costs(X, rows):
-        R = _matvec(A[rows], X) - b[rows]
+    def costs(X):
+        R = _matvec(A, X) - b
         return 0.5 * np.vecdot(R, R)
 
-    def grads(X, rows):
-        return _matvec(A[rows].transpose(0, 2, 1), _matvec(A[rows], X) - b[rows])
+    def grads(X):
+        return _matvec(A.transpose(0, 2, 1), _matvec(A, X) - b)
 
     prob = ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, batch_cost=costs,
                            batch_grad=grads, pl_nu=nu, family="quadratic",
@@ -155,15 +135,15 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
 
     ell = 0.25 + 2.0 * lam
 
-    def costs(X, rows):
-        Z = -y[rows] * _matvec(A[rows], X)
+    def costs(X):
+        Z = -y * _matvec(A, X)
         logistic = np.mean(np.logaddexp(0.0, Z), axis=1)
         return logistic + lam * np.sum(X * X / (1.0 + X * X), axis=1)
 
-    def grads(X, rows):
-        Z = -y[rows] * _matvec(A[rows], X)
+    def grads(X):
+        Z = -y * _matvec(A, X)
         sig = 1.0 / (1.0 + np.exp(-Z))
-        G = -_matvec(A[rows].transpose(0, 2, 1), y[rows] * sig) / m
+        G = -_matvec(A.transpose(0, 2, 1), y * sig) / m
         return G + lam * 2.0 * X / (1.0 + X * X) ** 2
 
     return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, batch_cost=costs,
@@ -171,16 +151,3 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
                            meta={"lam": lam, "m": m, "seed": seed},
                            data={"A": A, "y": y})
 
-
-def estimate_f_star(problem: ProblemInstance, restarts: int = 5, iters: int = 2000,
-                    seed: int = 0) -> float:
-    """Best value found by multi-start gradient descent; reporting only."""
-    gen = _rng.substream(seed, _rng.PROBLEM, 2)
-    best = np.inf
-    step = 1.0 / problem.ell
-    for _ in range(restarts):
-        x = gen.standard_normal(problem.d)
-        for _ in range(iters):
-            x = x - step * problem.grad_f(x)
-        best = min(best, problem.f(x))
-    return float(best)

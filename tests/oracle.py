@@ -4,8 +4,9 @@ It loops over agents the way the simulator first did: each agent's
 compression written out on its own input, and each agent's cost and gradient
 from its own slice of the problem data.  A stochastic round draws its random
 numbers as one block from the round's stream, in the library's order, and
-agent i then uses row i of each block.  The batched engine in ``dcopt`` must
-match it bit for bit.  The record keeps the dense definitions
+agent i then uses row i of each block.  Sums over agents and norms use the
+library's NumPy reductions on each agent's row.  The batched engine in
+``dcopt`` must match it bit for bit.  The record keeps the dense definitions
 e1 = x^T E x / 2 and e3 = x^T E F w, which the engine evaluates with one
 product F w instead; those two columns agree to rounding only.
 """
@@ -45,7 +46,10 @@ def pnorm(x, p):
     if p == np.inf:
         return float(np.max(np.abs(x))) if x.size else 0.0
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        if p == 2:
+            return float(np.sqrt(np.sum(x * x)))
+        # the power ufunc, as in np.linalg.norm; a scalar ** rounds differently
+        return float(np.power(np.sum(np.abs(x) ** p), 1.0 / p))
 
 
 def draw_round(c, shape, gen):
@@ -112,7 +116,11 @@ def gradient(problem, i, x):
 
 
 def f(problem, x):
-    return sum(cost(problem, i, x) for i in range(problem.n)) / problem.n
+    return float(np.sum([cost(problem, i, x) for i in range(problem.n)])) / problem.n
+
+
+def grad_f(problem, x):
+    return np.sum([gradient(problem, i, x) for i in range(problem.n)], axis=0) / problem.n
 
 
 def stacked_gradients(problem, X):

@@ -89,7 +89,7 @@ def test_step_matches_compact_form_oracle():
     q = np.where((st.x - st.x_hat) / s >= 0, level / 2, -level / 2)
     xhat = st.x_hat + hyper.omega * s * q
     y = st.y + hyper.omega * s * (L @ q)
-    grads = np.stack([prob.gradient(i, st.x[i]) for i in range(3)])
+    grads = oracle.stacked_gradients(prob, st.x)
     x_next = st.x - hyper.alpha * (hyper.beta * (L @ xhat) + hyper.gamma * st.v + grads)
     v_next = st.v + hyper.alpha * hyper.gamma * (L @ xhat)
 
@@ -137,7 +137,7 @@ def test_state_machine_identities_and_mean_dynamics():
     st = init_state(prob, g, hyper, "standard", x0_seed=9)
     for k in range(40):
         xbar = st.x.mean(axis=0)
-        gbar = np.stack([prob.gradient(i, st.x[i]) for i in range(4)]).mean(axis=0)
+        gbar = oracle.stacked_gradients(prob, st.x).mean(axis=0)
         new = step(st, prob, g, cpr, hyper)
         assert np.abs(new.v.mean(axis=0)).max() <= 1e-12
         assert np.abs(new.y - g.laplacian @ new.x_hat).max() <= 1e-10

@@ -69,6 +69,14 @@ def test_load_rejects_garbage(tmp_path):
         load_config(bad)
 
 
+def test_json_section_must_be_an_object(tmp_path, capsys):
+    bad = _write(tmp_path, json.dumps({"problem": 5, "graph": {"n": 4}}), "bad.json")
+    with pytest.raises(ConfigError, match="'problem'"):
+        load_config(bad)
+    assert cli.main(["params", bad]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config: ")
+
+
 def test_build_run_plan_validation(tmp_path):
     cfg = load_config(_write(tmp_path, BASE_CONFIG.format(out=tmp_path)))
     cfg["algorithm"].pop("t")

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from dcopt import estimate_f_star, make_nonconvex, make_quadratic
-from dcopt.errors import IndexOutOfRange
+import oracle
+from dcopt import make_nonconvex, make_quadratic
+from dcopt.compressors import pnorms
 
 
-def _finite_diff(f, x, h=1e-6):
-    g = np.zeros_like(x)
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
+def _finite_diff(batch_cost, X, h=1e-6):
+    """Central differences of every agent's cost at its own row of X.  Agent
+    i's cost reads only X[i], so one column perturbation of X gives every
+    agent's partial derivative along that coordinate."""
+    G = np.zeros_like(X)
+    for j in range(X.shape[1]):
+        E = np.zeros_like(X)
+        E[:, j] = h
+        G[:, j] = (batch_cost(X + E) - batch_cost(X - E)) / (2 * h)
+    return G
 
 
 def test_scalar_least_squares():
@@ -43,19 +47,15 @@ def test_quadratic_gradient_examples():
     # stationary at the per-agent solution A_i x = b_i is not required, but
     # the global optimum has zero average gradient
     assert np.linalg.norm(prob.grad_f(prob.x_star)) <= 1e-9
-    x = np.zeros(4)
-    g = prob.gradient(0, x)
-    gd = _finite_diff(lambda y: prob.cost(0, y), x)
-    np.testing.assert_allclose(g, gd, rtol=1e-4, atol=1e-7)
-    with pytest.raises(IndexOutOfRange):
-        prob.gradient(3, x)
+    X = np.zeros((3, 4))
+    np.testing.assert_allclose(prob.stacked_gradients(X), _finite_diff(prob.batch_cost, X),
+                               rtol=1e-4, atol=1e-7)
 
 
 def test_nonconvex_value_at_origin():
     # logistic loss at the origin is log 2 regardless of the data
     prob = make_nonconvex(2, 3, seed=5, lam=0.0, m=4)
-    for i in range(2):
-        assert prob.cost(i, np.zeros(3)) == pytest.approx(math.log(2.0))
+    assert prob.batch_cost(np.zeros((2, 3))) == pytest.approx([math.log(2.0)] * 2)
 
 
 @pytest.mark.parametrize("factory", [
@@ -66,12 +66,11 @@ def test_gradients_match_finite_differences(factory):
     prob = factory()
     rng = np.random.default_rng(2)
     for _ in range(10):
-        i = int(rng.integers(prob.n))
-        x = rng.standard_normal(prob.d)
-        g = prob.gradient(i, x)
-        gd = _finite_diff(lambda y: prob.cost(i, y), x)
-        denom = max(np.linalg.norm(gd), 1e-8)
-        assert np.linalg.norm(g - gd) / denom <= 1e-4
+        X = rng.standard_normal((prob.n, prob.d))
+        G = prob.stacked_gradients(X)
+        Gd = _finite_diff(prob.batch_cost, X)
+        denom = np.maximum(np.linalg.norm(Gd, axis=1), 1e-8)
+        assert np.all(np.linalg.norm(G - Gd, axis=1) / denom <= 1e-4)
 
 
 @pytest.mark.parametrize("m,d", [(4, 9), (12, 5)])
@@ -93,13 +92,12 @@ def test_smoothness_certificate(factory):
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(1000):
-        i = int(rng.integers(prob.n))
-        x = rng.standard_normal(prob.d) * rng.uniform(0.1, 5)
-        y = rng.standard_normal(prob.d) * rng.uniform(0.1, 5)
-        num = np.linalg.norm(prob.gradient(i, x) - prob.gradient(i, y))
-        den = np.linalg.norm(x - y)
-        if den > 1e-12:
-            worst = max(worst, num / den)
+        X = rng.standard_normal((prob.n, prob.d)) * rng.uniform(0.1, 5, size=(prob.n, 1))
+        Y = rng.standard_normal((prob.n, prob.d)) * rng.uniform(0.1, 5, size=(prob.n, 1))
+        num = np.linalg.norm(prob.stacked_gradients(X) - prob.stacked_gradients(Y), axis=1)
+        den = np.linalg.norm(X - Y, axis=1)
+        apart = den > 1e-12
+        worst = max(worst, float(np.max(num[apart] / den[apart], initial=0.0)))
     assert worst <= prob.ell * (1.0 + 1e-8)
 
 
@@ -119,15 +117,27 @@ def test_nonconvex_nonnegative_and_heterogeneous():
     X = rng.standard_normal((10_000, 3)) * 3.0
     vals = np.array([prob.f(x) for x in X[:200]])
     assert np.all(vals >= 0.0)
-    for x in X[200:]:
-        assert prob.cost(0, x) >= 0.0
+    # every agent's cost at its own row of each stacked 4 x 3 block
+    for block in X[200:].reshape(-1, 4, 3):
+        assert np.all(prob.batch_cost(block) >= 0.0)
     # local gradients disagree at a common point
-    g0 = prob.gradient(0, X[0])
-    g1 = prob.gradient(1, X[0])
-    assert np.linalg.norm(g0 - g1) > 1e-3
+    G = prob.stacked_gradients(np.tile(X[0], (4, 1)))
+    assert np.linalg.norm(G[0] - G[1]) > 1e-3
 
 
-def test_estimate_f_star_reporting():
-    prob = make_nonconvex(2, 2, seed=15)
-    best = estimate_f_star(prob, restarts=2, iters=300, seed=1)
-    assert 0.0 <= best <= prob.f(np.zeros(2))
+@pytest.mark.parametrize("family", ["quadratic", "nonconvex"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 33])
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 33])
+def test_reductions_match_oracle_at_unrolled_sizes(family, n, d):
+    # NumPy sums 8 or more elements in unrolled blocks; the per-agent forms
+    # must agree bit for bit there too, not only on short rows
+    make = make_quadratic if family == "quadratic" else make_nonconvex
+    prob = make(n, d, seed=n * d)
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((n, d)) * 3.0
+    x = X[0]
+    for p in (1.0, 2.0, 3.0, np.inf):
+        assert np.array_equal(pnorms(X, p), [oracle.pnorm(row, p) for row in X])
+    assert prob.f(x) == oracle.f(prob, x)
+    assert np.array_equal(prob.grad_f(x), oracle.grad_f(prob, x))
+    assert np.array_equal(prob.stacked_gradients(X), oracle.stacked_gradients(prob, X))
