@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as _rng
 from .compressors import B1, LOCAL, AssumptionContract, Compressor, pnorms
-from .diagnostics import ROW_DTYPE, RunTrace, trace_row
+from .diagnostics import RunTrace, allocate_rows, trace_row
 from .errors import ConfigError, DcoptError, InvalidScale, NonFiniteState
 
 
@@ -214,26 +214,19 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
             contract = None
 
     state = init_state(problem, graph, hyper, init_mode, x0_seed, x0, contract)
-    local = contract is not None and contract.cls == LOCAL
-    p = contract.p if local else 2.0
-    C = contract.C if local else None
-
-    rows = np.zeros(T + 1, ROW_DTYPE)
-    post = np.full((T + 1, 2), np.nan)
+    rows = allocate_rows(T)
     # diagnostics on a diverging state may transiently overflow; the step
     # itself raises NonFiniteState before the next round starts
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T):
-            rows[k] = trace_row(state, problem, graph, hyper.gamma, hyper.beta, p, C)
             new_state = step(state, problem, graph, compressor, hyper)
-            diff = state.x - new_state.x_hat
-            post[k] = pnorms(diff, p).max(), float(np.sum(diff * diff))
+            rows[k] = trace_row(state, new_state, problem, graph, hyper, contract)
             state = new_state
-        rows[T] = trace_row(state, problem, graph, hyper.gamma, hyper.beta, p, C)
+        rows[T] = trace_row(state, None, problem, graph, hyper, contract)
 
     echo = dict(config_echo or {})
     echo.setdefault("T", T)
     echo.setdefault("init_mode", init_mode)
-    if local:
+    if contract is not None and contract.cls == LOCAL:
         echo.setdefault("contract_C", contract.C)
-    return RunTrace.from_rows(rows, post, problem, state, echo)
+    return RunTrace(rows, "exact" if problem.f_star is not None else "lower_gap", state, echo)

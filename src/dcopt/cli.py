@@ -149,12 +149,13 @@ def cmd_run(config_path: str, force: bool = False) -> int:
 
 @_exit_codes
 def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
+    horizons = sorted(set(horizons))
     if len(horizons) < 3:
-        raise ConfigError("sweep needs at least 3 horizons")
+        raise ConfigError("sweep needs at least 3 distinct horizons")
     cfg = cfgmod.load_config(config_path)
 
     rows = []
-    for T in sorted(horizons):
+    for T in horizons:
         cfg_t = {sec: dict(vals) for sec, vals in cfg.items()}
         cfg_t.setdefault("algorithm", {})["T"] = str(T)
         cfg_t["algorithm"].pop("t", None)

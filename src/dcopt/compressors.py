@@ -153,9 +153,9 @@ def lemma2_compose_params(rel: AssumptionContract, abs_: AssumptionContract,
 # ---------------------------------------------------------------------------
 
 class Compressor:
-    """Base interface.  Subclasses are pure given (U, iteration, agent, seed).
+    """Base interface.  Subclasses are pure given (U, iteration, seed).
 
-    ``apply`` compresses one round whose row j is agent ``agent + j``'s input;
+    ``apply`` compresses one round whose row j is agent j's input;
     stochastic kinds draw the whole round as one block.
     """
 
@@ -168,21 +168,21 @@ class Compressor:
         self.seed = seed
         self.tag = tag
 
-    def apply(self, U: np.ndarray, iteration: int = 0, agent: int = 0):
+    def apply(self, U: np.ndarray, iteration: int = 0):
         """Return (Q, bits) for one round: Q row-wise, bits the round's total.
 
-        Stochastic kinds build one generator per round, from the (agent,
-        iteration) substream, and draw every row from it in one block.
+        Stochastic kinds build one generator per round, from the iteration's
+        substream, and draw every row from it in one block.
         """
         gen = None
         if not self.deterministic:
-            gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, agent, iteration)
+            gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, iteration)
         Q, charged = self._apply(U, gen, iteration)
         return Q, self.bits(charged)
 
-    def compress(self, x, iteration: int = 0, agent: int = 0):
+    def compress(self, x, iteration: int = 0):
         """Return (q, bits) for one vector: a round of one row."""
-        Q, bits = self.apply(_check_vector(x)[None, :], iteration, agent)
+        Q, bits = self.apply(_check_vector(x)[None, :], iteration)
         return Q[0], bits
 
     def bits(self, X: np.ndarray) -> int:
@@ -459,7 +459,7 @@ class Scalarization(Compressor):
         return 1.0 / d
 
     def direction(self, d: int, iteration: int) -> np.ndarray:
-        gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, 0, iteration)
+        gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, iteration)
         return _rng.sphere_point(gen, d)
 
     def _apply(self, X, gen, iteration=None):
@@ -511,10 +511,10 @@ class Noisy(Compressor):
 
     kind = "noisy"
 
-    def __init__(self, base: Compressor, noise_bound: float, seed: int | None = None):
+    def __init__(self, base: Compressor, noise_bound: float):
         if noise_bound < 0:
             raise OutOfRange(f"noise bound must be >= 0, got {noise_bound}")
-        super().__init__(base.seed if seed is None else seed, base.tag)
+        super().__init__(base.seed, base.tag)
         self.base = base
         self.noise_bound = noise_bound
         self.deterministic = False

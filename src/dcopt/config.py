@@ -16,8 +16,7 @@ Sections and keys::
                 T, init_mode, seed
                 empirical: alpha, gamma, tau_1, omega, schedule
                            (constant | geometric), s0, rate, s0_margin
-                theoretical: clamp_alpha, tau_0, epsilon, gamma_margin,
-                             tau1_margin, omega, strict
+                theoretical: clamp_alpha, tau_0, epsilon, omega, strict
     [output]    directory, csv, svg, force
 
 A JSON file holding one object with the same section names is accepted as an
@@ -39,9 +38,22 @@ from .errors import ConfigError
 from .graph import build_graph
 from .problems import make_nonconvex, make_quadratic
 
+# the keys of each section, as listed above; INI lowercases T to t
+KEYS = {
+    "problem": {"family", "d", "seed", "condition_number", "lam", "m"},
+    "graph": {"topology", "n", "prob", "seed"},
+    "compressor": {"kind", "level", "step", "k", "kbits", "noise", "noise_inner",
+                   "noise_outer"},
+    "algorithm": {"mode", "T", "t", "init_mode", "seed", "alpha", "gamma", "tau_1", "omega",
+                  "schedule", "s0", "rate", "s0_margin", "clamp_alpha", "tau_0", "epsilon",
+                  "strict"},
+    "output": {"directory", "csv", "svg", "force"},
+}
+
 
 def load_config(path) -> dict:
-    """Parse an INI or JSON config into a dict of section dicts."""
+    """Parse an INI or JSON config into a dict of section dicts, refusing any
+    section or key that ``KEYS`` does not list."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -56,13 +68,21 @@ def load_config(path) -> dict:
         bad = [k for k, v in data.items() if not isinstance(v, dict)]
         if bad:
             raise ConfigError(f"JSON config section {bad[0]!r} must be an object")
-        return {str(k): {str(a): b for a, b in v.items()} for k, v in data.items()}
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+        cfg = {str(k): {str(a): b for a, b in v.items()} for k, v in data.items()}
+    else:
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
+        cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    for section, values in cfg.items():
+        if section not in KEYS:
+            raise ConfigError(f"unknown section {section!r}")
+        unknown = sorted(set(values) - KEYS[section])
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section {section!r}")
+    return cfg
 
 
 def _get(section: dict, key: str, cast, default=None, required=False):
@@ -78,6 +98,10 @@ def _get(section: dict, key: str, cast, default=None, required=False):
                 return True
             if low in ("false", "no", "off", "0"):
                 return False
+            raise ValueError(raw)
+        # a JSON bool is no number or string, and int() truncates a fraction
+        if isinstance(raw, bool) and cast is not bool \
+                or cast is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError(raw)
         return cast(raw)
     except (TypeError, ValueError) as exc:
@@ -158,9 +182,7 @@ def compressor_contract(compressor, d: int, cfg: dict):
 def regime_options(cfg: dict) -> dict:
     """The [algorithm] keys a theoretical mode passes to theorem_params."""
     alg = cfg.get("algorithm", {})
-    return dict(gamma_margin=_get(alg, "gamma_margin", float, 1.05),
-                tau1_margin=_get(alg, "tau1_margin", float, 1.05),
-                omega=_get(alg, "omega", float, None),
+    return dict(omega=_get(alg, "omega", float, None),
                 tau_0=_get(alg, "tau_0", float, 1.0),
                 epsilon=_get(alg, "epsilon", float, 0.99),
                 clamp_alpha=_get(alg, "clamp_alpha", bool, False),

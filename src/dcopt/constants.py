@@ -23,6 +23,7 @@ from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
 
 SAFETY = 0.9         # selected stepsizes sit at this fraction of their caps
+MARGIN = 1.05        # selected gamma and tau_1 sit this factor above kappa_2 and kappa_1
 KAPPA_HAT_3 = 1.0    # free constant in the last term of kappa_tilde_3
 
 
@@ -288,9 +289,7 @@ def _fixed_point_alpha(table, cap: str) -> tuple:
 
 
 def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
-                   T: int | None = None, x0_seed: int = 0,
-                   x0: np.ndarray | None = None, gamma_margin: float = 1.05,
-                   tau1_margin: float = 1.05, omega: float | None = None,
+                   T: int | None = None, x0_seed: int = 0, omega: float | None = None,
                    tau_0: float = 1.0, epsilon: float = 0.99,
                    clamp_alpha: bool = False, strict: bool = False) -> ParamSelection:
     """Produce a complete parameter set for one convergence regime.
@@ -319,8 +318,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     dt = norms.d_tilde
     nu = problem.pl_nu
     init_mode = "exact_first_round" if regime == "T2_local_exact_first" else "standard"
-    if x0 is None:
-        x0 = draw_x0(n, d, init_mode, x0_seed)
+    x0 = draw_x0(n, d, init_mode, x0_seed)
 
     omega = omega if omega is not None else 1.0 / contract.r
     if not 0 < omega <= 1.0 / contract.r:
@@ -329,13 +327,8 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     # gamma and tau_1 need only the graph spectrum
     probe = compute_constants(graph, problem.ell, gamma=1.0, tau_1=1.0, omega=omega,
                               alpha=1e-12, contract=contract, norms=norms)
-    gamma = gamma_margin * probe.kappa_2
-    tau_1 = tau1_margin * probe.kappa_1
-    if gamma <= probe.kappa_2:
-        raise InfeasibleParams(f"gamma below kappa_2: {gamma} <= {probe.kappa_2} "
-                               f"(gamma_margin must exceed 1)")
-    if tau_1 < probe.kappa_1:
-        raise InfeasibleParams(f"tau_1 below kappa_1: {tau_1} < {probe.kappa_1}")
+    gamma = MARGIN * probe.kappa_2
+    tau_1 = MARGIN * probe.kappa_1
     beta = tau_1 * gamma
     l1_0, e123_0 = _initial_lyapunov(x0, problem, graph, gamma, beta)
     at = functools.partial(table_at, problem, graph, contract, gamma, tau_1, omega,

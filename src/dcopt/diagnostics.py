@@ -4,7 +4,7 @@ The per-iteration record pairs the iterate x_k with the surrogate from the
 previous exchange (so e5 at row k is ||x_k - xhat_{k-1}||^2, the distance the
 round-k compressor actually sees, and equals ||x_0||^2 at k = 0 under zero
 initialization).  The distances after the round-k exchange are kept in
-separate arrays (surr_post_*) for the contraction checks.
+separate columns (surr_post_*) for the contraction checks.
 """
 
 import csv
@@ -14,54 +14,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressors import pnorms
+from .compressors import LOCAL, pnorms
 from .errors import DegenerateSeries
 
-CSV_COLUMNS = ["k", "f_bar", "grad_sq", "consensus", "e1", "e2", "e3", "e4",
-               "e5", "s_k", "bits_cum", "region_ok"]
+# one trace row: the CSV columns, then the distances around the round-k
+# exchange (p-norm max over agents, and l2-squared summed over agents), whose
+# post entries are NaN at the final row
+TRACE_DTYPE = np.dtype([("k", np.int64)]
+                       + [(name, np.float64) for name in ("f_bar", "grad_sq", "consensus", "e1",
+                                                          "e2", "e3", "e4", "e5", "s_k")]
+                       + [("bits_cum", np.int64), ("region_ok", np.bool_)]
+                       + [(name, np.float64) for name in ("surr_pre_pmax", "surr_post_pmax",
+                                                          "surr_post_l2sq")], align=True)
+CSV_COLUMNS = TRACE_DTYPE.names[:12]
 
-# one trace row: the RunTrace columns from f_bar to surr_pre_pmax
-ROW_DTYPE = np.dtype([(name, np.float64) for name in ("f_bar", "grad_sq", "consensus", "e1",
-                                                      "e2", "e3", "e4", "e5", "s_k")]
-                     + [("bits_cum", np.int64), ("region_ok", np.bool_),
-                        ("surr_pre_pmax", np.float64)], align=True)
+
+def allocate_rows(T: int) -> np.ndarray:
+    """Zeroed records for the T+1 rows of a run."""
+    return np.zeros(T + 1, TRACE_DTYPE)
 
 
 @dataclass
 class RunTrace:
-    """Per-iteration diagnostics for one run; arrays have T+1 rows."""
+    """Per-iteration diagnostics for one run: T+1 rows of ``TRACE_DTYPE``,
+    each column read as the attribute of its name."""
 
-    k: np.ndarray
-    f_bar: np.ndarray
-    grad_sq: np.ndarray
-    consensus: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    e4: np.ndarray
-    e5: np.ndarray
-    s_k: np.ndarray
-    bits_cum: np.ndarray
-    region_ok: np.ndarray
-    # distances around the round-k exchange (p-norm max over agents, and
-    # l2-squared summed over agents); post entries are NaN at the final row
-    surr_pre_pmax: np.ndarray
-    surr_post_pmax: np.ndarray
-    surr_post_l2sq: np.ndarray
-    e4_mode: str = "exact"
-    final_state: object = None
-    config: dict = field(default_factory=dict)
+    rows: np.ndarray
+    e4_mode: str
+    final_state: object
+    config: dict
 
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, post: np.ndarray, problem, final_state,
-                  config: dict) -> "RunTrace":
-        """Assemble the trace from T+1 :func:`trace_row` rows of ``ROW_DTYPE``
-        and the T+1 x 2 (p-norm max, l2-squared) distances after each
-        exchange, NaN at the final row."""
-        return cls(np.arange(len(rows)), *(rows[name] for name in ROW_DTYPE.names),
-                   post[:, 0], post[:, 1],
-                   e4_mode="exact" if problem.f_star is not None else "lower_gap",
-                   final_state=final_state, config=config)
+    def __getattr__(self, name):
+        if name in TRACE_DTYPE.names:
+            return self.rows[name]
+        raise AttributeError(name)
 
     @property
     def surr_pre_l2sq(self) -> np.ndarray:
@@ -70,7 +56,7 @@ class RunTrace:
 
     @property
     def T(self) -> int:
-        return len(self.k) - 1
+        return len(self.rows) - 1
 
     def lyapunov_l1(self) -> np.ndarray:
         return self.e1 + self.e2 + self.e3 + self.e4
@@ -114,22 +100,28 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     return e1, e2, e3, e4, e5
 
 
-def trace_row(state, problem, graph, gamma: float, beta: float, p: float,
-              C: float | None) -> tuple:
-    """Row k of the trace at state k, in ``ROW_DTYPE`` order.  ``p`` is the
-    norm of the distances and ``C`` the local region radius (None for a
-    global contract, whose region always holds)."""
+def trace_row(state, next_state, problem, graph, hyper, contract) -> tuple:
+    """Row k of the trace, in ``TRACE_DTYPE`` order, from state k and state
+    k+1 (None at the final row).  A local contract sets the distances' norm p
+    and the region radius C; under any other contract the distances are
+    Euclidean and the region always holds."""
+    local = contract is not None and contract.cls == LOCAL
+    p = contract.p if local else 2.0
     xbar = state.x.mean(axis=0)
     G0 = problem.gradients_at(xbar)
     gbar = G0.mean(axis=0)
     f_bar = problem.f(xbar)
-    e = lyapunov_components(state.x, state.v, state.x_hat, problem, graph, gamma, beta,
-                            G0=G0, f_bar=f_bar)
+    e = lyapunov_components(state.x, state.v, state.x_hat, problem, graph, hyper.gamma,
+                            hyper.beta, G0=G0, f_bar=f_bar)
     pre = pnorms(state.x - state.x_hat, p).max()
-    region_ok = C is None or pre <= C * state.s_k * (1.0 + 1e-12)
+    region_ok = not local or pre <= contract.C * state.s_k * (1.0 + 1e-12)
+    post = np.nan, np.nan
+    if next_state is not None:
+        diff = state.x - next_state.x_hat
+        post = pnorms(diff, p).max(), float(np.sum(diff * diff))
     # consensus ||x - xbar||^2 / n is 2 e1 / n
-    return (f_bar, float(gbar @ gbar), 2.0 * e[0] / graph.n, *e, state.s_k,
-            state.bits_cum, region_ok, pre)
+    return (state.k, f_bar, float(gbar @ gbar), 2.0 * e[0] / graph.n, *e, state.s_k,
+            state.bits_cum, region_ok, pre, *post)
 
 
 @dataclass
@@ -146,22 +138,21 @@ class CheckReport:
 
 
 def lyapunov_sandwich_check(trace: RunTrace, eps1: float, eps2: float,
-                            gamma: float, beta: float, rtol: float = 1e-9) -> CheckReport:
+                            gamma: float, beta: float) -> CheckReport:
     """Check eps1 * L1_hat <= L1 <= eps2 * L1_hat at every recorded iteration."""
     l1 = trace.lyapunov_l1()
     hat = trace.lyapunov_l1_hat(gamma, beta)
     scale = np.maximum(np.abs(hat), 1.0)
     lo_slack = l1 - eps1 * hat
     hi_slack = eps2 * hat - l1
-    bad = (lo_slack < -rtol * scale) | (hi_slack < -rtol * scale)
+    bad = (lo_slack < -1e-9 * scale) | (hi_slack < -1e-9 * scale)
     worst = float(min(lo_slack.min(), hi_slack.min()))
     return CheckReport("lyapunov_sandwich", len(l1), int(bad.sum()), worst,
                        {"eps1": eps1, "eps2": eps2})
 
 
 def lyapunov_descent_check(trace: RunTrace, alpha: float, eps6: float, eps5: float,
-                           psi2: float, C: float, d_tilde: float, n: int,
-                           rtol: float = 1e-9) -> CheckReport:
+                           psi2: float, C: float, d_tilde: float, n: int) -> CheckReport:
     """Check the gradient-dominated one-step bound
     L1_{k+1} <= (1 - alpha eps6) L1_k + alpha n d_tilde^2 (1 - 2 eps5) psi2 C^2 s_k^2."""
     l1 = trace.lyapunov_l1()
@@ -169,25 +160,25 @@ def lyapunov_descent_check(trace: RunTrace, alpha: float, eps6: float, eps5: flo
         + alpha * n * d_tilde ** 2 * (1.0 - 2.0 * eps5) * psi2 * C ** 2 * trace.s_k[:-1] ** 2
     slack = rhs - l1[1:]
     scale = np.maximum(np.abs(rhs), 1.0)
-    bad = slack < -rtol * scale
+    bad = slack < -1e-9 * scale
     return CheckReport("lyapunov_descent", len(slack), int(bad.sum()), float(slack.min()),
                        {"alpha": alpha, "eps6": eps6})
 
 
-def contraction_local_check(trace: RunTrace, contract, omega: float,
-                            rtol: float = 1e-12) -> CheckReport:
+def contraction_local_check(trace: RunTrace, contract, omega: float) -> CheckReport:
     """Deterministic per-step check of
     ||x_k - xhat_k||_p^2 <= (1 - omega r (2 delta - delta^2)) C^2 s_k^2,
     conditional on the region guarantee holding at step k.
 
-    ``rtol`` is relative to the region's scale C^2 s_k^2, not to the bound:
-    an exact compressor at omega = 1 has bound 0 and a rounding-level error.
+    The 1e-12 tolerance is relative to the region's scale C^2 s_k^2, not to
+    the bound: an exact compressor at omega = 1 has bound 0 and a
+    rounding-level error.
     """
     factor = 1.0 - omega * contract.r * (2.0 * contract.delta - contract.delta ** 2)
     post = trace.surr_post_pmax[:-1]
     scale = contract.C ** 2 * trace.s_k[:-1] ** 2
     ok_rows = trace.region_ok[:-1]
-    slack = (factor + rtol) * scale - post ** 2
+    slack = (factor + 1e-12) * scale - post ** 2
     bad = (slack < 0) & ok_rows
     checked = int(ok_rows.sum())
     worst = float(slack[ok_rows].min()) if checked else 0.0
@@ -231,8 +222,10 @@ def rate_fit(ts, vs, model: str = "power_law", burn_in_frac: float = 0.1):
         raise DegenerateSeries("ts and vs must have equal length")
     skip = int(len(ts) * burn_in_frac)
     ts, vs = ts[skip:], vs[skip:]
-    if len(ts) < 3 or np.any(vs <= 0):
-        raise DegenerateSeries("need >= 3 points with positive values")
+    if len(ts) < 3 or not np.all(np.isfinite(ts) & np.isfinite(vs)) or np.any(vs <= 0):
+        raise DegenerateSeries("need >= 3 finite points with positive values")
+    if np.all(ts == ts[0]):
+        raise DegenerateSeries("need at least two distinct abscissae")
     y = np.log(vs)
     if model == "power_law":
         if np.any(ts <= 0):

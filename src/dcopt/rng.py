@@ -2,13 +2,11 @@
 
 Every random draw in the library flows from a single 64-bit seed through a
 named Philox substream keyed by (seed, purpose) with the counter set from
-(tag, agent, iteration).  A stream's draws depend only on its coordinates,
-never on execution order.  A compression round is one block draw: the
-round's generator comes from its (tag, agent, iteration) coordinates, with
-``agent`` the round's first row, and fills every row in turn.  So row j of
-a round is not the draw that agent j would get compressing alone; compressing
-one vector is a round of one row.  Scalarization's shared direction has its
-own stream keyed by the iteration alone.
+(tag, iteration).  A stream's draws depend only on its coordinates, never on
+execution order.  A compression round is one block draw: the round's
+generator comes from its (tag, iteration) coordinates and fills every row in
+turn, so compressing one vector is a round of one row.  Scalarization's
+shared direction has its own stream keyed by the iteration alone.
 """
 
 import numpy as np
@@ -22,11 +20,10 @@ PROBLEM = 6
 VERIFY = 7
 
 
-def substream(seed: int, purpose: int, tag: int = 0, agent: int = 0,
-              iteration: int = 0) -> np.random.Generator:
+def substream(seed: int, purpose: int, tag: int = 0, iteration: int = 0) -> np.random.Generator:
     """Return a fresh generator for the given stream coordinates."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
-    counter = np.array([0, tag, agent, iteration], dtype=np.uint64)
+    counter = np.array([0, tag, 0, iteration], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 

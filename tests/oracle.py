@@ -16,10 +16,7 @@ import numpy as np
 from dcopt import rng as _rng
 from dcopt.algorithm import AlgorithmState, init_state
 from dcopt.compressors import LOCAL, Compose, Noisy, Scalarization
-
-COLUMNS = ("f_bar", "grad_sq", "consensus", "e1", "e2", "e3", "e4", "e5", "s_k",
-           "bits_cum", "region_ok", "surr_pre_pmax", "surr_post_pmax",
-           "surr_pre_l2sq", "surr_post_l2sq")
+from dcopt.diagnostics import TRACE_DTYPE
 
 
 # columns the engine evaluates by another formula, with the scale of their
@@ -27,7 +24,7 @@ COLUMNS = ("f_bar", "grad_sq", "consensus", "e1", "e2", "e3", "e4", "e5", "s_k",
 ROUNDED = {"e1": "e1_scale", "e3": "e3_scale"}
 
 
-def mismatches(trace, ref, names=COLUMNS):
+def mismatches(trace, ref, names=TRACE_DTYPE.names):
     """Names of the trace columns that differ from the oracle's: bit for bit,
     or beyond 1e-12 of their error scale for the rounded ones."""
     bad = []
@@ -83,11 +80,10 @@ def compress(c, x, k, row):
     return c._kernel(x[None, :], zeta)[0], c.bits(x[None])
 
 
-def compress_round(c, U, k, agent=0):
+def compress_round(c, U, k):
     """(Q, bits per agent) for round k, one agent at a time; row j of U is
-    agent ``agent + j``'s input."""
-    gen = None if c.deterministic else _rng.substream(c.seed, _rng.COMPRESSOR, c.tag,
-                                                      agent, k)
+    agent j's input."""
+    gen = None if c.deterministic else _rng.substream(c.seed, _rng.COMPRESSOR, c.tag, k)
     blocks = draw_round(c, U.shape, gen)
     out = [compress(c, U[j], k, iter([b[j] for b in blocks])) for j in range(len(U))]
     return np.stack([q for q, _ in out]), [bits for _, bits in out]
@@ -152,9 +148,8 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
     f_ref = problem.f_star if problem.f_star is not None else problem.f_low
     E, F = np.eye(n) - 1.0 / n, graph.F
     EF = E @ F
-    tr = {name: np.zeros(T + 1) for name in COLUMNS + tuple(ROUNDED.values())}
-    tr["bits_cum"] = np.zeros(T + 1, dtype=np.int64)
-    tr["region_ok"] = np.ones(T + 1, dtype=bool)
+    tr = {name: np.zeros(T + 1, TRACE_DTYPE[name]) for name in TRACE_DTYPE.names}
+    tr.update({name: np.zeros(T + 1) for name in ROUNDED.values()})
 
     def record(row, st):
         xbar = st.x.mean(axis=0)
@@ -165,6 +160,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         diff = st.x - st.x_hat
         pre = max(pnorm(diff[i], p) for i in range(n))
         f_bar = f(problem, xbar)
+        tr["k"][row] = st.k
         tr["f_bar"][row] = f_bar
         tr["grad_sq"][row] = float(gbar @ gbar)
         tr["consensus"][row] = float(np.sum(dev * dev)) / n
@@ -180,10 +176,8 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         tr["e5"][row] = float(np.sum(diff * diff))
         tr["s_k"][row] = st.s_k
         tr["surr_pre_pmax"][row] = pre
-        tr["surr_pre_l2sq"][row] = tr["e5"][row]
         tr["bits_cum"][row] = st.bits_cum
-        if local:
-            tr["region_ok"][row] = pre <= contract.C * st.s_k * (1.0 + 1e-12)
+        tr["region_ok"][row] = not local or pre <= contract.C * st.s_k * (1.0 + 1e-12)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(T):

@@ -152,13 +152,12 @@ def test_unbiased_kbit_bits():
 def test_determinism_and_stream_separation():
     c = comp.UnbiasedKBit(2, seed=42)
     x = np.array([1.0, -2.0, 0.5])
-    q1, b1 = c.compress(x, iteration=5, agent=2)
-    q2, b2 = c.compress(x, iteration=5, agent=2)
+    q1, b1 = c.compress(x, iteration=5)
+    q2, b2 = c.compress(x, iteration=5)
     np.testing.assert_array_equal(q1, q2)
     assert b1 == b2
-    q3, _ = c.compress(x, iteration=6, agent=2)
-    q4, _ = c.compress(x, iteration=5, agent=3)
-    assert not np.array_equal(q1, q3) or not np.array_equal(q1, q4)
+    q3, _ = c.compress(x, iteration=6)
+    assert not np.array_equal(q1, q3)
 
 
 def test_noisy_wrapper_bounded():
@@ -194,9 +193,9 @@ def test_compose_keeps_callers_stages():
     # the two noise stages draw different realizations: the outer stage goes
     # on drawing from the round's generator where the inner stage stopped
     x = np.array([0.8, -1.7, 2.2])
-    mid, _ = inner.compress(x, iteration=3, agent=1)
-    q, _ = c.compress(x, iteration=3, agent=1)
-    q_same_stream, _ = outer.compress(mid, iteration=3, agent=1)
+    mid, _ = inner.compress(x, iteration=3)
+    q, _ = c.compress(x, iteration=3)
+    q_same_stream, _ = outer.compress(mid, iteration=3)
     assert not np.array_equal(q, q_same_stream)
 
 

@@ -77,6 +77,42 @@ def test_json_section_must_be_an_object(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config: ")
 
 
+def _as_json(tmp_path, text, edit):
+    cfg = {s: dict(v) for s, v in load_config(_write(tmp_path, text)).items()}
+    cfg["algorithm"]["T"] = int(cfg["algorithm"].pop("t"))
+    for section, values in edit.items():
+        cfg.setdefault(section, {}).update(values)
+    return _write(tmp_path, json.dumps(cfg), "run.json")
+
+
+@pytest.mark.parametrize("edit", [{"graph": {"n": 6.7}}, {"algorithm": {"T": True}},
+                                  {"algorithm": {"alpha": True}}])
+def test_json_numbers_are_not_truncated(tmp_path, capsys, edit):
+    text = BASE_CONFIG.format(out=tmp_path / "o13")
+    assert build_run_plan(load_config(_as_json(tmp_path, text, {"graph": {"n": 4.0}})))[1].n == 4
+    path = _as_json(tmp_path, text, edit)
+    with pytest.raises(ConfigError, match="bad value"):
+        build_run_plan(load_config(path))
+    assert cli.main(["run", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config: ")
+
+
+@pytest.mark.parametrize("old,new,name", [("rate = 0.99", "rtae = 0.5", "rtae"),
+                                          ("[output]", "[outptu]", "outptu"),
+                                          ("n = 4", "n = 4\ntopolgy = path", "topolgy")])
+def test_unknown_keys_are_refused(tmp_path, capsys, old, new, name):
+    text = BASE_CONFIG.format(out=tmp_path / "o14")
+    path = _write(tmp_path, text.replace(old, new))
+    with pytest.raises(ConfigError, match=f"unknown .* '{name}'"):
+        load_config(path)
+    assert cli.main(["run", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not (tmp_path / "o14").exists()
+    # the same keys, spelled right, load from INI and from JSON (with T upper-case)
+    assert load_config(_write(tmp_path, text))["algorithm"]["t"] == "20"
+    assert load_config(_as_json(tmp_path, text, {}))["algorithm"]["T"] == 20
+
+
 def test_build_run_plan_validation(tmp_path):
     cfg = load_config(_write(tmp_path, BASE_CONFIG.format(out=tmp_path)))
     cfg["algorithm"].pop("t")
@@ -130,11 +166,11 @@ def test_cmd_run_deterministic_csv(tmp_path):
 
 def test_cmd_run_infeasible_gamma(tmp_path, capsys):
     text = BASE_CONFIG.format(out=tmp_path / "o2").replace(
-        "mode = empirical", "mode = T3_local_PL\ngamma_margin = 0.5")
+        "mode = empirical", "mode = T5_global_nonconvex")
     path = _write(tmp_path, text, "infeasible.ini")
     assert cli.cmd_run(path) == cli.EXIT_INFEASIBLE
     err = capsys.readouterr().err
-    assert "gamma below kappa_2" in err
+    assert "needs a global compressor contract" in err
 
 
 def test_cmd_run_divergence_exit(tmp_path, capsys):
@@ -176,6 +212,14 @@ def test_cmd_sweep(tmp_path, capsys):
     assert len(data["rows"]) == 3
     assert "exponent" in data["fit"]
     assert cli.cmd_sweep(path, [20, 40]) == cli.EXIT_CONFIG
+    # a repeated horizon runs once, and fewer than 3 distinct ones fit no rate
+    assert cli.cmd_sweep(path, [80, 20, 40, 20], force=True) == cli.EXIT_OK
+    data = json.loads((tmp_path / "o7" / "sweep.json").read_text())
+    assert [row["T"] for row in data["rows"]] == [20, 40, 80]
+    (tmp_path / "o7" / "sweep.json").unlink()
+    for horizons in ([20, 20, 20], [20, 40, 20, 40]):
+        assert cli.cmd_sweep(path, horizons, force=True) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o7" / "sweep.json").exists()
 
 
 def test_cmd_sweep_divergence_names_the_horizon(tmp_path, capsys):

@@ -114,6 +114,12 @@ def test_rate_fit_rejections():
         rate_fit([1, 2, 3], [1.0, -0.5, 0.2], "power_law", burn_in_frac=0.0)
     with pytest.raises(DegenerateSeries):
         rate_fit([1, 2, 3], [1.0, 0.5, 0.2], "parabola", burn_in_frac=0.0)
+    # non-finite values and a constant abscissa have no fit
+    for ts, vs in (([1, 2, 3], [1.0, np.nan, 0.2]), ([1, 2, 3], [1.0, np.inf, 0.2]),
+                   ([1, np.inf, 3], [1.0, 0.5, 0.2]), ([100, 100, 100], [1.0, 0.5, 0.2])):
+        for model in ("power_law", "geometric"):
+            with pytest.raises(DegenerateSeries):
+                rate_fit(ts, vs, model, burn_in_frac=0.0)
 
 
 def test_csv_rows_and_byte_stability(tmp_path):

@@ -88,10 +88,10 @@ def test_batched_step_matches_oracle_and_keeps_identities(kind, init_mode, data)
         assert np.array_equal(Q, oracle.compress_round(compressor, U, state.k)[0])
         for j in range(n):
             # compressing one vector is a round of one row
-            q, _ = compressor.compress(U[j], state.k, j)
-            assert np.array_equal(q, compressor.apply(U[j][None], state.k, agent=j)[0][0])
+            q, _ = compressor.compress(U[j], state.k)
+            assert np.array_equal(q, compressor.apply(U[j][None], state.k)[0][0])
             assert np.array_equal(q, oracle.compress_round(compressor, U[j][None],
-                                                           state.k, agent=j)[0][0])
+                                                           state.k)[0][0])
             if compressor.deterministic:
                 assert np.array_equal(q, Q[j])
         new = step(state, problem, graph, compressor, hyper)
