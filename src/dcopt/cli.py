@@ -61,11 +61,15 @@ def _exit_codes(cmd):
     return wrapped
 
 
-def _out_dir(cfg: dict, default: str) -> Path:
-    directory = cfg.get("output", {}).get("directory", default)
+# (x label, trace column, file name) of each plot ``svg = true`` writes
+PLOTS = (("iteration", "k", "metrics_vs_iterations.svg"),
+         ("cumulative bits", "bits_cum", "metrics_vs_bits.svg"))
+
+
+def _out_dir(out: dict, default: str) -> Path:
+    directory = default if out["directory"] is None else out["directory"]
     root = os.environ.get("DCOPT_OUTPUT_ROOT")
-    path = Path(root) / directory if root else Path(directory)
-    return path
+    return Path(root) / directory if root else Path(directory)
 
 
 def _prepare_dir(path: Path, force: bool, filenames) -> None:
@@ -84,8 +88,8 @@ def _plot(trace, path: Path) -> None:
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
 
-        for xlabel, xs, fname in (("iteration", trace.k, "metrics_vs_iterations.svg"),
-                                  ("cumulative bits", trace.bits_cum, "metrics_vs_bits.svg")):
+        for xlabel, column, fname in PLOTS:
+            xs = getattr(trace, column)
             fig, ax = plt.subplots(figsize=(7, 4.5))
             for name, ys in (("f_bar", trace.f_bar), ("grad_sq", trace.grad_sq),
                              ("consensus", trace.consensus), ("e5", trace.e5)):
@@ -107,15 +111,14 @@ def cmd_run(config_path: str, force: bool = False) -> int:
     cfg = cfgmod.load_config(config_path)
     problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
         cfgmod.build_run_plan(cfg)
-    out = cfg.get("output", {})
-    want_csv = cfgmod._get(out, "csv", bool, True)
-    want_svg = cfgmod._get(out, "svg", bool, False)
-    force = force or cfgmod._get(out, "force", bool, False)
-    path = _out_dir(cfg, "dcopt-out")
-    _prepare_dir(path, force, ["trace.csv", "summary.json"])
+    out = cfgmod.section(cfg, "output")
+    path = _out_dir(out, "dcopt-out")
+    _prepare_dir(path, force or out["force"],
+                 (["trace.csv"] if out["csv"] else []) + ["summary.json"]
+                 + ([fname for _, _, fname in PLOTS] if out["svg"] else []))
     trace = algorithm.run(problem, graph, compressor, hyper, config_echo=echo, **run_kwargs)
 
-    if want_csv:
+    if out["csv"]:
         diagnostics.write_csv(trace, path / "trace.csv")
 
     fits = {}
@@ -140,7 +143,7 @@ def cmd_run(config_path: str, force: bool = False) -> int:
         "rate_fits": fits,
         "checks": checks,
     })
-    if want_svg:
+    if out["svg"]:
         _plot(trace, path)
     print(f"run finished: T={trace.T}, f_bar={trace.f_bar[-1]:.6g}, "
           f"bits={int(trace.bits_cum[-1])}, out={path}")
@@ -174,9 +177,9 @@ def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
                                         [r["avg_metric"] for r in rows],
                                         "power_law", burn_in_frac=0.0)
     result = {"rows": rows, "fit": {"exponent": exponent, "r_squared": r2}}
-    path = _out_dir(cfg, "dcopt-sweep")
-    _prepare_dir(path, force or cfgmod._get(cfg.get("output", {}), "force", bool, False),
-                 ["sweep.json"])
+    out = cfgmod.section(cfg, "output")
+    path = _out_dir(out, "dcopt-sweep")
+    _prepare_dir(path, force or out["force"], ["sweep.json"])
     with open(path / "sweep.json", "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
@@ -190,27 +193,24 @@ def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
 def cmd_verify(config_path: str, samples: int = 10_000,
                trials: int = 10_000) -> int:
     cfg = cfgmod.load_config(config_path)
-    graph = cfgmod.build_graph_from(cfg)
-    problem = cfgmod.build_problem_from(cfg, graph.n)
-    seed = cfgmod._seed(cfg.get("algorithm", {}), "seed", 0)
+    d = cfgmod.section(cfg, "problem")["d"]
+    seed = cfgmod.section(cfg, "algorithm")["seed"]
     compressor = cfgmod.build_compressor_from(cfg, seed)
-    contract = cfgmod.compressor_contract(compressor, problem.d, cfg)
+    contract = cfgmod.compressor_contract(compressor, d, cfg)
     if contract.cls == LOCAL:
         report = verify_local_assumption(compressor, contract, samples=samples,
-                                         seed=seed, d=problem.d)
+                                         seed=seed, d=d)
     else:
         report = verify_global_assumption(compressor, contract, samples=16,
-                                          trials_per_sample=trials, seed=seed,
-                                          d=problem.d)
+                                          trials_per_sample=trials, seed=seed, d=d)
     payload = {
         "kind": report.kind,
-        "contract": {"class": contract.cls,
-                     "p": "inf" if contract.p == np.inf else contract.p,
-                     "r": contract.r, "C": contract.C, "delta": contract.delta},
+        "contract": {"class": contract.cls, "p": contract.p, "r": contract.r,
+                     "C": contract.C, "delta": contract.delta},
         "max_ratio": report.max_ratio,
         "pass": report.passed,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(diagnostics.json_safe(payload), indent=2))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
@@ -223,7 +223,7 @@ def cmd_params(config_path: str) -> int:
     table = table_at(problem, graph, run_kwargs["contract"], hyper.gamma, hyper.tau_1,
                      hyper.omega, hyper.alpha,
                      s0=sched.s0 if sched.mode == "recursive" else None,
-                     T=run_kwargs["T"], tau_0=cfgmod.regime_options(cfg)["tau_0"],
+                     T=run_kwargs["T"], tau_0=cfgmod.section(cfg, "algorithm")["tau_0"],
                      x0=run_kwargs["x0"])
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
@@ -232,7 +232,7 @@ def cmd_params(config_path: str) -> int:
         "feasibility": {k: {"ok": ok, "value": v, "bound": b}
                         for k, (ok, v, b) in feas.items()},
     }
-    print(json.dumps(payload, indent=2, default=str))
+    print(json.dumps(diagnostics.json_safe(payload), indent=2, default=str))
     return EXIT_OK
 
 

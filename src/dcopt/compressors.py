@@ -160,6 +160,7 @@ class Compressor:
     """
 
     kind = "base"
+    params = ()      # the constructor's parameters, in order, as in the config
     deterministic = True
     role = None      # "relative" / "absolute" for global kinds
     r = 1.0
@@ -226,10 +227,8 @@ class Compressor:
         return np.sum(diff * diff, axis=1)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.describe()})"
-
-    def describe(self) -> str:
-        return ""
+        args = ", ".join(f"{name}={getattr(self, name)}" for name in self.params)
+        return f"{type(self).__name__}({args})"
 
 
 class Identity(Compressor):
@@ -252,6 +251,7 @@ class OneBit(Compressor):
     """Sign compressor transmitting one bit per coordinate; output +-level/2."""
 
     kind = "one_bit"
+    params = ("level",)
 
     def __init__(self, level: float, seed: int = 0, tag: int = 0):
         super().__init__(seed, tag)
@@ -269,14 +269,12 @@ class OneBit(Compressor):
     def _kernel(self, X, zeta):
         return _sign_pos(X) * (self.level / 2.0)
 
-    def describe(self):
-        return f"level={self.level}"
-
 
 class SaturatingQuantizer(Compressor):
     """Midtread uniform quantizer with hard saturation at +-level."""
 
     kind = "sat_quant"
+    params = ("level", "step")
 
     def __init__(self, level: float, step: float, seed: int = 0, tag: int = 0):
         super().__init__(seed, tag)
@@ -302,14 +300,12 @@ class SaturatingQuantizer(Compressor):
         idx = np.clip(np.floor(X / self.step + 0.5), self._lo, self._hi)
         return self.step * idx
 
-    def describe(self):
-        return f"level={self.level}, step={self.step}"
 
+class _KeepK(Compressor):
+    """Pass k coordinates of each row through and zero the rest; the
+    subclass's ``_order`` ranks the coordinates."""
 
-class TopK(Compressor):
-    """Keep the k largest-magnitude coordinates (ties broken by lowest index)."""
-
-    kind = "top_k"
+    params = ("k",)
 
     def __init__(self, k: int, seed: int = 0, tag: int = 0):
         super().__init__(seed, tag)
@@ -320,6 +316,24 @@ class TopK(Compressor):
     def bits(self, X):
         self._check_k(X.shape[1])
         return len(X) * self.k * B1
+
+    def _check_k(self, d):
+        if self.k > d:
+            raise DimensionMismatch(f"k={self.k} exceeds dimension {d}")
+
+    def _kernel(self, X, zeta):
+        self._check_k(X.shape[1])
+        keep = self._order(X, zeta)[:, :self.k]
+        Q = np.zeros_like(X)
+        rows = np.arange(X.shape[0])[:, None]
+        Q[rows, keep] = X[rows, keep]
+        return Q
+
+
+class TopK(_KeepK):
+    """Keep the k largest-magnitude coordinates (ties broken by lowest index)."""
+
+    kind = "top_k"
 
     def contract(self, d):
         # advertised contract: p = 2, r = 1, C = 1 (any C > 0 holds), delta = k/d
@@ -332,21 +346,8 @@ class TopK(Compressor):
         self._check_k(d)
         return AssumptionContract(LOCAL, 2.0, 1.0, 1.0, 1.0 - math.sqrt(1.0 - self.k / d))
 
-    def _check_k(self, d):
-        if self.k > d:
-            raise DimensionMismatch(f"k={self.k} exceeds dimension {d}")
-
-    def _kernel(self, X, zeta):
-        self._check_k(X.shape[1])
-        order = np.argsort(-np.abs(X), axis=1, kind="stable")
-        Q = np.zeros_like(X)
-        rows = np.arange(X.shape[0])[:, None]
-        keep = order[:, :self.k]
-        Q[rows, keep] = X[rows, keep]
-        return Q
-
-    def describe(self):
-        return f"k={self.k}"
+    def _order(self, X, zeta):
+        return np.argsort(-np.abs(X), axis=1, kind="stable")
 
 
 class NormSign(Compressor):
@@ -371,6 +372,7 @@ class UnbiasedKBit(Compressor):
     """Dithered k-bit quantizer, unbiased via a uniform [0,1) dither."""
 
     kind = "unbiased_kbit"
+    params = ("kbits",)
     deterministic = False
     role = "relative"
 
@@ -399,45 +401,21 @@ class UnbiasedKBit(Compressor):
         q[m[:, 0] == 0.0] = 0.0
         return q
 
-    def describe(self):
-        return f"kbits={self.kbits}"
 
-
-class RandK(Compressor):
+class RandK(_KeepK):
     """Pass k uniformly chosen distinct coordinates through, zero the rest."""
 
     kind = "rand_k"
     deterministic = False
     role = "relative"
 
-    def __init__(self, k: int, seed: int = 0, tag: int = 0):
-        super().__init__(seed, tag)
-        if k < 1:
-            raise OutOfRange(f"k must be >= 1, got {k}")
-        self.k = k
-
-    def bits(self, X):
-        if self.k > X.shape[1]:
-            raise DimensionMismatch(f"k={self.k} exceeds dimension {X.shape[1]}")
-        return len(X) * self.k * B1
-
     def relative_delta(self, d):
         # unscaled pass-through: E||C(x)-x||^2 = (1 - k/d) ||x||^2 exactly
-        if self.k > d:
-            raise DimensionMismatch(f"k={self.k} exceeds dimension {d}")
+        self._check_k(d)
         return self.k / d
 
-    def _kernel(self, X, zeta):
-        if self.k > X.shape[1]:
-            raise DimensionMismatch(f"k={self.k} exceeds dimension {X.shape[1]}")
-        keep = np.argsort(zeta, axis=1, kind="stable")[:, :self.k]
-        Q = np.zeros_like(X)
-        rows = np.arange(X.shape[0])[:, None]
-        Q[rows, keep] = X[rows, keep]
-        return Q
-
-    def describe(self):
-        return f"k={self.k}"
+    def _order(self, X, zeta):
+        return np.argsort(zeta, axis=1, kind="stable")
 
 
 class Scalarization(Compressor):
@@ -476,6 +454,7 @@ class UniformQuantizer(Compressor):
     """Midtread uniform quantizer without saturation."""
 
     kind = "uniform_quant"
+    params = ("step",)
     role = "absolute"
 
     def __init__(self, step: float, seed: int = 0, tag: int = 0):
@@ -497,9 +476,6 @@ class UniformQuantizer(Compressor):
 
     def _kernel(self, X, zeta):
         return self.step * np.floor(X / self.step + 0.5)
-
-    def describe(self):
-        return f"step={self.step}"
 
 
 class Noisy(Compressor):
@@ -535,8 +511,8 @@ class Noisy(Compressor):
         radii = self.noise_bound * gen.uniform(size=(Q.shape[0], 1)) ** (1.0 / Q.shape[1])
         return Q + G * radii, charged
 
-    def describe(self):
-        return f"{self.base!r}, noise={self.noise_bound}"
+    def __repr__(self):
+        return f"Noisy({self.base!r}, noise={self.noise_bound})"
 
 
 class Compose(Compressor):
@@ -587,8 +563,8 @@ class Compose(Compressor):
             mid = mid / self.inner.r
         return self.outer._apply(mid, gen, iteration)
 
-    def describe(self):
-        return f"{self.inner!r} -> {self.outer!r}"
+    def __repr__(self):
+        return f"Compose({self.inner!r} -> {self.outer!r})"
 
 
 def lemma1_contract(c: Compressor, d: int) -> AssumptionContract:
@@ -602,28 +578,24 @@ def lemma1_contract(c: Compressor, d: int) -> AssumptionContract:
     raise IncompatibleContracts(f"{base.kind} has no global base characterization")
 
 
+def with_noise(c: Compressor, noise_bound: float) -> Compressor:
+    """``c`` wrapped in bounded additive noise, or ``c`` itself for a zero
+    bound; ``Noisy`` refuses a negative one."""
+    return c if noise_bound == 0 else Noisy(c, noise_bound)
+
+
 def compose_kbit_of_uniform(kbits: int, step: float, noise_inner: float = 0.0,
                             noise_outer: float = 0.0, seed: int = 0) -> Compose:
     """Dithered k-bit quantizer applied to a uniformly quantized input."""
-    inner = UniformQuantizer(step, seed=seed, tag=1)
-    outer = UnbiasedKBit(kbits, seed=seed, tag=2)
-    if noise_inner > 0:
-        inner = Noisy(inner, noise_inner)
-    if noise_outer > 0:
-        outer = Noisy(outer, noise_outer)
-    return Compose(inner, outer)
+    return Compose(with_noise(UniformQuantizer(step, seed=seed, tag=1), noise_inner),
+                   with_noise(UnbiasedKBit(kbits, seed=seed, tag=2), noise_outer))
 
 
 def compose_uniform_of_kbit(kbits: int, step: float, noise_inner: float = 0.0,
                             noise_outer: float = 0.0, seed: int = 0) -> Compose:
     """Uniform quantizer applied to a dithered k-bit quantized input."""
-    inner = UnbiasedKBit(kbits, seed=seed, tag=1)
-    outer = UniformQuantizer(step, seed=seed, tag=2)
-    if noise_inner > 0:
-        inner = Noisy(inner, noise_inner)
-    if noise_outer > 0:
-        outer = Noisy(outer, noise_outer)
-    return Compose(inner, outer)
+    return Compose(with_noise(UnbiasedKBit(kbits, seed=seed, tag=1), noise_inner),
+                   with_noise(UniformQuantizer(step, seed=seed, tag=2), noise_outer))
 
 
 # ---------------------------------------------------------------------------

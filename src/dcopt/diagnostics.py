@@ -247,6 +247,18 @@ def rate_fit(ts, vs, model: str = "power_law", burn_in_frac: float = 0.1):
 # serialization
 # ---------------------------------------------------------------------------
 
+def json_safe(value):
+    """``value`` with each non-finite float written as "inf", "-inf" or
+    "nan", so that the JSON dumped from it is standard JSON."""
+    if isinstance(value, dict):
+        return {key: json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def write_csv(trace: RunTrace, path) -> None:
     """Write the fixed 12-column per-iteration table; byte-stable for a
     given trace."""
@@ -281,5 +293,5 @@ def write_summary(trace: RunTrace, path, extra: dict | None = None) -> None:
     if extra:
         data.update(extra)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=str)
+        json.dump(json_safe(data), fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")

@@ -1,10 +1,9 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from dcopt import cli, config, theorem_params
+from dcopt import cli, config, diagnostics, theorem_params
 from dcopt.algorithm import ConstantSchedule, GeometricSchedule, RecursiveSchedule
 from dcopt.config import build_run_plan, load_config
 from dcopt.errors import ConfigError
@@ -113,6 +112,62 @@ def test_unknown_keys_are_refused(tmp_path, capsys, old, new, name):
     assert load_config(_as_json(tmp_path, text, {}))["algorithm"]["T"] == 20
 
 
+# each refused config: replacements in BASE_CONFIG's INI text, an edit of its
+# JSON form, or a whole JSON document; and the start of the message
+REFUSALS = [
+    ("ini", [("d = 3", "d = 3\nd = 4")], "invalid config"),
+    ("ini", [("n = 4\n", "")], "missing required key 'n'"),
+    ("ini", [("csv = true", "csv = maybe")], "bad value for 'csv'"),
+    ("ini", [("seed = 9", f"seed = {2 ** 64}")], "bad value for 'seed'"),
+    ("ini", [("family = quadratic", "family = cubic")], "bad value for 'family'"),
+    ("ini", [("omega = 1.0", "omega = 1.5")], "omega must be in (0, 1/r]"),
+    ("ini", [("schedule = geometric", "schedule = recursive")], "bad value for 'schedule'"),
+    ("ini", [("mode = empirical", "mode = T4_local")], "bad value for 'mode'"),
+    ("ini", [("alpha = 0.05", "alpha = nan")], "bad value for 'alpha'"),
+    ("ini", [("gamma = 1.0", "gamma = inf")], "bad value for 'gamma'"),
+    ("ini", [("level = 2.0", "level = nan")], "bad value for 'level'"),
+    ("ini", [("rate = 0.99", "rate = 0.99\ns0_margin = nan")], "bad value for 's0_margin'"),
+    ("ini", [("level = 2.0", "level = 2.0\nnoise = -0.5")], "noise bound must be >= 0"),
+    # a key the mode never reads is still read as its type
+    ("ini", [("mode = empirical", "mode = T1_local_nonconvex"), ("alpha = 0.05", "alpha = abc")],
+     "bad value for 'alpha'"),
+    ("json", {"output": {"directory": 5}}, "bad value for 'directory'"),
+    ("json", {"graph": {"topology": ["ring"]}}, "bad value for 'topology'"),
+    ("json", {"algorithm": {"gamma": float("nan")}}, "bad value for 'gamma'"),
+    ("document", [BASE_CONFIG], "JSON config must be a single object"),
+]
+
+
+@pytest.mark.parametrize("form,edit,message", REFUSALS)
+def test_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                                  form, edit, message):
+    monkeypatch.setenv("DCOPT_OUTPUT_ROOT", str(tmp_path / "root"))
+    text = BASE_CONFIG.format(out="out")
+    if form == "ini":
+        for old, new in edit:
+            assert old in text
+            text = text.replace(old, new)
+        path = _write(tmp_path, text)
+    elif form == "json":
+        path = _as_json(tmp_path, text, edit)
+    else:
+        path = _write(tmp_path, json.dumps(edit), "run.json")
+    for argv in (["run", path], ["sweep", path, "--horizons", "20", "40", "80"],
+                 ["params", path]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: config: {message}")
+    assert not (tmp_path / "root").exists()
+
+
+def test_each_kind_builds_from_its_params_and_shows_them_in_its_repr():
+    values = {"level": "1.5", "step": "0.4", "k": "2", "kbits": "3"}
+    for kind, make in config.KINDS.items():
+        compressor = config.build_compressor_from({"compressor": {"kind": kind, **values}}, 0)
+        if isinstance(make, type):
+            args = ", ".join(f"{name}={values[name]}" for name in make.params)
+            assert repr(compressor) == f"{make.__name__}({args})"
+
+
 def test_build_run_plan_validation(tmp_path):
     cfg = load_config(_write(tmp_path, BASE_CONFIG.format(out=tmp_path)))
     cfg["algorithm"].pop("t")
@@ -135,6 +190,27 @@ def test_cmd_run_writes_outputs(tmp_path, capsys):
     # write-once: rerun refuses without force
     assert cli.cmd_run(path) == cli.EXIT_CONFIG
     assert cli.cmd_run(path, force=True) == cli.EXIT_OK
+
+
+def test_run_checks_only_the_files_it_writes(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace.csv").write_text("stale\n")
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace("csv = true", "csv = false"))
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    assert (out / "trace.csv").read_text() == "stale\n"
+    assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("plot", ["metrics_vs_iterations.svg", "metrics_vs_bits.svg"])
+def test_run_refuses_to_overwrite_a_plot(tmp_path, capsys, plot):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / plot).write_text("<svg/>")
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace("svg = false", "svg = true"))
+    assert cli.cmd_run(path) == cli.EXIT_CONFIG
+    assert plot in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [plot]
 
 
 SCHEDULES = {"constant": ConstantSchedule, "geometric": GeometricSchedule,
@@ -233,6 +309,28 @@ def test_cmd_sweep_divergence_names_the_horizon(tmp_path, capsys):
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
+def _not_standard_json(name):
+    raise AssertionError(f"{name} is not standard JSON")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_CONFIGS.glob("*.ini")))
+def test_demo_config_plans_and_its_params_and_verify_exit_0(name, capsys):
+    path = str(DEMO_CONFIGS / name)
+    build_run_plan(load_config(path))
+    assert cli.main(["params", path]) == cli.EXIT_OK
+    json.loads(capsys.readouterr().out, parse_constant=_not_standard_json)
+    assert cli.main(["verify", path]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out, parse_constant=_not_standard_json)["pass"]
+
+
+def test_demo_run_writes_under_the_output_root(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DCOPT_OUTPUT_ROOT", str(tmp_path))
+    assert cli.main(["run", str(DEMO_CONFIGS / "one_bit_ring.ini")]) == cli.EXIT_OK
+    out = tmp_path / "out" / "one-bit-ring"
+    assert {"trace.csv", "summary.json"} <= {p.name for p in out.iterdir()}
+    assert json.loads((out / "summary.json").read_text())["iterations"] == 800
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", str(DEMO_CONFIGS / "one_bit_ring.ini"), "--samples", "0"],
     ["verify", str(DEMO_CONFIGS / "kbit_noisy_verify.ini"), "--trials", "1"],
@@ -272,7 +370,7 @@ def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
     sel = theorem_params(cfg["algorithm"]["mode"], problem, graph, compressor.contract(problem.d),
                          T=20, x0_seed=9, **config.regime_options(cfg))
     constants = payload["constants"]
-    np.testing.assert_equal(constants, sel.table.as_dict())
+    assert constants == diagnostics.json_safe(sel.table.as_dict())
     # a bound named after a table entry is that entry
     matched = 0
     for name, flag in payload["feasibility"].items():
