@@ -153,7 +153,7 @@ def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
     bits = 0
     if init_mode == "exact_first_round":
         x_hat = x0.copy()
-        y = graph.laplacian @ x0
+        y = graph.mix(x0)
         bits = n * d * B1
     else:
         x_hat = np.zeros_like(x0)
@@ -183,7 +183,7 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
 
     with np.errstate(over="ignore", invalid="ignore"):
         x_hat = state.x_hat + hyper.omega * s * Q
-        y = state.y + hyper.omega * s * (graph.laplacian @ Q)
+        y = state.y + hyper.omega * s * graph.mix(Q)
         G = problem.stacked_gradients(state.x)
         x = state.x - hyper.alpha * (hyper.beta * y + hyper.gamma * state.v + G)
         v = state.v + hyper.alpha * hyper.gamma * y

@@ -28,8 +28,8 @@ from .errors import ConfigError
 from .graph import build_graph
 from .problems import make_nonconvex, make_quadratic
 
-# a class takes its ``params``; a composition takes kbits, step, noise_inner
-# and noise_outer
+# a class takes its ``params`` and ``noise``; a composition takes kbits, step,
+# noise_inner and noise_outer
 KINDS = {cls.kind: cls for cls in (
     comp.OneBit, comp.SaturatingQuantizer, comp.TopK, comp.NormSign, comp.UnbiasedKBit,
     comp.RandK, comp.Scalarization, comp.UniformQuantizer, comp.Identity)}
@@ -177,7 +177,12 @@ def build_problem_from(cfg: dict, n: int):
 def build_compressor_from(cfg: dict, seed: int):
     sec = section(cfg, "compressor")
     make = KINDS[sec["kind"]]
-    if not isinstance(make, type):
+    compose = not isinstance(make, type)
+    unread = ("noise",) if compose else ("noise_inner", "noise_outer")
+    given = [key for key in unread if key in cfg.get("compressor", {})]
+    if given:
+        raise ConfigError(f"kind {sec['kind']!r} does not read {given[0]!r}")
+    if compose:
         return make(sec["kbits"], sec["step"], sec["noise_inner"], sec["noise_outer"],
                     seed=seed)
     return comp.with_noise(make(*(sec[name] for name in make.params), seed=seed),

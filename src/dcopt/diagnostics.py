@@ -91,7 +91,7 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     dev = X - xbar
     e1 = 0.5 * float(np.sum(dev * dev))
     W = V + G0 / gamma
-    FW = graph.F @ W
+    FW = graph.apply_F(W)
     e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * FW))
     e3 = float(np.sum(dev * FW))
     e4 = n * (f_bar - f_ref)

@@ -5,10 +5,12 @@ compression written out on its own input, and each agent's cost and gradient
 from its own slice of the problem data.  A stochastic round draws its random
 numbers as one block from the round's stream, in the library's order, and
 agent i then uses row i of each block.  Sums over agents and norms use the
-library's NumPy reductions on each agent's row.  The batched engine in
-``dcopt`` must match it bit for bit.  The record keeps the dense definitions
-e1 = x^T E x / 2 and e3 = x^T E F w, which the engine evaluates with one
-product F w instead; those two columns agree to rounding only.
+library's NumPy reductions on each agent's row, and a ring mixes each
+agent's row from its two neighbours in the library's order.  The batched
+engine in ``dcopt`` must match it bit for bit.  The record keeps the dense
+definitions e1 = x^T E x / 2, e2 from the dense F w, and e3 = x^T E F w;
+the engine evaluates e1 and e3 with one product F w instead, and a ring
+applies F by FFT, so those three columns agree to rounding only.
 """
 
 import numpy as np
@@ -17,11 +19,13 @@ from dcopt import rng as _rng
 from dcopt.algorithm import AlgorithmState, init_state
 from dcopt.compressors import LOCAL, Compose, Noisy, Scalarization
 from dcopt.diagnostics import TRACE_DTYPE
+from dcopt.graph import RingGraph
 
 
 # columns the engine evaluates by another formula, with the scale of their
-# rounding error: ||X||_F^2 for e1 and ||X||_F ||F W||_F for e3
-ROUNDED = {"e1": "e1_scale", "e3": "e3_scale"}
+# rounding error: ||X||_F^2 for e1, 0.5 (beta + gamma) / gamma ||W||_F ||F W||_F
+# for e2 and ||X||_F ||F W||_F for e3
+ROUNDED = {"e1": "e1_scale", "e2": "e2_scale", "e3": "e3_scale"}
 
 
 def mismatches(trace, ref, names=TRACE_DTYPE.names):
@@ -123,13 +127,22 @@ def stacked_gradients(problem, X):
     return np.stack([gradient(problem, i, X[i]) for i in range(problem.n)])
 
 
+def mix(graph, Q):
+    """L Q: a ring one agent's row at a time, as (2 q_i - q_{i-1}) - q_{i+1};
+    any other graph by its dense Laplacian."""
+    if isinstance(graph, RingGraph):
+        n = graph.n
+        return np.stack([(2.0 * Q[i] - Q[i - 1]) - Q[(i + 1) % n] for i in range(n)])
+    return graph.laplacian @ Q
+
+
 def step(state, problem, graph, compressor, hyper):
     """One iteration with a per-agent compression loop; returns (state, bits per agent)."""
     s, k = state.s_k, state.k
     U = (state.x - state.x_hat) / s
     Q, bits = compress_round(compressor, U, k)
     x_hat = state.x_hat + hyper.omega * s * Q
-    y = state.y + hyper.omega * s * (graph.laplacian @ Q)
+    y = state.y + hyper.omega * s * mix(graph, Q)
     G = stacked_gradients(problem, state.x)
     x = state.x - hyper.alpha * (hyper.beta * y + hyper.gamma * state.v + G)
     v = state.v + hyper.alpha * hyper.gamma * y
@@ -166,12 +179,14 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         tr["consensus"][row] = float(np.sum(dev * dev)) / n
         FW = F @ W
         tr["e1"][row] = 0.5 * float(np.sum(st.x * (E @ st.x)))
-        tr["e2"][row] = 0.5 * (hyper.beta + hyper.gamma) / hyper.gamma \
-            * float(np.sum(W * FW))
+        e2_factor = 0.5 * (hyper.beta + hyper.gamma) / hyper.gamma
+        tr["e2"][row] = e2_factor * float(np.sum(W * FW))
         tr["e3"][row] = float(np.sum(st.x * (EF @ W)))
         x_sq = float(np.sum(st.x * st.x))
         tr["e1_scale"][row] = x_sq
-        tr["e3_scale"][row] = np.sqrt(x_sq * float(np.sum(FW * FW)))
+        fw_sq = float(np.sum(FW * FW))
+        tr["e2_scale"][row] = e2_factor * np.sqrt(float(np.sum(W * W)) * fw_sq)
+        tr["e3_scale"][row] = np.sqrt(x_sq * fw_sq)
         tr["e4"][row] = n * (f_bar - f_ref)
         tr["e5"][row] = float(np.sum(diff * diff))
         tr["s_k"][row] = st.s_k

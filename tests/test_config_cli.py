@@ -128,6 +128,15 @@ REFUSALS = [
     ("ini", [("level = 2.0", "level = nan")], "bad value for 'level'"),
     ("ini", [("rate = 0.99", "rate = 0.99\ns0_margin = nan")], "bad value for 's0_margin'"),
     ("ini", [("level = 2.0", "level = 2.0\nnoise = -0.5")], "noise bound must be >= 0"),
+    # each kind reads only its own noise keys
+    ("ini", [("kind = one_bit", "kind = compose_kbit_of_uniform\nnoise = 0.5")],
+     "kind 'compose_kbit_of_uniform' does not read 'noise'"),
+    ("ini", [("kind = one_bit", "kind = compose_uniform_of_kbit\nnoise = 0")],
+     "kind 'compose_uniform_of_kbit' does not read 'noise'"),
+    ("ini", [("level = 2.0", "level = 2.0\nnoise_inner = 0.5")],
+     "kind 'one_bit' does not read 'noise_inner'"),
+    ("json", {"compressor": {"kind": "unbiased_kbit", "noise_outer": "0.2"}},
+     "kind 'unbiased_kbit' does not read 'noise_outer'"),
     # a key the mode never reads is still read as its type
     ("ini", [("mode = empirical", "mode = T1_local_nonconvex"), ("alpha = 0.05", "alpha = abc")],
      "bad value for 'alpha'"),
