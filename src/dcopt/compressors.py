@@ -77,9 +77,9 @@ class NormContext:
 
 
 def pnorms(X: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise p-norms of a 2-d array."""
+    """p-norms along the last axis: one per row of an n x d block."""
     with np.errstate(over="ignore"):
-        return np.linalg.norm(X, ord=p, axis=1)
+        return np.linalg.norm(X, ord=p, axis=-1)
 
 
 def _sign_pos(x: np.ndarray) -> np.ndarray:

@@ -66,62 +66,75 @@ class RunTrace:
         return 2.0 * self.e1 + 2.0 * self.e2 * gamma / (beta + gamma) + self.e4
 
 
-def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
-                        problem, graph, gamma: float, beta: float,
-                        f_ref: float | None = None, *,
-                        G0: np.ndarray | None = None, f_bar: float | None = None):
-    """Evaluate (e1, ..., e5) at a state snapshot.
+def _total(A: np.ndarray) -> np.ndarray:
+    """Sum over the agent and coordinate axes: one value per state."""
+    return np.sum(A, axis=(-2, -1))
+
+
+def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
+             gamma: float, beta: float, f_ref: float | None = None) -> dict:
+    """The objective, stationarity, consensus and Lyapunov columns of states
+    stacked along the leading axis of X, V and Xhat (shape (B, n, d)).
 
     e4 uses the problem's exact optimal value when available, else the known
-    lower bound.  A caller that already holds them passes
-    ``G0 = problem.gradients_at(xbar)`` and ``f_bar = problem.f(xbar)`` for
-    the agents' mean xbar.
-
-    E is the symmetric centering projector, so E X = X - xbar and
-    <X, E F W> = <X - xbar, F W>: one dense product, F W, serves e2 and e3.
+    lower bound, unless the caller passes ``f_ref``.  E is the symmetric
+    centering projector, so E X = X - xbar and <X, E F W> = <X - xbar, F W>:
+    one product, F W, serves e2 and e3.
     """
     if f_ref is None:
         f_ref = problem.f_star if problem.f_star is not None else problem.f_low
-    n = graph.n
-    xbar = X.mean(axis=0)
-    if G0 is None:
-        G0 = problem.gradients_at(xbar)
-    if f_bar is None:
-        f_bar = problem.f(xbar)
-    dev = X - xbar
-    e1 = 0.5 * float(np.sum(dev * dev))
+    xbar = X.mean(axis=-2)
+    costs, G0 = problem.at_shared(xbar)
+    f_bar = np.sum(costs, axis=-1) / problem.n
+    gbar = G0.mean(axis=-2)
+    dev = X - xbar[..., None, :]
+    e1 = 0.5 * _total(dev * dev)
     W = V + G0 / gamma
     FW = graph.apply_F(W)
-    e2 = 0.5 * (beta + gamma) / gamma * float(np.sum(W * FW))
-    e3 = float(np.sum(dev * FW))
-    e4 = n * (f_bar - f_ref)
     diff = X - Xhat
-    e5 = float(np.sum(diff * diff))
-    return e1, e2, e3, e4, e5
+    # consensus ||x - xbar||^2 / n is 2 e1 / n
+    return {"f_bar": f_bar, "grad_sq": np.vecdot(gbar, gbar), "consensus": 2.0 * e1 / graph.n,
+            "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * _total(W * FW),
+            "e3": _total(dev * FW), "e4": graph.n * (f_bar - f_ref), "e5": _total(diff * diff)}
 
 
-def trace_row(state, next_state, problem, graph, hyper, contract) -> tuple:
-    """Row k of the trace, in ``TRACE_DTYPE`` order, from state k and state
-    k+1 (None at the final row).  A local contract sets the distances' norm p
-    and the region radius C; under any other contract the distances are
-    Euclidean and the region always holds."""
+def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
+                        problem, graph, gamma: float, beta: float,
+                        f_ref: float | None = None):
+    """Evaluate (e1, ..., e5) at one state snapshot: the block evaluation of
+    ``trace_rows`` on a block of one state.
+
+    e4 uses the problem's exact optimal value when available, else the known
+    lower bound, unless the caller passes ``f_ref``.
+    """
+    cols = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
+    return tuple(float(cols[name][0]) for name in ("e1", "e2", "e3", "e4", "e5"))
+
+
+def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
+               Xhat_next: np.ndarray, problem, graph, hyper, contract) -> None:
+    """Fill a block of trace rows from the states stacked along the leading
+    axis of X, V and Xhat, shape (B, n, d).  ``rows`` already holds each
+    state's k, s_k and bits_cum.  ``Xhat_next[j]`` is the surrogate after row
+    j's exchange; it has one entry fewer than X when the block ends at the
+    final row, whose post-exchange distances are NaN.
+
+    A local contract sets the distances' norm p and the region radius C;
+    under any other contract the distances are Euclidean and the region
+    always holds.
+    """
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
-    xbar = state.x.mean(axis=0)
-    G0 = problem.gradients_at(xbar)
-    gbar = G0.mean(axis=0)
-    f_bar = problem.f(xbar)
-    e = lyapunov_components(state.x, state.v, state.x_hat, problem, graph, hyper.gamma,
-                            hyper.beta, G0=G0, f_bar=f_bar)
-    pre = pnorms(state.x - state.x_hat, p).max()
-    region_ok = not local or pre <= contract.C * state.s_k * (1.0 + 1e-12)
-    post = np.nan, np.nan
-    if next_state is not None:
-        diff = state.x - next_state.x_hat
-        post = pnorms(diff, p).max(), float(np.sum(diff * diff))
-    # consensus ||x - xbar||^2 / n is 2 e1 / n
-    return (state.k, f_bar, float(gbar @ gbar), 2.0 * e[0] / graph.n, *e, state.s_k,
-            state.bits_cum, region_ok, pre, *post)
+    for name, column in _columns(X, V, Xhat, problem, graph, hyper.gamma, hyper.beta).items():
+        rows[name] = column
+    pre = pnorms(X - Xhat, p).max(axis=-1)
+    rows["surr_pre_pmax"] = pre
+    rows["region_ok"] = pre <= contract.C * rows["s_k"] * (1.0 + 1e-12) if local else True
+    m = len(Xhat_next)
+    diff = X[:m] - Xhat_next
+    rows["surr_post_pmax"][:m] = pnorms(diff, p).max(axis=-1)
+    rows["surr_post_l2sq"][:m] = _total(diff * diff)
+    rows["surr_post_pmax"][m:] = rows["surr_post_l2sq"][m:] = np.nan
 
 
 @dataclass

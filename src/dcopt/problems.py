@@ -28,16 +28,20 @@ from .errors import SingularSystem
 class ProblemInstance:
     """Bundle of n local costs with batched oracles and certificates.
 
-    ``batch_cost(X)`` and ``batch_grad(X)`` give agent i's cost and gradient
-    at ``X[i]`` for every agent at once; every other oracle derives from them.
+    A family states its costs and gradients through one per-agent residual:
+    ``residual(X)``, then ``cost_from(X, R)`` and ``grad_from(X, R)``, where
+    row i of X is agent i's point.  X may carry leading batch axes, shape
+    (..., n, d).  ``batch_cost`` and ``batch_grad`` evaluate each on its own,
+    ``at_shared`` both at once, and every other oracle derives from them.
     """
 
     n: int
     d: int
     ell: float                       # certified smoothness constant
     f_low: float                     # known lower bound on f*
-    batch_cost: Callable             # X -> costs, one per agent
-    batch_grad: Callable             # X -> gradients, one per agent
+    residual: Callable               # X -> per-agent residuals R
+    cost_from: Callable              # (X, R) -> costs, one per agent
+    grad_from: Callable              # (X, R) -> gradients, one per agent
     pl_nu: float | None = None       # gradient-domination constant, if certified
     f_star: float | None = None      # exact optimal value, if known
     x_star: np.ndarray | None = None
@@ -46,7 +50,23 @@ class ProblemInstance:
     data: dict = field(default_factory=dict)   # stacked per-agent arrays
 
     def _shared(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(x, dtype=float), (self.n, self.d))
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(x[..., None, :], x.shape[:-1] + (self.n, self.d))
+
+    def batch_cost(self, X: np.ndarray) -> np.ndarray:
+        """Agent i's cost at X[..., i, :], for every agent."""
+        return self.cost_from(X, self.residual(X))
+
+    def batch_grad(self, X: np.ndarray) -> np.ndarray:
+        """Agent i's gradient at X[..., i, :], for every agent."""
+        return self.grad_from(X, self.residual(X))
+
+    def at_shared(self, x: np.ndarray) -> tuple:
+        """(costs, gradients) of every agent at a shared point x of shape
+        (..., d): shapes (..., n) and (..., n, d), from one residual."""
+        X = self._shared(x)
+        R = self.residual(X)
+        return self.cost_from(X, R), self.grad_from(X, R)
 
     def f(self, x: np.ndarray) -> float:
         """Global objective (1/n) sum_i f_i(x)."""
@@ -66,9 +86,9 @@ class ProblemInstance:
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row j is M[j] @ X[j].  Stacked matmul matches the per-agent product
-    bit for bit; einsum does not."""
-    return (M @ X[:, :, None])[:, :, 0]
+    """Row j is M[j] @ X[..., j, :].  Stacked matmul matches the per-agent
+    product bit for bit; einsum does not."""
+    return (M @ X[..., None])[..., 0]
 
 
 def make_quadratic(n: int, d: int, seed: int = 0,
@@ -99,15 +119,17 @@ def make_quadratic(n: int, d: int, seed: int = 0,
     ell = float(np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)[:, -1].max())
     nu = float(eigs[eigs > 1e-12 * eigs[-1]][0])
 
-    def costs(X):
-        R = _matvec(A, X) - b
+    def residual(X):
+        return _matvec(A, X) - b
+
+    def costs(X, R):
         return 0.5 * np.vecdot(R, R)
 
-    def grads(X):
-        return _matvec(A.transpose(0, 2, 1), _matvec(A, X) - b)
+    def grads(X, R):
+        return _matvec(A.transpose(0, 2, 1), R)
 
-    prob = ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, batch_cost=costs,
-                           batch_grad=grads, pl_nu=nu, family="quadratic",
+    prob = ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, residual=residual, cost_from=costs,
+                           grad_from=grads, pl_nu=nu, family="quadratic",
                            meta={"condition_number": condition_number, "seed": seed},
                            data={"A": A, "b": b})
     prob.x_star = x_star
@@ -135,19 +157,20 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
 
     ell = 0.25 + 2.0 * lam
 
-    def costs(X):
-        Z = -y * _matvec(A, X)
-        logistic = np.mean(np.logaddexp(0.0, Z), axis=1)
-        return logistic + lam * np.sum(X * X / (1.0 + X * X), axis=1)
+    def margins(X):
+        return -y * _matvec(A, X)
 
-    def grads(X):
-        Z = -y * _matvec(A, X)
+    def costs(X, Z):
+        logistic = np.mean(np.logaddexp(0.0, Z), axis=-1)
+        return logistic + lam * np.sum(X * X / (1.0 + X * X), axis=-1)
+
+    def grads(X, Z):
         sig = 1.0 / (1.0 + np.exp(-Z))
         G = -_matvec(A.transpose(0, 2, 1), y * sig) / m
         return G + lam * 2.0 * X / (1.0 + X * X) ** 2
 
-    return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, batch_cost=costs,
-                           batch_grad=grads, family="nonconvex",
+    return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, residual=margins, cost_from=costs,
+                           grad_from=grads, family="nonconvex",
                            meta={"lam": lam, "m": m, "seed": seed},
                            data={"A": A, "y": y})
 

@@ -11,10 +11,12 @@ from dcopt import (
     RecursiveSchedule,
     build_graph,
     init_state,
+    make_nonconvex,
     make_quadratic,
     run,
     step,
 )
+from dcopt import algorithm
 from dcopt import compressors as comp
 from dcopt.errors import ConfigError, InvalidScale, NonFiniteState
 
@@ -178,13 +180,33 @@ def test_bits_accounting():
     np.testing.assert_array_equal(tr.bits_cum, 4 * 3 * 32 + 4 * 3 * np.arange(8))
 
 
-def test_divergence_detected():
-    prob = make_quadratic(3, 2, seed=16)
-    g = build_graph("path", 3)
-    hyper = _hyper(alpha=50.0, beta=30.0, gamma=10.0)
-    with pytest.raises(NonFiniteState) as exc:
-        run(prob, g, Identity(), hyper, T=500, x0_seed=17)
-    assert exc.value.iteration is not None
+DIVERGING = [
+    # (problem, graph, compressor, hyper, x0_seed, the iteration whose step fails)
+    (lambda: make_quadratic(3, 2, seed=16), lambda: build_graph("path", 3), Identity,
+     _hyper(alpha=50.0, beta=30.0, gamma=10.0), 17, 84),
+    (lambda: make_nonconvex(8, 3, seed=5), lambda: build_graph("ring", 8),
+     lambda: comp.UnbiasedKBit(3, seed=1), _hyper(alpha=3.0, beta=40.0, gamma=10.0), 2, 115),
+]
+
+
+def test_divergence_detected(monkeypatch):
+    # a run raises the step's own error, at the iteration where stepping
+    # alone fails, whether or not a block of rows is still waiting to be
+    # recorded: blocks of 1, 5 and 1000 rows and of the default budget
+    default = algorithm.RECORD_BUDGET
+    for make, graph, compressor, hyper, x0_seed, failing in DIVERGING:
+        prob, g = make(), graph()
+        state = init_state(prob, g, hyper, x0_seed=x0_seed)
+        with pytest.raises(NonFiniteState) as alone:
+            for _ in range(500):
+                state = step(state, prob, g, compressor(), hyper)
+        assert alone.value.iteration == failing
+        for budget in (prob.n * prob.d, 5 * prob.n * prob.d, default, 1000 * prob.n * prob.d):
+            monkeypatch.setattr(algorithm, "RECORD_BUDGET", budget)
+            with pytest.raises(NonFiniteState) as exc:
+                run(prob, g, compressor(), hyper, T=500, x0_seed=x0_seed)
+            assert exc.value.iteration == failing
+            assert str(exc.value) == f"non-finite state at iteration {failing}"
 
 
 def test_recursive_schedule_needs_horizon():

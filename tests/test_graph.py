@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcopt import GeometricSchedule, HyperParams, UnbiasedKBit, build_graph, from_adjacency, run
-from dcopt.errors import DisconnectedGraph, InvalidTopology
-from dcopt.graph import _IDENTITY_TOL, RingGraph, _adjacency
+from dcopt.errors import DisconnectedGraph, InvalidTopology, NumericalFailure
+from dcopt.graph import _IDENTITY_TOL, RingGraph, _adjacency, _check_ring
 from dcopt.problems import make_quadratic
 
 EPS = np.finfo(float).eps
@@ -115,6 +116,12 @@ def test_ring_operator_matches_dense_reference(n, d, scale, seed):
     FW = dense.F @ W
     assert np.abs(g.apply_F(W) - FW).max() <= 2e-11 * np.abs(FW).max()
     assert np.abs(g.apply_F(g.mix(W)) - (W - W.mean(axis=0))).max() <= _IDENTITY_TOL * w_max
+    # a stack of blocks gives each block's F W, bit for bit
+    stack = np.stack([W, -W[::-1]])
+    for graph in (g, dense):
+        FWs = graph.apply_F(stack)
+        assert np.array_equal(FWs[0], graph.apply_F(W))
+        assert np.array_equal(FWs[1], graph.apply_F(-W[::-1]))
     lam = np.linalg.eigvalsh(dense.laplacian)
     assert np.abs(g.eigenvalues - lam).max() <= 1e-13
     assert abs(g.rho - lam[-1]) <= 1e-13 and abs(g.rho2 - lam[1]) <= 1e-13
@@ -139,3 +146,20 @@ def test_ring_run_holds_no_dense_matrix():
     # below one dense n x n float matrix, 32 MB
     assert peak < 8 * n * n
     assert all(np.size(value) < n * n for value in vars(g).values())
+
+
+@pytest.mark.parametrize("n", [16_000, 20_000])
+def test_large_rings_pass_the_operator_probe(n):
+    # the probe's residual grows with rho / rho2 (1.0e-10 at n = 16,000,
+    # 2.3e-10 at 20,000), and so does its tolerance past n = 400
+    g = build_graph("ring", n)
+    assert isinstance(g, RingGraph) and g.n == n
+
+
+@pytest.mark.parametrize("n", [3, 400, 16_000, 20_000])
+def test_ring_probe_refuses_a_perturbed_inverse(n):
+    g = build_graph("ring", n)
+    _check_ring(g)
+    wrong = dataclasses.replace(g, mode_inverse=g.mode_inverse * (1.0 + 1e-6))
+    with pytest.raises(NumericalFailure):
+        _check_ring(wrong)

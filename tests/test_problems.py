@@ -141,3 +141,24 @@ def test_reductions_match_oracle_at_unrolled_sizes(family, n, d):
     assert prob.f(x) == oracle.f(prob, x)
     assert np.array_equal(prob.grad_f(x), oracle.grad_f(prob, x))
     assert np.array_equal(prob.stacked_gradients(X), oracle.stacked_gradients(prob, X))
+    # the shared-point oracle: costs and gradients from one residual, at one
+    # point and at a stack of points, as f and gradients_at give them
+    costs, G = prob.at_shared(x)
+    assert float(np.sum(costs)) / n == prob.f(x)
+    assert np.array_equal(costs, [oracle.cost(prob, i, x) for i in range(n)])
+    assert np.array_equal(G, prob.gradients_at(x))
+    points = rng.standard_normal((3, d)) * 3.0
+    costs, G = prob.at_shared(points)
+    assert costs.shape == (3, n) and G.shape == (3, n, d)
+    for b, point in enumerate(points):
+        assert np.sum(costs, axis=-1)[b] / n == prob.f(point)
+        assert np.array_equal(G[b], prob.gradients_at(point))
+    # a (B, n, d) block: each n x d slice as on its own
+    block = rng.standard_normal((3, n, d)) * 3.0
+    for p in (1.0, 2.0, 3.0, np.inf):
+        assert np.array_equal(pnorms(block, p),
+                              [[oracle.pnorm(row, p) for row in Xb] for Xb in block])
+    assert np.array_equal(prob.batch_cost(block),
+                          [[oracle.cost(prob, i, Xb[i]) for i in range(n)] for Xb in block])
+    assert np.array_equal(prob.batch_grad(block),
+                          [oracle.stacked_gradients(prob, Xb) for Xb in block])

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from dcopt import config
+from dcopt import algorithm, config
 from dcopt.algorithm import (
     INIT_MODES,
     GeometricSchedule,
@@ -21,7 +21,7 @@ from dcopt.algorithm import (
     step,
 )
 from dcopt.compressors import B1, LOCAL, pnorms
-from dcopt.diagnostics import contraction_local_check
+from dcopt.diagnostics import TRACE_DTYPE, contraction_local_check
 from dcopt.errors import IncompatibleContracts
 from dcopt.graph import build_graph
 from dcopt.problems import make_nonconvex, make_quadratic
@@ -126,6 +126,33 @@ def test_batched_run_matches_oracle(kind, init_mode, data):
     for name in ("x", "v", "x_hat", "y"):
         assert np.array_equal(getattr(trace.final_state, name), getattr(final, name)), name
     assert trace.final_state.bits_cum == final.bits_cum
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), kind=st.sampled_from(KINDS), init_mode=st.sampled_from(INIT_MODES),
+       length=st.integers(2, 9), past=st.sampled_from((-1, 0, 1)))
+def test_record_does_not_depend_on_block_boundaries(data, kind, init_mode, length, past):
+    """Blocks of one row, of ``length`` rows and of the whole run give the
+    same record bit for bit.  T = length + past puts the final row at the
+    end of the first block (past = -1), alone in the second (past = 0) or
+    second in it (past = 1)."""
+    problem, graph, compressor, contract, hyper, x0_seed = data.draw(cases(kind, init_mode))
+    horizon = length + past
+    traces = []
+    for rows in (1, length, horizon + 1 + data.draw(st.integers(0, 5))):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithm, "RECORD_BUDGET", rows * graph.n * problem.d)
+            traces.append(run(problem, graph, compressor, hyper, T=horizon,
+                              init_mode=init_mode, x0_seed=x0_seed, contract=contract))
+    first = traces[0]
+    for other in traces[1:]:
+        for name in TRACE_DTYPE.names:
+            assert np.array_equal(other.rows[name], first.rows[name], equal_nan=True), name
+        for name in ("x", "v", "x_hat", "y"):
+            assert np.array_equal(getattr(other.final_state, name),
+                                  getattr(first.final_state, name))
+    assert np.isnan(first.surr_post_pmax[-1]) and np.isnan(first.surr_post_l2sq[-1])
 
 
 @pytest.mark.parametrize("kind,init_mode,omega", [
