@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as _rng
 from .compressors import B1, LOCAL, AssumptionContract, Compressor, pnorms
-from .diagnostics import RunTrace, allocate_rows, trace_rows
+from .diagnostics import TRACE_DTYPE, RunTrace, trace_rows
 from .errors import ConfigError, DcoptError, InvalidScale, NonFiniteState
 
 
@@ -75,12 +75,6 @@ class RecursiveSchedule:
     def value(self, k: int) -> float:
         decay = (1.0 - self.eps8) ** k
         return float(np.sqrt(decay * self.s0 ** 2 + self.kappa4 * (1.0 - decay) / self.eps8))
-
-
-def _check_horizon(schedule, T: int | None) -> None:
-    if isinstance(schedule, RecursiveSchedule) and T is not None and T > schedule.horizon:
-        raise ConfigError(f"recursive schedule derived for horizon {schedule.horizon}, "
-                          f"cannot run T={T}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +207,9 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     """
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
-    _check_horizon(hyper.schedule, T)
+    if isinstance(hyper.schedule, RecursiveSchedule) and T > hyper.schedule.horizon:
+        raise ConfigError(f"recursive schedule derived for horizon {hyper.schedule.horizon}, "
+                          f"cannot run T={T}")
     if contract is None:
         try:
             contract = compressor.contract(problem.d)
@@ -221,7 +217,7 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
             contract = None
 
     state = init_state(problem, graph, hyper, init_mode, x0_seed, x0, contract)
-    rows = allocate_rows(T)
+    rows = np.zeros(T + 1, TRACE_DTYPE)
     n, d = state.x.shape
     size = max(1, RECORD_BUDGET // (n * d))
     # a block row's x, v and x_hat, and its x_hat after the exchange; a block

@@ -192,6 +192,9 @@ def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
 @_exit_codes
 def cmd_verify(config_path: str, samples: int = 10_000,
                trials: int = 10_000) -> int:
+    # each verifier reads one of the two; both are checked whichever runs
+    if samples < 1 or trials < 2:
+        raise ConfigError(f"need --samples >= 1 and --trials >= 2, got {samples} and {trials}")
     cfg = cfgmod.load_config(config_path)
     d = cfgmod.section(cfg, "problem")["d"]
     seed = cfgmod.section(cfg, "algorithm")["seed"]

@@ -683,7 +683,7 @@ def verify_global_assumption(compressor: Compressor, contract: AssumptionContrac
     if samples < 1 or trials_per_sample < 2:
         raise OutOfRange("need samples >= 1 and trials_per_sample >= 2")
     gen = _rng.substream(seed, _rng.VERIFY, 1)
-    radii = np.concatenate([[0.0], np.logspace(-1, 3, max(samples - 1, 1))])
+    radii = np.concatenate([[0.0], np.logspace(-1, 3, samples - 1)])
     points = []
     for i, rad in enumerate(radii):
         if rad == 0.0:

@@ -1,10 +1,9 @@
 """Run configuration: a flat sectioned key-value file (INI grammar) or JSON.
 
 ``GRAMMAR`` states each section's keys with their types and defaults, and
-``section`` is its one reader.  Two plain-string keys are checked by the
-layer that owns them: ``[graph] topology`` (ring | path | complete |
-erdos_renyi) and ``[algorithm] init_mode`` (standard | exact_first_round |
-shared_x0).  The empirical mode needs alpha, gamma and tau_1; a theoretical
+``section`` is its one reader.  One plain-string key is checked by the
+layer that owns it: ``[graph] topology`` (ring | path | complete |
+erdos_renyi).  The empirical mode needs alpha, gamma and tau_1; a theoretical
 mode derives them and reads clamp_alpha, tau_0, epsilon, omega and strict
 instead.
 
@@ -21,7 +20,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import compressors as comp
-from .algorithm import ConstantSchedule, GeometricSchedule, HyperParams, draw_x0, s0_floor
+from .algorithm import (INIT_MODES, ConstantSchedule, GeometricSchedule, HyperParams, draw_x0,
+                        s0_floor)
 from .compressors import LOCAL
 from .constants import REGIMES, theorem_params
 from .errors import ConfigError
@@ -81,7 +81,7 @@ GRAMMAR = {
                    "noise": (_finite, 0.0), "noise_inner": (_finite, 0.0),
                    "noise_outer": (_finite, 0.0)},
     "algorithm": {"mode": (("empirical", *REGIMES), "empirical"), "t": (_int, None),
-                  "init_mode": (str, "standard"), "seed": (_seed, 0),
+                  "init_mode": (INIT_MODES, "standard"), "seed": (_seed, 0),
                   "alpha": (_finite, None), "gamma": (_finite, None), "tau_1": (_finite, None),
                   "omega": (_finite, None), "schedule": (("geometric", "constant"), "geometric"),
                   "s0": (_finite, None), "rate": (_finite, 0.99), "s0_margin": (_finite, 1.0),

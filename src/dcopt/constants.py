@@ -242,10 +242,6 @@ class ParamSelection:
     norms: NormContext
     extras: dict = field(default_factory=dict)
 
-    @property
-    def all_feasible(self) -> bool:
-        return all(ok for ok, _, _ in self.feasibility.values())
-
 
 def _initial_lyapunov(x0: np.ndarray, problem, graph, gamma: float,
                       beta: float) -> tuple:
@@ -384,7 +380,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         eps = 0.5 * (1.0 + eps_lo)
         # computable bound on the initial Lyapunov value under gradient
         # domination: e1 + e2 + e3 plus n ||gbar_0||^2 / (2 nu)
-        gbar = problem.grad_f(x0.mean(axis=0))
+        gbar = problem.at_shared(x0.mean(axis=0))[1].mean(axis=0)
         kappa_nu = e123_0 + n * float(gbar @ gbar) / (2.0 * nu)
         s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
                  s0_floor(x0, contract))

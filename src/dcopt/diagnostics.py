@@ -29,11 +29,6 @@ TRACE_DTYPE = np.dtype([("k", np.int64)]
 CSV_COLUMNS = TRACE_DTYPE.names[:12]
 
 
-def allocate_rows(T: int) -> np.ndarray:
-    """Zeroed records for the T+1 rows of a run."""
-    return np.zeros(T + 1, TRACE_DTYPE)
-
-
 @dataclass
 class RunTrace:
     """Per-iteration diagnostics for one run: T+1 rows of ``TRACE_DTYPE``,
@@ -60,10 +55,6 @@ class RunTrace:
 
     def lyapunov_l1(self) -> np.ndarray:
         return self.e1 + self.e2 + self.e3 + self.e4
-
-    def lyapunov_l1_hat(self, gamma: float, beta: float) -> np.ndarray:
-        # ||x||_E^2 = 2 e1 and ||v + g0/gamma||_F^2 = 2 e2 * gamma/(beta+gamma)
-        return 2.0 * self.e1 + 2.0 * self.e2 * gamma / (beta + gamma) + self.e4
 
 
 def _total(A: np.ndarray) -> np.ndarray:
@@ -154,7 +145,8 @@ def lyapunov_sandwich_check(trace: RunTrace, eps1: float, eps2: float,
                             gamma: float, beta: float) -> CheckReport:
     """Check eps1 * L1_hat <= L1 <= eps2 * L1_hat at every recorded iteration."""
     l1 = trace.lyapunov_l1()
-    hat = trace.lyapunov_l1_hat(gamma, beta)
+    # ||x||_E^2 = 2 e1 and ||v + g0/gamma||_F^2 = 2 e2 * gamma/(beta+gamma)
+    hat = 2.0 * trace.e1 + 2.0 * trace.e2 * gamma / (beta + gamma) + trace.e4
     scale = np.maximum(np.abs(hat), 1.0)
     lo_slack = l1 - eps1 * hat
     hi_slack = eps2 * hat - l1

@@ -31,8 +31,8 @@ class ProblemInstance:
     A family states its costs and gradients through one per-agent residual:
     ``residual(X)``, then ``cost_from(X, R)`` and ``grad_from(X, R)``, where
     row i of X is agent i's point.  X may carry leading batch axes, shape
-    (..., n, d).  ``batch_cost`` and ``batch_grad`` evaluate each on its own,
-    ``at_shared`` both at once, and every other oracle derives from them.
+    (..., n, d).  The step reads ``stacked_gradients``, the record
+    ``at_shared`` and the optimal value ``f``.
     """
 
     n: int
@@ -53,11 +53,7 @@ class ProblemInstance:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(x[..., None, :], x.shape[:-1] + (self.n, self.d))
 
-    def batch_cost(self, X: np.ndarray) -> np.ndarray:
-        """Agent i's cost at X[..., i, :], for every agent."""
-        return self.cost_from(X, self.residual(X))
-
-    def batch_grad(self, X: np.ndarray) -> np.ndarray:
+    def stacked_gradients(self, X: np.ndarray) -> np.ndarray:
         """Agent i's gradient at X[..., i, :], for every agent."""
         return self.grad_from(X, self.residual(X))
 
@@ -69,20 +65,9 @@ class ProblemInstance:
         return self.cost_from(X, R), self.grad_from(X, R)
 
     def f(self, x: np.ndarray) -> float:
-        """Global objective (1/n) sum_i f_i(x)."""
-        return float(np.sum(self.batch_cost(self._shared(x)))) / self.n
-
-    def grad_f(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of the global objective at a single point."""
-        return np.sum(self.gradients_at(x), axis=0) / self.n
-
-    def stacked_gradients(self, X: np.ndarray) -> np.ndarray:
-        """Row i is grad f_i(X[i]); X is n x d."""
-        return self.batch_grad(X)
-
-    def gradients_at(self, x: np.ndarray) -> np.ndarray:
-        """Row i is grad f_i(x) for a shared point x."""
-        return self.batch_grad(self._shared(x))
+        """Global objective (1/n) sum_i f_i(x); costs only."""
+        X = self._shared(x)
+        return float(np.sum(self.cost_from(X, self.residual(X)))) / self.n
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:

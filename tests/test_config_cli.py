@@ -140,6 +140,9 @@ REFUSALS = [
     # a key the mode never reads is still read as its type
     ("ini", [("mode = empirical", "mode = T1_local_nonconvex"), ("alpha = 0.05", "alpha = abc")],
      "bad value for 'alpha'"),
+    # the theoretical modes choose their own init mode, but read the key
+    ("ini", [("mode = empirical", "mode = T1_local_nonconvex"),
+             ("seed = 9", "seed = 9\ninit_mode = bogus")], "bad value for 'init_mode'"),
     ("json", {"output": {"directory": 5}}, "bad value for 'directory'"),
     ("json", {"graph": {"topology": ["ring"]}}, "bad value for 'topology'"),
     ("json", {"algorithm": {"gamma": float("nan")}}, "bad value for 'gamma'"),
@@ -343,6 +346,9 @@ def test_demo_run_writes_under_the_output_root(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", str(DEMO_CONFIGS / "one_bit_ring.ini"), "--samples", "0"],
     ["verify", str(DEMO_CONFIGS / "kbit_noisy_verify.ini"), "--trials", "1"],
+    # an option the contract's verifier does not read is checked all the same
+    ["verify", str(DEMO_CONFIGS / "one_bit_ring.ini"), "--trials", "1"],
+    ["verify", str(DEMO_CONFIGS / "kbit_noisy_verify.ini"), "--samples", "0"],
 ])
 def test_verify_rejects_bad_sample_counts(capsys, argv):
     assert cli.main(argv) == cli.EXIT_CONFIG

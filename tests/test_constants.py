@@ -114,7 +114,7 @@ def test_theorem3_selection_feasible():
     prob = make_quadratic(5, 3, seed=7, condition_number=5.0)
     g = build_graph("ring", 5)
     sel = theorem_params("T3_local_PL", prob, g, OneBit(2.0).contract(3), x0_seed=3)
-    assert sel.all_feasible, sel.feasibility
+    assert all(ok for ok, _, _ in sel.feasibility.values()), sel.feasibility
     eps = sel.extras["epsilon"]
     assert max(sel.table.kappa_9, sel.table.kappa_10) < eps < 1.0
     assert sel.hyper.schedule.mode == "geometric"

@@ -119,3 +119,21 @@ def test_verification_deterministic():
 def test_unbiased_kbit_needs_enough_levels():
     with pytest.raises(OutOfRange):
         comp.UnbiasedKBit(1, seed=0).contract(8)   # 4^1 < 8
+
+
+@pytest.mark.parametrize("samples,radii", [(1, [0.0]), (2, [0.0, 0.1]), (3, [0.0, 0.1, 1e3])])
+def test_global_verifier_checks_as_many_points_as_asked(monkeypatch, samples, radii):
+    # the origin, then samples - 1 radii log-spaced from 0.1 to 1e3
+    c = comp.UnbiasedKBit(3, seed=5)
+    seen = []
+    sample_errors = c.sample_errors
+
+    def recording(x, *args, **kwargs):
+        seen.append(float(np.linalg.norm(x)))
+        return sample_errors(x, *args, **kwargs)
+
+    monkeypatch.setattr(c, "sample_errors", recording)
+    report = comp.verify_global_assumption(c, c.contract(8), samples=samples,
+                                           trials_per_sample=50, seed=3, d=8)
+    assert report.samples == samples
+    np.testing.assert_allclose(seen, radii, rtol=1e-12)

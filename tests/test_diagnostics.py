@@ -31,7 +31,6 @@ def test_components_trivial_cases():
     n, d = 3, 2
     xbar = np.ones(d)
     X = np.tile(xbar, (n, 1))
-    G0 = prob.gradients_at(xbar)
     # consensus state: e1 = 0
     e1, e2, e3, e4, e5 = lyapunov_components(X, np.zeros((n, d)), X, prob, g,
                                              hyper.gamma, hyper.beta)
@@ -41,7 +40,7 @@ def test_components_trivial_cases():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((n, d))
     xbar = X.mean(axis=0)
-    V = -prob.gradients_at(xbar) / hyper.gamma
+    V = -prob.at_shared(xbar)[1] / hyper.gamma
     _, e2, e3, _, _ = lyapunov_components(X, V, X, prob, g, hyper.gamma, hyper.beta)
     assert e2 == pytest.approx(0.0, abs=1e-12)
     assert e3 == pytest.approx(0.0, abs=1e-12)
@@ -73,7 +72,7 @@ def test_sandwich_holds_on_random_states():
         e1, e2, e3, e4, _ = lyapunov_components(X, V, X, prob, g, gamma, beta)
         l1 = e1 + e2 + e3 + e4
         xbar = X.mean(axis=0)
-        W = V + prob.gradients_at(xbar) / gamma
+        W = V + prob.at_shared(xbar)[1] / gamma
         hat = float(np.sum(X * (E @ X))) + float(np.sum(W * (g.F @ W))) + e4
         scale = max(abs(hat), 1.0)
         assert l1 >= table.eps_1 * hat - 1e-9 * scale

@@ -8,7 +8,17 @@ from dcopt import make_nonconvex, make_quadratic
 from dcopt.compressors import pnorms
 
 
-def _finite_diff(batch_cost, X, h=1e-6):
+def _costs(prob, X):
+    """Agent i's cost at X[..., i, :], for every agent."""
+    return prob.cost_from(X, prob.residual(X))
+
+
+def _grad_f(prob, x):
+    """Gradient of the global objective at x, as the T3 selection takes it."""
+    return prob.at_shared(x)[1].mean(axis=0)
+
+
+def _finite_diff(prob, X, h=1e-6):
     """Central differences of every agent's cost at its own row of X.  Agent
     i's cost reads only X[i], so one column perturbation of X gives every
     agent's partial derivative along that coordinate."""
@@ -16,7 +26,7 @@ def _finite_diff(batch_cost, X, h=1e-6):
     for j in range(X.shape[1]):
         E = np.zeros_like(X)
         E[:, j] = h
-        G[:, j] = (batch_cost(X + E) - batch_cost(X - E)) / (2 * h)
+        G[:, j] = (_costs(prob, X + E) - _costs(prob, X - E)) / (2 * h)
     return G
 
 
@@ -33,11 +43,11 @@ def test_quadratic_closed_form_matches_gd_oracle():
     prob = make_quadratic(2, 2, seed=3, condition_number=4.0)
     x = np.zeros(2)
     for _ in range(20_000):
-        g = prob.grad_f(x)
+        g = _grad_f(prob, x)
         if np.linalg.norm(g) <= 1e-12:
             break
         x = x - 0.9 / prob.ell * g
-    assert np.linalg.norm(prob.grad_f(x)) <= 1e-10
+    assert np.linalg.norm(_grad_f(prob, x)) <= 1e-10
     assert prob.f(x) == pytest.approx(prob.f_star, abs=1e-8)
     np.testing.assert_allclose(x, prob.x_star, atol=1e-6)
 
@@ -46,16 +56,16 @@ def test_quadratic_gradient_examples():
     prob = make_quadratic(3, 4, seed=1)
     # stationary at the per-agent solution A_i x = b_i is not required, but
     # the global optimum has zero average gradient
-    assert np.linalg.norm(prob.grad_f(prob.x_star)) <= 1e-9
+    assert np.linalg.norm(_grad_f(prob, prob.x_star)) <= 1e-9
     X = np.zeros((3, 4))
-    np.testing.assert_allclose(prob.stacked_gradients(X), _finite_diff(prob.batch_cost, X),
+    np.testing.assert_allclose(prob.stacked_gradients(X), _finite_diff(prob, X),
                                rtol=1e-4, atol=1e-7)
 
 
 def test_nonconvex_value_at_origin():
     # logistic loss at the origin is log 2 regardless of the data
     prob = make_nonconvex(2, 3, seed=5, lam=0.0, m=4)
-    assert prob.batch_cost(np.zeros((2, 3))) == pytest.approx([math.log(2.0)] * 2)
+    assert _costs(prob, np.zeros((2, 3))) == pytest.approx([math.log(2.0)] * 2)
 
 
 @pytest.mark.parametrize("factory", [
@@ -68,7 +78,7 @@ def test_gradients_match_finite_differences(factory):
     for _ in range(10):
         X = rng.standard_normal((prob.n, prob.d))
         G = prob.stacked_gradients(X)
-        Gd = _finite_diff(prob.batch_cost, X)
+        Gd = _finite_diff(prob, X)
         denom = np.maximum(np.linalg.norm(Gd, axis=1), 1e-8)
         assert np.all(np.linalg.norm(G - Gd, axis=1) / denom <= 1e-4)
 
@@ -106,7 +116,7 @@ def test_pl_certificate_quadratic():
     rng = np.random.default_rng(6)
     for _ in range(1000):
         x = rng.standard_normal(4) * rng.uniform(0.1, 10)
-        g = prob.grad_f(x)
+        g = _grad_f(prob, x)
         gap = prob.f(x) - prob.f_star
         assert 0.5 * (g @ g) >= prob.pl_nu * gap * (1.0 - 1e-8)
 
@@ -119,7 +129,7 @@ def test_nonconvex_nonnegative_and_heterogeneous():
     assert np.all(vals >= 0.0)
     # every agent's cost at its own row of each stacked 4 x 3 block
     for block in X[200:].reshape(-1, 4, 3):
-        assert np.all(prob.batch_cost(block) >= 0.0)
+        assert np.all(_costs(prob, block) >= 0.0)
     # local gradients disagree at a common point
     G = prob.stacked_gradients(np.tile(X[0], (4, 1)))
     assert np.linalg.norm(G[0] - G[1]) > 1e-3
@@ -139,26 +149,26 @@ def test_reductions_match_oracle_at_unrolled_sizes(family, n, d):
     for p in (1.0, 2.0, 3.0, np.inf):
         assert np.array_equal(pnorms(X, p), [oracle.pnorm(row, p) for row in X])
     assert prob.f(x) == oracle.f(prob, x)
-    assert np.array_equal(prob.grad_f(x), oracle.grad_f(prob, x))
     assert np.array_equal(prob.stacked_gradients(X), oracle.stacked_gradients(prob, X))
     # the shared-point oracle: costs and gradients from one residual, at one
-    # point and at a stack of points, as f and gradients_at give them
+    # point and at a stack of points, as f and the per-agent oracle give them
     costs, G = prob.at_shared(x)
     assert float(np.sum(costs)) / n == prob.f(x)
     assert np.array_equal(costs, [oracle.cost(prob, i, x) for i in range(n)])
-    assert np.array_equal(G, prob.gradients_at(x))
+    assert np.array_equal(G, [oracle.gradient(prob, i, x) for i in range(n)])
+    assert np.array_equal(_grad_f(prob, x), oracle.grad_f(prob, x))
     points = rng.standard_normal((3, d)) * 3.0
     costs, G = prob.at_shared(points)
     assert costs.shape == (3, n) and G.shape == (3, n, d)
     for b, point in enumerate(points):
         assert np.sum(costs, axis=-1)[b] / n == prob.f(point)
-        assert np.array_equal(G[b], prob.gradients_at(point))
+        assert np.array_equal(G[b], [oracle.gradient(prob, i, point) for i in range(n)])
     # a (B, n, d) block: each n x d slice as on its own
     block = rng.standard_normal((3, n, d)) * 3.0
     for p in (1.0, 2.0, 3.0, np.inf):
         assert np.array_equal(pnorms(block, p),
                               [[oracle.pnorm(row, p) for row in Xb] for Xb in block])
-    assert np.array_equal(prob.batch_cost(block),
+    assert np.array_equal(_costs(prob, block),
                           [[oracle.cost(prob, i, Xb[i]) for i in range(n)] for Xb in block])
-    assert np.array_equal(prob.batch_grad(block),
+    assert np.array_equal(prob.stacked_gradients(block),
                           [oracle.stacked_gradients(prob, Xb) for Xb in block])

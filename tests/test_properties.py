@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -21,7 +21,8 @@ from dcopt.algorithm import (
     step,
 )
 from dcopt.compressors import B1, LOCAL, pnorms
-from dcopt.diagnostics import TRACE_DTYPE, contraction_local_check
+from dcopt.constants import theorem_params
+from dcopt.diagnostics import CSV_COLUMNS, TRACE_DTYPE, contraction_local_check
 from dcopt.errors import IncompatibleContracts
 from dcopt.graph import build_graph
 from dcopt.problems import make_nonconvex, make_quadratic
@@ -170,3 +171,39 @@ def test_local_contraction_holds_where_the_region_holds(kind, init_mode, omega, 
                 x0_seed=x0_seed, contract=contract)
     report = contraction_local_check(trace, contract, omega)
     assert report.violations == 0, report
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(regime=st.sampled_from(("T1_local_nonconvex", "T2_local_exact_first")),
+       kind=st.sampled_from(("one_bit", "sat_quant", "norm_sign")),
+       topology=st.sampled_from(("ring", "path", "complete", "erdos_renyi")),
+       horizon=st.sampled_from((50, 200, 400)), data=st.data())
+def test_certified_selection_shrinks_the_scale_inside_the_region(regime, kind, topology,
+                                                                 horizon, data):
+    # with the stepsize clamped and the recursion admissible (its fixed point
+    # at most s0), the induction behind the region guarantee applies as proved
+    n, d = data.draw(st.integers(3, 10)), data.draw(st.integers(2, 6))
+    graph = build_graph(topology, n, seed=data.draw(st.integers(0, 2 ** 16)))
+    make = data.draw(st.sampled_from((make_quadratic, make_nonconvex)))
+    problem = make(n, d, seed=data.draw(st.integers(0, 2 ** 16)))
+    compressor = config.build_compressor_from(
+        {"compressor": {"kind": kind, "level": "1.5", "step": "0.4"}},
+        data.draw(st.integers(0, 2 ** 64 - 1)))
+    contract = compressor.contract(d)
+    sel = theorem_params(regime, problem, graph, contract, T=horizon,
+                         x0_seed=data.draw(st.integers(0, 2 ** 64 - 1)), clamp_alpha=True)
+    assume(sel.feasibility["recursive_admissible"][0])
+    trace = run(problem, graph, compressor, sel.hyper, T=horizon, init_mode=sel.init_mode,
+                x0=sel.x0, contract=contract)
+    # s_k falls to its fixed point, where rounding may lift it by an ulp
+    s = trace.s_k
+    assert np.all(s[1:] <= s[:-1] * (1.0 + 4.0 * np.finfo(float).eps))
+    for name in (*CSV_COLUMNS, "surr_pre_pmax"):
+        assert np.all(np.isfinite(trace.rows[name])), name
+    # the final row has no exchange after it
+    for name in ("surr_post_pmax", "surr_post_l2sq"):
+        assert np.all(np.isfinite(trace.rows[name][:-1])), name
+    assert trace.region_ok.all()
+    report = contraction_local_check(trace, contract, sel.hyper.omega)
+    assert report.passed, report
