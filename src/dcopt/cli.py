@@ -210,8 +210,11 @@ def cmd_verify(config_path: str, samples: int = 10_000,
         "kind": report.kind,
         "contract": {"class": contract.cls, "p": contract.p, "r": contract.r,
                      "C": contract.C, "delta": contract.delta},
+        "samples": report.samples,
+        "trials_per_sample": None if contract.cls == LOCAL else trials,
         "max_ratio": report.max_ratio,
         "pass": report.passed,
+        "worst": report.worst,
     }
     print(json.dumps(diagnostics.json_safe(payload), indent=2))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -257,8 +260,10 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", aliases=["verify-compressors"],
                               help="verify the configured compressor's contract")
     p_verify.add_argument("config")
-    p_verify.add_argument("--samples", type=int, default=10_000)
-    p_verify.add_argument("--trials", type=int, default=10_000)
+    p_verify.add_argument("--samples", type=int, default=10_000,
+                          help="random points in the ball (local contracts only)")
+    p_verify.add_argument("--trials", type=int, default=10_000,
+                          help="draws at each of 16 points (global contracts only)")
 
     p_params = sub.add_parser("params", help="print constants and hyperparameters")
     p_params.add_argument("config")

@@ -207,24 +207,27 @@ class Compressor:
         raise NotImplementedError
 
     def _apply(self, X: np.ndarray, gen: np.random.Generator | None,
-               iteration: int | None = None):
-        """Compress every row of X with one block draw from ``gen``.
+               iteration: int | None = None, shape: tuple | None = None):
+        """Compress the rows of X with one block draw of ``shape`` (default
+        X.shape) from ``gen``; X's rows broadcast against it, so one input
+        row meets every row of draws and a deterministic kind returns X's rows.
 
         Returns the output and the block the ``bits`` formula is charged on
         (X itself, except for a composition).  The rows are the agents of
         round ``iteration``, or independent draws when it is None; only
         scalarization tells the two apart.
         """
-        return self._kernel(X, None if self.deterministic else gen.uniform(size=X.shape)), X
+        zeta = None if self.deterministic else gen.uniform(size=shape or X.shape)
+        return self._kernel(X, zeta), X
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
-        """Monte-Carlo draws of ||C(x)/r - x||^2 (vectorized over trials)."""
+        """Monte-Carlo draws of ||C(x)/r - x||^2: the one input row x against
+        ``trials`` rows of draws (a deterministic kind's one error, broadcast)."""
         x = _check_vector(x)
         gen = _rng.substream(seed, _rng.VERIFY, tag)
-        X = np.broadcast_to(x, (trials, x.size)).copy()
-        Q, _ = self._apply(X, gen)
-        diff = Q / self.r - x[None, :]
-        return np.sum(diff * diff, axis=1)
+        Q, _ = self._apply(x[None, :], gen, shape=(trials, x.size))
+        diff = Q / self.r - x
+        return np.broadcast_to(np.sum(diff * diff, axis=1), (trials,))
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)}" for name in self.params)
@@ -293,7 +296,7 @@ class SaturatingQuantizer(Compressor):
         # on [-level, level] the rounding error is at most step/2, except
         # above the top output step * _hi, which can sit up to one step
         # below level: there the error reaches level - step * _hi
-        error =max(self.step / 2.0, self.level - self.step * self._hi)
+        error = max(self.step / 2.0, self.level - self.step * self._hi)
         return AssumptionContract(LOCAL, np.inf, 1.0, self.level, 1.0 - error / self.level)
 
     def _kernel(self, X, zeta):
@@ -324,9 +327,9 @@ class _KeepK(Compressor):
     def _kernel(self, X, zeta):
         self._check_k(X.shape[1])
         keep = self._order(X, zeta)[:, :self.k]
-        Q = np.zeros_like(X)
-        rows = np.arange(X.shape[0])[:, None]
-        Q[rows, keep] = X[rows, keep]
+        # keep has the draws' rows, which X's rows broadcast against
+        Q = np.zeros((len(keep), X.shape[1]), dtype=X.dtype)
+        np.put_along_axis(Q, keep, np.take_along_axis(X, keep, axis=1), axis=1)
         return Q
 
 
@@ -362,10 +365,9 @@ class NormSign(Compressor):
         return AssumptionContract(LOCAL, np.inf, 1.0, 1.0, 0.5)
 
     def _kernel(self, X, zeta):
+        # a zero row gives (0 / 2) * 1 = +0.0 everywhere
         m = np.max(np.abs(X), axis=1, keepdims=True)
-        out = (m / 2.0) * _sign_pos(X)
-        out[m[:, 0] == 0.0] = 0.0
-        return out
+        return (m / 2.0) * _sign_pos(X)
 
 
 class UnbiasedKBit(Compressor):
@@ -394,12 +396,11 @@ class UnbiasedKBit(Compressor):
         return delta
 
     def _kernel(self, X, zeta):
+        # a zero row gives floor(0 + zeta) = 0, so +0.0 everywhere
         m = np.max(np.abs(X), axis=1, keepdims=True)
         safe = np.where(m == 0.0, 1.0, m)
         scale = 2.0 ** (self.kbits - 1)
-        q = (safe / scale) * _sign_pos(X) * np.floor(scale * np.abs(X) / safe + zeta)
-        q[m[:, 0] == 0.0] = 0.0
-        return q
+        return (safe / scale) * _sign_pos(X) * np.floor(scale * np.abs(X) / safe + zeta)
 
 
 class RandK(_KeepK):
@@ -440,12 +441,12 @@ class Scalarization(Compressor):
         gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, iteration)
         return _rng.sphere_point(gen, d)
 
-    def _apply(self, X, gen, iteration=None):
+    def _apply(self, X, gen, iteration=None, shape=None):
         if iteration is not None:
             psi = self.direction(X.shape[1], iteration)
             # vecdot matches the per-row psi @ x bit for bit; X @ psi does not
             return psi * np.vecdot(X, psi)[:, None], X
-        G = gen.standard_normal(size=X.shape)
+        G = gen.standard_normal(size=shape or X.shape)
         G /= np.linalg.norm(G, axis=1, keepdims=True)
         return G * np.sum(G * X, axis=1, keepdims=True), X
 
@@ -504,11 +505,12 @@ class Noisy(Compressor):
     def contract(self, d):
         return lemma1_contract(self, d)
 
-    def _apply(self, X, gen, iteration=None):
-        Q, charged = self.base._apply(X, gen, iteration)
-        G = gen.standard_normal(size=Q.shape)
+    def _apply(self, X, gen, iteration=None, shape=None):
+        shape = shape or X.shape
+        Q, charged = self.base._apply(X, gen, iteration, shape)
+        G = gen.standard_normal(size=shape)
         G /= np.linalg.norm(G, axis=1, keepdims=True)
-        radii = self.noise_bound * gen.uniform(size=(Q.shape[0], 1)) ** (1.0 / Q.shape[1])
+        radii = self.noise_bound * gen.uniform(size=(shape[0], 1)) ** (1.0 / shape[1])
         return Q + G * radii, charged
 
     def __repr__(self):
@@ -555,13 +557,13 @@ class Compose(Compressor):
         # X is the outer stage's input, which _apply charges
         return self.outer.bits(X)
 
-    def _apply(self, X, gen, iteration=None):
+    def _apply(self, X, gen, iteration=None, shape=None):
         # both stages draw from the one generator, inner first, so two noise
         # wrappers never inject the same realization
-        mid, _ = self.inner._apply(X, gen, iteration)
+        mid, _ = self.inner._apply(X, gen, iteration, shape)
         if self.order == "rel_of_abs":
             mid = mid / self.inner.r
-        return self.outer._apply(mid, gen, iteration)
+        return self.outer._apply(mid, gen, iteration, shape)
 
     def __repr__(self):
         return f"Compose({self.inner!r} -> {self.outer!r})"

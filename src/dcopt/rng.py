@@ -5,8 +5,10 @@ named Philox substream keyed by (seed, purpose) with the counter set from
 (tag, iteration).  A stream's draws depend only on its coordinates, never on
 execution order.  A compression round is one block draw: the round's
 generator comes from its (tag, iteration) coordinates and fills every row in
-turn, so compressing one vector is a round of one row.  Scalarization's
-shared direction has its own stream keyed by the iteration alone.
+turn, so compressing one vector is a round of one row.  A round's input
+rows broadcast against its draw shape: a verification point is one input
+row against ``trials`` rows of draws.  Scalarization's shared direction
+has its own stream keyed by the iteration alone.
 """
 
 import numpy as np

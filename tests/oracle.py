@@ -93,6 +93,15 @@ def compress_round(c, U, k):
     return np.stack([q for q, _ in out]), [bits for _, bits in out]
 
 
+def sample_errors(c, x, trials, seed, tag=0):
+    """||C(x)/r - x||^2 per trial with x copied into every one of ``trials``
+    rows and the block compressed as one round of independent draws."""
+    gen = _rng.substream(seed, _rng.VERIFY, tag)
+    Q, _ = c._apply(np.broadcast_to(x, (trials, x.size)).copy(), gen)
+    diff = Q / c.r - x[None, :]
+    return np.sum(diff * diff, axis=1)
+
+
 def cost(problem, i, x):
     A = problem.data["A"]
     if problem.family == "quadratic":

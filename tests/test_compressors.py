@@ -48,6 +48,18 @@ def test_zero_input():
     assert comp.UniformQuantizer(1.0).compress(np.array([0.2, -0.3]))[1] == 2
 
 
+@pytest.mark.parametrize("c", [comp.UnbiasedKBit(3, seed=4), comp.NormSign()])
+def test_zero_row_compresses_to_positive_zero(c):
+    # -0.0 entries included: the output carries no sign bit, alone or in a round
+    z = np.array([0.0, -0.0, 0.0, -0.0])
+    U = np.stack([np.linspace(-1.0, 2.0, 4), z, -np.zeros(4)])
+    Q, _ = c.apply(U, 5)
+    q, _ = c.compress(z, 5)
+    for row in (Q[1], Q[2], q):
+        assert np.all(row == 0.0) and not np.any(np.signbit(row))
+    assert np.any(Q[0] != 0.0)
+
+
 def test_one_bit_error_bound():
     level = 1.5
     c = comp.OneBit(level)

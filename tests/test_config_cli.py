@@ -292,6 +292,24 @@ def test_cmd_verify_global(tmp_path, capsys):
     assert report["contract"]["class"] == "global"
 
 
+def test_verify_reports_what_it_ran(tmp_path, capsys):
+    # --samples sets a local contract's random points (boundary cases come on
+    # top); --trials sets the draws at each of a global contract's 16 points
+    local = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "o8"))
+    text = BASE_CONFIG.format(out=tmp_path / "o9").replace(
+        "kind = one_bit", "kind = unbiased_kbit\nkbits = 3\nnoise = 1.0").replace(
+        "level = 2.0", "")
+    global_ = _write(tmp_path, text, "global.ini")
+    assert cli.main(["verify", local, "--samples", "300", "--trials", "50"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples"] > 300 and report["trials_per_sample"] is None
+    assert set(report["worst"]) == {"x", "error", "bound"}
+    assert cli.main(["verify", global_, "--samples", "300", "--trials", "50"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["samples"], report["trials_per_sample"]) == (16, 50)
+    assert set(report["worst"]) == {"radius", "mean", "bound", "se"}
+
+
 def test_cmd_sweep(tmp_path, capsys):
     text = BASE_CONFIG.format(out=tmp_path / "o7")
     path = _write(tmp_path, text, "sweep.ini")

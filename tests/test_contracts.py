@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from dcopt import compressors as comp
 from dcopt.errors import OutOfRange, WrongClass
 
@@ -108,12 +109,41 @@ def test_global_contracts_pass(name, make):
 
 
 def test_verification_deterministic():
-    c = comp.Noisy(comp.RandK(2, seed=7), 1.0)
-    r1 = comp.verify_global_assumption(c, c.contract(6), samples=8,
-                                       trials_per_sample=500, seed=11, d=6)
-    r2 = comp.verify_global_assumption(c, c.contract(6), samples=8,
-                                       trials_per_sample=500, seed=11, d=6)
-    assert r1.max_ratio == r2.max_ratio
+    for c in (comp.Noisy(comp.RandK(2, seed=7), 1.0),
+              comp.compose_kbit_of_uniform(3, 0.5, noise_inner=1.0, seed=7)):
+        r1 = comp.verify_global_assumption(c, c.contract(6), samples=8,
+                                           trials_per_sample=500, seed=11, d=6)
+        r2 = comp.verify_global_assumption(c, c.contract(6), samples=8,
+                                           trials_per_sample=500, seed=11, d=6)
+        assert vars(r1) == vars(r2), c
+
+
+ORACLE_SPECS = GLOBAL_SPECS + [
+    ("compose_rel_of_abs_noise_free", lambda: comp.compose_kbit_of_uniform(3, 0.5, seed=5)),
+    ("compose_abs_of_rel_noise_free", lambda: comp.compose_uniform_of_kbit(3, 0.5, seed=5)),
+    ("identity", lambda: comp.Identity(seed=5)),
+]
+
+
+@pytest.mark.parametrize("name,make", ORACLE_SPECS)
+def test_sample_errors_match_the_materialised_block(name, make, monkeypatch):
+    # one input row against the trial draws equals, bit for bit, the row
+    # copied into (trials, d) and compressed as one block
+    c = make()
+    for d in (3, 8, 17):
+        points = [np.zeros(d), np.linspace(-2.0, 3.0, d), 500.0 * np.ones(d)]
+        for seed in (0, 1, 4):
+            for tag, x in enumerate(points):
+                ref = oracle.sample_errors(c, x, 64, seed, tag)
+                assert np.array_equal(c.sample_errors(x, 64, seed, tag), ref), (name, d, seed)
+        report = comp.verify_global_assumption(c, c.contract(d), samples=5,
+                                               trials_per_sample=64, seed=2, d=d)
+        with monkeypatch.context() as m:
+            m.setattr(c, "sample_errors", lambda x, trials, seed, tag=0:
+                      oracle.sample_errors(c, x, trials, seed, tag))
+            ref = comp.verify_global_assumption(c, c.contract(d), samples=5,
+                                                trials_per_sample=64, seed=2, d=d)
+        assert vars(report) == vars(ref), (name, d)
 
 
 def test_unbiased_kbit_needs_enough_levels():
