@@ -128,6 +128,16 @@ def s0_floor(x0: np.ndarray, contract: AssumptionContract, margin: float = 1.0) 
     return margin * float(pnorms(x0, contract.p).max()) / contract.C
 
 
+def resolve_omega(omega: float | None, contract: AssumptionContract) -> float:
+    """``omega``, or 1/r when it is None; refused outside (0, 1/r], with 1e-12
+    of slack for a decimal spelling of 1/r that rounds above it."""
+    if omega is None:
+        return 1.0 / contract.r
+    if not 0.0 < omega <= 1.0 / contract.r + 1e-12:
+        raise ConfigError(f"omega must be in (0, 1/r], got {omega}")
+    return omega
+
+
 def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
                x0_seed: int = 0, x0: np.ndarray | None = None,
                contract: AssumptionContract | None = None) -> AlgorithmState:

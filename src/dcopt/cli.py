@@ -107,8 +107,8 @@ def _plot(trace, path: Path) -> None:
 
 
 @_exit_codes
-def cmd_run(config_path: str, force: bool = False) -> int:
-    cfg = cfgmod.load_config(config_path)
+def cmd_run(config: str, force: bool = False) -> int:
+    cfg = cfgmod.load_config(config)
     problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
         cfgmod.build_run_plan(cfg)
     out = cfgmod.section(cfg, "output")
@@ -151,11 +151,11 @@ def cmd_run(config_path: str, force: bool = False) -> int:
 
 
 @_exit_codes
-def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
+def cmd_sweep(config: str, horizons, force: bool = False) -> int:
     horizons = sorted(set(horizons))
     if len(horizons) < 3:
         raise ConfigError("sweep needs at least 3 distinct horizons")
-    cfg = cfgmod.load_config(config_path)
+    cfg = cfgmod.load_config(config)
 
     rows = []
     for T in horizons:
@@ -190,12 +190,11 @@ def cmd_sweep(config_path: str, horizons, force: bool = False) -> int:
 
 
 @_exit_codes
-def cmd_verify(config_path: str, samples: int = 10_000,
-               trials: int = 10_000) -> int:
+def cmd_verify(config: str, samples: int = 10_000, trials: int = 10_000) -> int:
     # each verifier reads one of the two; both are checked whichever runs
     if samples < 1 or trials < 2:
         raise ConfigError(f"need --samples >= 1 and --trials >= 2, got {samples} and {trials}")
-    cfg = cfgmod.load_config(config_path)
+    cfg = cfgmod.load_config(config)
     d = cfgmod.section(cfg, "problem")["d"]
     seed = cfgmod.section(cfg, "algorithm")["seed"]
     compressor = cfgmod.build_compressor_from(cfg, seed)
@@ -221,8 +220,8 @@ def cmd_verify(config_path: str, samples: int = 10_000,
 
 
 @_exit_codes
-def cmd_params(config_path: str) -> int:
-    cfg = cfgmod.load_config(config_path)
+def cmd_params(config: str) -> int:
+    cfg = cfgmod.load_config(config)
     problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
         cfgmod.build_run_plan(cfg)
     sched = hyper.schedule
@@ -251,11 +250,13 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
+    p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per horizon and fit a rate")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--horizons", type=int, nargs="+", required=True)
     p_sweep.add_argument("--force", action="store_true")
+    p_sweep.set_defaults(handler=cmd_sweep)
 
     p_verify = sub.add_parser("verify", aliases=["verify-compressors"],
                               help="verify the configured compressor's contract")
@@ -264,20 +265,16 @@ def main(argv=None) -> int:
                           help="random points in the ball (local contracts only)")
     p_verify.add_argument("--trials", type=int, default=10_000,
                           help="draws at each of 16 points (global contracts only)")
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_params = sub.add_parser("params", help="print constants and hyperparameters")
     p_params.add_argument("config")
+    p_params.set_defaults(handler=cmd_params)
 
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, force=args.force)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.horizons, force=args.force)
-    if args.command in ("verify", "verify-compressors"):
-        return cmd_verify(args.config, samples=args.samples, trials=args.trials)
-    if args.command == "params":
-        return cmd_params(args.config)
-    return EXIT_CONFIG
+    # each subcommand's handler takes its arguments by their dest names
+    args = vars(parser.parse_args(argv))
+    del args["command"]
+    return args.pop("handler")(**args)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ All bit counts use b1 = 32 bits per exactly-transmitted scalar.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,22 +152,21 @@ def lemma2_compose_params(rel: AssumptionContract, abs_: AssumptionContract,
 # compressor kinds
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class Compressor:
     """Base interface.  Subclasses are pure given (U, iteration, seed).
 
     ``apply`` compresses one round whose row j is agent j's input;
-    stochastic kinds draw the whole round as one block.
+    stochastic kinds draw the whole round as one block.  A kind's positional
+    fields are its parameters, in order, as in the config.
     """
 
     kind = "base"
-    params = ()      # the constructor's parameters, in order, as in the config
     deterministic = True
     role = None      # "relative" / "absolute" for global kinds
     r = 1.0
-
-    def __init__(self, seed: int = 0, tag: int = 0):
-        self.seed = seed
-        self.tag = tag
+    seed: int = field(default=0, kw_only=True, repr=False)
+    tag: int = field(default=0, kw_only=True, repr=False)
 
     def apply(self, U: np.ndarray, iteration: int = 0):
         """Return (Q, bits) for one round: Q row-wise, bits the round's total.
@@ -229,10 +228,6 @@ class Compressor:
         diff = Q / self.r - x
         return np.broadcast_to(np.sum(diff * diff, axis=1), (trials,))
 
-    def __repr__(self):
-        args = ", ".join(f"{name}={getattr(self, name)}" for name in self.params)
-        return f"{type(self).__name__}({args})"
-
 
 class Identity(Compressor):
     """Pass-through baseline; charges full 32-bit precision per coordinate."""
@@ -250,17 +245,16 @@ class Identity(Compressor):
         return X.copy()
 
 
+@dataclass(eq=False)
 class OneBit(Compressor):
     """Sign compressor transmitting one bit per coordinate; output +-level/2."""
 
     kind = "one_bit"
-    params = ("level",)
+    level: float
 
-    def __init__(self, level: float, seed: int = 0, tag: int = 0):
-        super().__init__(seed, tag)
-        if level <= 0:
-            raise OutOfRange(f"quantization level must be positive, got {level}")
-        self.level = level
+    def __post_init__(self):
+        if self.level <= 0:
+            raise OutOfRange(f"quantization level must be positive, got {self.level}")
 
     def bits(self, X):
         return X.size
@@ -273,18 +267,18 @@ class OneBit(Compressor):
         return _sign_pos(X) * (self.level / 2.0)
 
 
+@dataclass(eq=False)
 class SaturatingQuantizer(Compressor):
     """Midtread uniform quantizer with hard saturation at +-level."""
 
     kind = "sat_quant"
-    params = ("level", "step")
+    level: float
+    step: float
 
-    def __init__(self, level: float, step: float, seed: int = 0, tag: int = 0):
-        super().__init__(seed, tag)
+    def __post_init__(self):
+        level, step = self.level, self.step
         if level <= 0 or not 0 < step < 2 * level:
             raise OutOfRange(f"need level > 0 and step in (0, 2*level), got {level}, {step}")
-        self.level = level
-        self.step = step
         self._lo = math.floor(-level / step)
         self._hi = math.floor(level / step)
 
@@ -304,17 +298,16 @@ class SaturatingQuantizer(Compressor):
         return self.step * idx
 
 
+@dataclass(eq=False)
 class _KeepK(Compressor):
     """Pass k coordinates of each row through and zero the rest; the
     subclass's ``_order`` ranks the coordinates."""
 
-    params = ("k",)
+    k: int
 
-    def __init__(self, k: int, seed: int = 0, tag: int = 0):
-        super().__init__(seed, tag)
-        if k < 1:
-            raise OutOfRange(f"k must be >= 1, got {k}")
-        self.k = k
+    def __post_init__(self):
+        if self.k < 1:
+            raise OutOfRange(f"k must be >= 1, got {self.k}")
 
     def bits(self, X):
         self._check_k(X.shape[1])
@@ -370,19 +363,18 @@ class NormSign(Compressor):
         return (m / 2.0) * _sign_pos(X)
 
 
+@dataclass(eq=False)
 class UnbiasedKBit(Compressor):
     """Dithered k-bit quantizer, unbiased via a uniform [0,1) dither."""
 
     kind = "unbiased_kbit"
-    params = ("kbits",)
     deterministic = False
     role = "relative"
+    kbits: int
 
-    def __init__(self, kbits: int, seed: int = 0, tag: int = 0):
-        super().__init__(seed, tag)
-        if kbits < 1:
-            raise OutOfRange(f"kbits must be >= 1, got {kbits}")
-        self.kbits = kbits
+    def __post_init__(self):
+        if self.kbits < 1:
+            raise OutOfRange(f"kbits must be >= 1, got {self.kbits}")
 
     def bits(self, X):
         return (self.kbits + 1) * X.size + len(X) * B1
@@ -451,18 +443,17 @@ class Scalarization(Compressor):
         return G * np.sum(G * X, axis=1, keepdims=True), X
 
 
+@dataclass(eq=False)
 class UniformQuantizer(Compressor):
     """Midtread uniform quantizer without saturation."""
 
     kind = "uniform_quant"
-    params = ("step",)
     role = "absolute"
+    step: float
 
-    def __init__(self, step: float, seed: int = 0, tag: int = 0):
-        super().__init__(seed, tag)
-        if step <= 0:
-            raise OutOfRange(f"step must be positive, got {step}")
-        self.step = step
+    def __post_init__(self):
+        if self.step <= 0:
+            raise OutOfRange(f"step must be positive, got {self.step}")
 
     def bits(self, X):
         # row j sends ceil(log2(2 q_j + 1)) = 1 + bitlength(q_j) bits per
@@ -491,7 +482,7 @@ class Noisy(Compressor):
     def __init__(self, base: Compressor, noise_bound: float):
         if noise_bound < 0:
             raise OutOfRange(f"noise bound must be >= 0, got {noise_bound}")
-        super().__init__(base.seed, base.tag)
+        super().__init__(seed=base.seed, tag=base.tag)
         self.base = base
         self.noise_bound = noise_bound
         self.deterministic = False
@@ -542,7 +533,7 @@ class Compose(Compressor):
         else:
             raise IncompatibleContracts(
                 f"composition needs one relative and one absolute stage, got {roles}")
-        super().__init__(inner.seed, inner.tag)
+        super().__init__(seed=inner.seed, tag=inner.tag)
         self.inner = inner
         self.outer = outer
         self.kind = f"compose_{outer.kind}_of_{inner.kind}"
@@ -666,9 +657,10 @@ def verify_local_assumption(compressor: Compressor, contract: AssumptionContract
         ratios = errs / bound
     else:
         ratios = np.where(errs <= 1e-15 * max(C, 1.0), 0.0, np.inf)
+    # argmax finds the first NaN ratio, and max keeps it: a NaN output fails
     i = int(np.argmax(ratios))
     max_ratio = max(float(ratios[i]), 0.0)
-    worst = {"x": P[i].tolist(), "error": float(errs[i]), "bound": bound} if max_ratio > 0 else {}
+    worst = {"x": P[i].tolist(), "error": float(errs[i]), "bound": bound} if max_ratio != 0 else {}
     return VerificationReport(kind=compressor.kind, cls=LOCAL, max_ratio=max_ratio,
                               passed=bool(max_ratio <= 1.0 + 1e-12),
                               samples=len(P), worst=worst)

@@ -16,19 +16,19 @@ topology sample can be reused across algorithm seeds.
 import configparser
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import compressors as comp
 from .algorithm import (INIT_MODES, ConstantSchedule, GeometricSchedule, HyperParams, draw_x0,
-                        s0_floor)
+                        resolve_omega, s0_floor)
 from .compressors import LOCAL
 from .constants import REGIMES, theorem_params
 from .errors import ConfigError
 from .graph import build_graph
 from .problems import make_nonconvex, make_quadratic
 
-# a class takes its ``params`` and ``noise``; a composition takes kbits, step,
+# a class takes its positional fields and ``noise``; a composition takes kbits, step,
 # noise_inner and noise_outer
 KINDS = {cls.kind: cls for cls in (
     comp.OneBit, comp.SaturatingQuantizer, comp.TopK, comp.NormSign, comp.UnbiasedKBit,
@@ -55,6 +55,7 @@ def _checked(cast, ok):
 
 
 _finite = _checked(float, math.isfinite)
+_positive = _checked(float, lambda value: math.isfinite(value) and value > 0)
 _count = _checked(_int, lambda value: value >= 1)
 _seed = _checked(_int, lambda value: 0 <= value < 2 ** 64)
 
@@ -84,7 +85,7 @@ GRAMMAR = {
                   "init_mode": (INIT_MODES, "standard"), "seed": (_seed, 0),
                   "alpha": (_finite, None), "gamma": (_finite, None), "tau_1": (_finite, None),
                   "omega": (_finite, None), "schedule": (("geometric", "constant"), "geometric"),
-                  "s0": (_finite, None), "rate": (_finite, 0.99), "s0_margin": (_finite, 1.0),
+                  "s0": (_positive, None), "rate": (_finite, 0.99), "s0_margin": (_positive, 1.0),
                   "clamp_alpha": (_flag, False), "tau_0": (_finite, 1.0),
                   "epsilon": (_finite, 0.99), "strict": (_flag, False)},
     "output": {"directory": (str, None), "csv": (_flag, True), "svg": (_flag, False),
@@ -185,8 +186,8 @@ def build_compressor_from(cfg: dict, seed: int):
     if compose:
         return make(sec["kbits"], sec["step"], sec["noise_inner"], sec["noise_outer"],
                     seed=seed)
-    return comp.with_noise(make(*(sec[name] for name in make.params), seed=seed),
-                           sec["noise"])
+    params = (sec[f.name] for f in fields(make) if not f.kw_only)
+    return comp.with_noise(make(*params, seed=seed), sec["noise"])
 
 
 def compressor_contract(compressor, d: int, cfg: dict):
@@ -217,9 +218,7 @@ def build_run_plan(cfg: dict):
         missing = [key for key in ("gamma", "tau_1", "alpha") if alg[key] is None]
         if missing:
             raise ConfigError(f"missing required key {missing[0]!r}")
-        omega = 1.0 / contract.r if alg["omega"] is None else alg["omega"]
-        if not 0.0 < omega <= 1.0 / contract.r + 1e-12:
-            raise ConfigError(f"omega must be in (0, 1/r], got {omega}")
+        omega = resolve_omega(alg["omega"], contract)
         s0 = alg["s0"]
         if s0 is None:
             if contract.cls == LOCAL and init_mode != "exact_first_round":

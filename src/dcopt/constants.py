@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0, s0_floor
+from .algorithm import (GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0,
+                        resolve_omega, s0_floor)
 from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext, pnorms
 from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
@@ -316,9 +317,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     init_mode = "exact_first_round" if regime == "T2_local_exact_first" else "standard"
     x0 = draw_x0(n, d, init_mode, x0_seed)
 
-    omega = omega if omega is not None else 1.0 / contract.r
-    if not 0 < omega <= 1.0 / contract.r:
-        raise InfeasibleParams(f"omega must be in (0, 1/r], got {omega}")
+    omega = resolve_omega(omega, contract)
 
     # gamma and tau_1 need only the graph spectrum
     probe = compute_constants(graph, problem.ell, gamma=1.0, tau_1=1.0, omega=omega,

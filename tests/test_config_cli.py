@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -121,12 +122,23 @@ REFUSALS = [
     ("ini", [("seed = 9", f"seed = {2 ** 64}")], "bad value for 'seed'"),
     ("ini", [("family = quadratic", "family = cubic")], "bad value for 'family'"),
     ("ini", [("omega = 1.0", "omega = 1.5")], "omega must be in (0, 1/r]"),
+    # a theoretical mode holds omega to the same rule, with the same exit code
+    ("ini", [("mode = empirical", "mode = T5_global_nonconvex"),
+             ("kind = one_bit", "kind = unbiased_kbit"), ("omega = 1.0", "omega = 1.5")],
+     "omega must be in (0, 1/r]"),
+    ("ini", [("alpha = 0.05\n", "")], "missing required key 'alpha'"),
     ("ini", [("schedule = geometric", "schedule = recursive")], "bad value for 'schedule'"),
     ("ini", [("mode = empirical", "mode = T4_local")], "bad value for 'mode'"),
     ("ini", [("alpha = 0.05", "alpha = nan")], "bad value for 'alpha'"),
     ("ini", [("gamma = 1.0", "gamma = inf")], "bad value for 'gamma'"),
     ("ini", [("level = 2.0", "level = nan")], "bad value for 'level'"),
     ("ini", [("rate = 0.99", "rate = 0.99\ns0_margin = nan")], "bad value for 's0_margin'"),
+    # s0 and s0_margin are positive under either contract class
+    ("ini", [("rate = 0.99", "rate = 0.99\ns0_margin = 0")], "bad value for 's0_margin'"),
+    ("ini", [("rate = 0.99", "rate = 0.99\ns0 = -1.0")], "bad value for 's0'"),
+    ("ini", [("rate = 0.99", "rate = 0.99\ns0 = 0")], "bad value for 's0'"),
+    ("ini", [("kind = one_bit", "kind = unbiased_kbit"),
+             ("rate = 0.99", "rate = 0.99\ns0 = -1.0")], "bad value for 's0'"),
     ("ini", [("level = 2.0", "level = 2.0\nnoise = -0.5")], "noise bound must be >= 0"),
     # each kind reads only its own noise keys
     ("ini", [("kind = one_bit", "kind = compose_kbit_of_uniform\nnoise = 0.5")],
@@ -176,7 +188,8 @@ def test_each_kind_builds_from_its_params_and_shows_them_in_its_repr():
     for kind, make in config.KINDS.items():
         compressor = config.build_compressor_from({"compressor": {"kind": kind, **values}}, 0)
         if isinstance(make, type):
-            args = ", ".join(f"{name}={values[name]}" for name in make.params)
+            args = ", ".join(f"{f.name}={values[f.name]}" for f in dataclasses.fields(make)
+                             if not f.kw_only)
             assert repr(compressor) == f"{make.__name__}({args})"
 
 
@@ -290,6 +303,18 @@ def test_cmd_verify_global(tmp_path, capsys):
     assert cli.cmd_verify(path, trials=2000) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["contract"]["class"] == "global"
+
+
+@pytest.mark.parametrize("kind,code", [("one_bit", cli.EXIT_OK),
+                                       ("top_k", cli.EXIT_VERIFY_FAILED)])
+def test_verify_compressors_is_verify(tmp_path, capsys, kind, code):
+    text = BASE_CONFIG.format(out=tmp_path / "o12").replace("kind = one_bit", f"kind = {kind}")
+    path = _write(tmp_path, text)
+    outputs = []
+    for command in ("verify", "verify-compressors"):
+        assert cli.main([command, path, "--samples", "300"]) == code
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["kind"] == kind
 
 
 def test_verify_reports_what_it_ran(tmp_path, capsys):

@@ -76,6 +76,21 @@ def test_wrong_contract_detected():
     assert not report.passed and report.max_ratio > 1.0
 
 
+class _NanBeyond(comp.OneBit):
+    """One-bit, but NaN wherever |x| > 0.9."""
+
+    def _kernel(self, X, zeta):
+        return np.where(np.abs(X) > 0.9, np.nan, super()._kernel(X, zeta))
+
+
+def test_nan_output_fails_and_names_its_point():
+    c = _NanBeyond(2.0)
+    report = comp.verify_local_assumption(c, c.contract(6), samples=500, seed=2)
+    assert not report.passed and np.isnan(report.max_ratio)
+    assert np.isnan(report.worst["error"]) and report.worst["bound"] == 1.0
+    assert np.max(np.abs(report.worst["x"])) > 0.9
+
+
 def test_class_mismatch_raises():
     c = comp.OneBit(1.0)
     with pytest.raises(WrongClass):
