@@ -13,6 +13,7 @@ the iterate mean follows plain gradient descent on the average cost.  s_k is
 consumed by step k and advanced afterwards.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ class RecursiveSchedule:
 
     def value(self, k: int) -> float:
         decay = (1.0 - self.eps8) ** k
-        return float(np.sqrt(decay * self.s0 ** 2 + self.kappa4 * (1.0 - decay) / self.eps8))
+        return math.sqrt(decay * self.s0 ** 2 + self.kappa4 * (1.0 - decay) / self.eps8)
 
 
 @dataclass(frozen=True)
@@ -186,18 +187,16 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
     s, k = state.s_k, state.k
     with np.errstate(over="ignore", invalid="ignore"):
         U = (state.x - state.x_hat) / s
-    if not np.all(np.isfinite(U)):
-        raise NonFiniteState(f"non-finite compressor input at iteration {k}", iteration=k)
-    Q, bits = compressor.apply(U, k)
-
-    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(U).all():
+            raise NonFiniteState(f"non-finite compressor input at iteration {k}", iteration=k)
+        Q, bits = compressor.apply(U, k)
         x_hat = state.x_hat + hyper.omega * s * Q
         y = state.y + hyper.omega * s * graph.mix(Q)
         G = problem.stacked_gradients(state.x)
         x = state.x - hyper.alpha * (hyper.beta * y + hyper.gamma * state.v + G)
         v = state.v + hyper.alpha * hyper.gamma * y
 
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and np.all(np.isfinite(x_hat))):
+    if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(x_hat).all()):
         raise NonFiniteState(f"non-finite state at iteration {k}", iteration=k)
     return AlgorithmState(x=x, v=v, x_hat=x_hat, y=y, k=k + 1,
                           s_k=hyper.schedule.value(k + 1),

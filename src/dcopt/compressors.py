@@ -82,9 +82,13 @@ def pnorms(X: np.ndarray, p: float) -> np.ndarray:
         return np.linalg.norm(X, ord=p, axis=-1)
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _sign_pos(x: np.ndarray) -> np.ndarray:
-    # ties at zero take the nonnegative branch
-    return np.where(x >= 0, 1.0, -1.0)
+    # ties at zero take the nonnegative branch and NaN the negative one, as
+    # np.where(x >= 0, 1.0, -1.0) gives them, value and sign bit
+    return _SIGNS.take((x >= 0).view(np.uint8))
 
 
 def _check_vector(x) -> np.ndarray:

@@ -28,8 +28,8 @@ from .errors import ConfigError
 from .graph import build_graph
 from .problems import make_nonconvex, make_quadratic
 
-# a class takes its positional fields and ``noise``; a composition takes kbits, step,
-# noise_inner and noise_outer
+# a class reads its positional fields and ``noise``; a composition reads kbits, step,
+# noise_inner and noise_outer; a kind refuses the keys it does not read
 KINDS = {cls.kind: cls for cls in (
     comp.OneBit, comp.SaturatingQuantizer, comp.TopK, comp.NormSign, comp.UnbiasedKBit,
     comp.RandK, comp.Scalarization, comp.UniformQuantizer, comp.Identity)}
@@ -179,15 +179,14 @@ def build_compressor_from(cfg: dict, seed: int):
     sec = section(cfg, "compressor")
     make = KINDS[sec["kind"]]
     compose = not isinstance(make, type)
-    unread = ("noise",) if compose else ("noise_inner", "noise_outer")
-    given = [key for key in unread if key in cfg.get("compressor", {})]
+    reads = (("kbits", "step", "noise_inner", "noise_outer") if compose
+             else tuple(f.name for f in fields(make) if not f.kw_only) + ("noise",))
+    given = [key for key in cfg.get("compressor", {}) if key not in ("kind", *reads)]
     if given:
         raise ConfigError(f"kind {sec['kind']!r} does not read {given[0]!r}")
     if compose:
-        return make(sec["kbits"], sec["step"], sec["noise_inner"], sec["noise_outer"],
-                    seed=seed)
-    params = (sec[f.name] for f in fields(make) if not f.kw_only)
-    return comp.with_noise(make(*params, seed=seed), sec["noise"])
+        return make(*(sec[key] for key in reads), seed=seed)
+    return comp.with_noise(make(*(sec[key] for key in reads[:-1]), seed=seed), sec["noise"])
 
 
 def compressor_contract(compressor, d: int, cfg: dict):

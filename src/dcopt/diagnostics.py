@@ -63,9 +63,10 @@ def _total(A: np.ndarray) -> np.ndarray:
 
 
 def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
-             gamma: float, beta: float, f_ref: float | None = None) -> dict:
+             gamma: float, beta: float, f_ref: float | None = None) -> tuple:
     """The objective, stationarity, consensus and Lyapunov columns of states
-    stacked along the leading axis of X, V and Xhat (shape (B, n, d)).
+    stacked along the leading axis of X, V and Xhat (shape (B, n, d)), and
+    the X - Xhat they read e5 from.
 
     e4 uses the problem's exact optimal value when available, else the known
     lower bound, unless the caller passes ``f_ref``.  E is the symmetric
@@ -86,7 +87,8 @@ def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
     # consensus ||x - xbar||^2 / n is 2 e1 / n
     return {"f_bar": f_bar, "grad_sq": np.vecdot(gbar, gbar), "consensus": 2.0 * e1 / graph.n,
             "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * _total(W * FW),
-            "e3": _total(dev * FW), "e4": graph.n * (f_bar - f_ref), "e5": _total(diff * diff)}
+            "e3": _total(dev * FW), "e4": graph.n * (f_bar - f_ref),
+            "e5": _total(diff * diff)}, diff
 
 
 def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
@@ -98,7 +100,7 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     e4 uses the problem's exact optimal value when available, else the known
     lower bound, unless the caller passes ``f_ref``.
     """
-    cols = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
+    cols, _ = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
     return tuple(float(cols[name][0]) for name in ("e1", "e2", "e3", "e4", "e5"))
 
 
@@ -116,15 +118,16 @@ def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     """
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
-    for name, column in _columns(X, V, Xhat, problem, graph, hyper.gamma, hyper.beta).items():
+    cols, diff = _columns(X, V, Xhat, problem, graph, hyper.gamma, hyper.beta)
+    for name, column in cols.items():
         rows[name] = column
-    pre = pnorms(X - Xhat, p).max(axis=-1)
+    pre = pnorms(diff, p).max(axis=-1)
     rows["surr_pre_pmax"] = pre
     rows["region_ok"] = pre <= contract.C * rows["s_k"] * (1.0 + 1e-12) if local else True
     m = len(Xhat_next)
-    diff = X[:m] - Xhat_next
-    rows["surr_post_pmax"][:m] = pnorms(diff, p).max(axis=-1)
-    rows["surr_post_l2sq"][:m] = _total(diff * diff)
+    post = X[:m] - Xhat_next
+    rows["surr_post_pmax"][:m] = pnorms(post, p).max(axis=-1)
+    rows["surr_post_l2sq"][:m] = _total(post * post)
     rows["surr_post_pmax"][m:] = rows["surr_post_l2sq"][m:] = np.nan
 
 

@@ -31,8 +31,10 @@ class ProblemInstance:
     A family states its costs and gradients through one per-agent residual:
     ``residual(X)``, then ``cost_from(X, R)`` and ``grad_from(X, R)``, where
     row i of X is agent i's point.  X may carry leading batch axes, shape
-    (..., n, d).  The step reads ``stacked_gradients``, the record
-    ``at_shared`` and the optimal value ``f``.
+    (..., n, d).  A point shared by every agent reaches the family as one
+    (..., 1, d) row, which the agents' data and residuals must broadcast
+    against, so that work on the point alone is done once.  The step reads
+    ``stacked_gradients``, the record ``at_shared`` and the optimal value ``f``.
     """
 
     n: int
@@ -50,8 +52,7 @@ class ProblemInstance:
     data: dict = field(default_factory=dict)   # stacked per-agent arrays
 
     def _shared(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(x[..., None, :], x.shape[:-1] + (self.n, self.d))
+        return np.asarray(x, dtype=float)[..., None, :]
 
     def stacked_gradients(self, X: np.ndarray) -> np.ndarray:
         """Agent i's gradient at X[..., i, :], for every agent."""
@@ -141,9 +142,10 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
     y = np.where(_matvec(A, draws[:, :d]) + 0.3 * draws[:, d:] >= 0, 1.0, -1.0)
 
     ell = 0.25 + 2.0 * lam
+    neg_y, At = -y, A.transpose(0, 2, 1)
 
     def margins(X):
-        return -y * _matvec(A, X)
+        return neg_y * _matvec(A, X)
 
     def costs(X, Z):
         logistic = np.mean(np.logaddexp(0.0, Z), axis=-1)
@@ -151,7 +153,7 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
 
     def grads(X, Z):
         sig = 1.0 / (1.0 + np.exp(-Z))
-        G = -_matvec(A.transpose(0, 2, 1), y * sig) / m
+        G = -_matvec(At, y * sig) / m
         return G + lam * 2.0 * X / (1.0 + X * X) ** 2
 
     return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, residual=margins, cost_from=costs,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import oracle
 import pytest
@@ -207,6 +209,45 @@ def test_divergence_detected(monkeypatch):
                 run(prob, g, compressor(), hyper, T=500, x0_seed=x0_seed)
             assert exc.value.iteration == failing
             assert str(exc.value) == f"non-finite state at iteration {failing}"
+
+
+# (the array, state edits, hyperparameters): from a finite state whose rows
+# are equal, every one-bit output is +2 and L Q = 0 exactly, and each case
+# makes one array non-finite after the round, or the compressor input
+NON_FINITE = [
+    ("x", {"x": 1e3}, dict(alpha=np.finfo(float).max)),
+    ("v", {"y": 1e308}, dict(alpha=1.0, beta=1e-10, gamma=10.0)),
+    ("x_hat", {"s_k": 1e308}, {}),
+    ("compressor input", {"x": 1e10, "s_k": 1e-300}, {}),
+]
+
+
+@pytest.mark.parametrize("name,edits,hyper", NON_FINITE, ids=[c[0] for c in NON_FINITE])
+def test_step_refuses_each_non_finite_array(name, edits, hyper):
+    prob, g = make_quadratic(5, 3, seed=2), build_graph("ring", 5)
+    ones = np.ones((5, 3))
+    state = algorithm.AlgorithmState(x=ones, v=0 * ones, x_hat=0 * ones, y=0 * ones, k=7,
+                                     s_k=1.0, bits_cum=0)
+    for key, value in edits.items():
+        setattr(state, key, value * ones if key in ("x", "y") else value)
+    hyper = _hyper(**{"omega": 1.0, **hyper})
+    # the round written out: only the named array is non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hat = state.x_hat + hyper.omega * state.s_k * 2.0
+        x = state.x - hyper.alpha * (hyper.beta * state.y + hyper.gamma * state.v
+                                     + oracle.stacked_gradients(prob, state.x))
+        v = state.v + hyper.alpha * hyper.gamma * state.y
+        arrays = {"compressor input": (state.x - state.x_hat) / state.s_k,
+                  "x": x, "v": v, "x_hat": x_hat}
+    assert [key for key, a in arrays.items() if not np.isfinite(a).all()] == [name]
+    # the round's overflow is the check's to report, not a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as exc:
+            step(state, prob, g, OneBit(4.0), hyper)
+    what = name if name == "compressor input" else "state"
+    assert str(exc.value) == f"non-finite {what} at iteration 7"
+    assert exc.value.iteration == 7
 
 
 def test_recursive_schedule_needs_horizon():

@@ -224,3 +224,14 @@ def test_parameter_validation():
         comp.RandK(5, seed=0).compress(np.ones(3))
     with pytest.raises(DimensionMismatch):
         comp.OneBit(1.0).compress(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(10, 5), (400, 200), (20000, 8)])
+def test_sign_table_matches_where(shape):
+    # value and sign bit, on the edge values and on random blocks
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    block = np.random.default_rng(shape[0]).standard_normal(shape)
+    for x in (special, block, block[:, ::2], np.broadcast_to(special, (3, 7))):
+        got, want = comp._sign_pos(x), np.where(x >= 0, 1.0, -1.0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

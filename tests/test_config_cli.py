@@ -124,7 +124,8 @@ REFUSALS = [
     ("ini", [("omega = 1.0", "omega = 1.5")], "omega must be in (0, 1/r]"),
     # a theoretical mode holds omega to the same rule, with the same exit code
     ("ini", [("mode = empirical", "mode = T5_global_nonconvex"),
-             ("kind = one_bit", "kind = unbiased_kbit"), ("omega = 1.0", "omega = 1.5")],
+             ("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit"),
+             ("omega = 1.0", "omega = 1.5")],
      "omega must be in (0, 1/r]"),
     ("ini", [("alpha = 0.05\n", "")], "missing required key 'alpha'"),
     ("ini", [("schedule = geometric", "schedule = recursive")], "bad value for 'schedule'"),
@@ -137,18 +138,19 @@ REFUSALS = [
     ("ini", [("rate = 0.99", "rate = 0.99\ns0_margin = 0")], "bad value for 's0_margin'"),
     ("ini", [("rate = 0.99", "rate = 0.99\ns0 = -1.0")], "bad value for 's0'"),
     ("ini", [("rate = 0.99", "rate = 0.99\ns0 = 0")], "bad value for 's0'"),
-    ("ini", [("kind = one_bit", "kind = unbiased_kbit"),
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit"),
              ("rate = 0.99", "rate = 0.99\ns0 = -1.0")], "bad value for 's0'"),
     ("ini", [("level = 2.0", "level = 2.0\nnoise = -0.5")], "noise bound must be >= 0"),
-    # each kind reads only its own noise keys
-    ("ini", [("kind = one_bit", "kind = compose_kbit_of_uniform\nnoise = 0.5")],
+    # each kind reads only its own parameter and noise keys
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = compose_kbit_of_uniform\nnoise = 0.5")],
      "kind 'compose_kbit_of_uniform' does not read 'noise'"),
-    ("ini", [("kind = one_bit", "kind = compose_uniform_of_kbit\nnoise = 0")],
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = compose_uniform_of_kbit\nnoise = 0")],
      "kind 'compose_uniform_of_kbit' does not read 'noise'"),
     ("ini", [("level = 2.0", "level = 2.0\nnoise_inner = 0.5")],
      "kind 'one_bit' does not read 'noise_inner'"),
-    ("json", {"compressor": {"kind": "unbiased_kbit", "noise_outer": "0.2"}},
-     "kind 'unbiased_kbit' does not read 'noise_outer'"),
+    ("json", {"compressor": {"kind": "sat_quant", "noise_outer": "0.2"}},
+     "kind 'sat_quant' does not read 'noise_outer'"),
+    ("ini", [("kind = one_bit", "kind = top_k")], "kind 'top_k' does not read 'level'"),
     # a key the mode never reads is still read as its type
     ("ini", [("mode = empirical", "mode = T1_local_nonconvex"), ("alpha = 0.05", "alpha = abc")],
      "bad value for 'alpha'"),
@@ -186,11 +188,15 @@ def test_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch,
 def test_each_kind_builds_from_its_params_and_shows_them_in_its_repr():
     values = {"level": "1.5", "step": "0.4", "k": "2", "kbits": "3"}
     for kind, make in config.KINDS.items():
-        compressor = config.build_compressor_from({"compressor": {"kind": kind, **values}}, 0)
-        if isinstance(make, type):
-            args = ", ".join(f"{f.name}={values[f.name]}" for f in dataclasses.fields(make)
-                             if not f.kw_only)
-            assert repr(compressor) == f"{make.__name__}({args})"
+        if not isinstance(make, type):
+            config.build_compressor_from(
+                {"compressor": {"kind": kind, "kbits": "3", "step": "0.4"}}, 0)
+            continue
+        names = [f.name for f in dataclasses.fields(make) if not f.kw_only]
+        compressor = config.build_compressor_from(
+            {"compressor": {"kind": kind, **{name: values[name] for name in names}}}, 0)
+        args = ", ".join(f"{name}={values[name]}" for name in names)
+        assert repr(compressor) == f"{make.__name__}({args})"
 
 
 def test_build_run_plan_validation(tmp_path):
@@ -308,7 +314,10 @@ def test_cmd_verify_global(tmp_path, capsys):
 @pytest.mark.parametrize("kind,code", [("one_bit", cli.EXIT_OK),
                                        ("top_k", cli.EXIT_VERIFY_FAILED)])
 def test_verify_compressors_is_verify(tmp_path, capsys, kind, code):
-    text = BASE_CONFIG.format(out=tmp_path / "o12").replace("kind = one_bit", f"kind = {kind}")
+    text = BASE_CONFIG.format(out=tmp_path / "o12")
+    if kind == "top_k":
+        # top-k reads k, not level
+        text = text.replace("kind = one_bit\nlevel = 2.0", "kind = top_k")
     path = _write(tmp_path, text)
     outputs = []
     for command in ("verify", "verify-compressors"):
@@ -411,7 +420,7 @@ def test_cmd_params(tmp_path, capsys):
     [("mode = empirical", "mode = T2_local_exact_first\ntau_0 = 0.5")],
     [("mode = empirical", "mode = T3_local_PL")],
     [("mode = empirical", "mode = T5_global_nonconvex"),
-     ("kind = one_bit", "kind = unbiased_kbit\nkbits = 3\nnoise = 1.0")],
+     ("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit\nkbits = 3\nnoise = 1.0")],
 ])
 def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
     text = BASE_CONFIG.format(out=tmp_path / "o10")

@@ -6,6 +6,7 @@ import pytest
 import oracle
 from dcopt import make_nonconvex, make_quadratic
 from dcopt.compressors import pnorms
+from dcopt.problems import ProblemInstance
 
 
 def _costs(prob, X):
@@ -172,3 +173,33 @@ def test_reductions_match_oracle_at_unrolled_sizes(family, n, d):
                           [[oracle.cost(prob, i, Xb[i]) for i in range(n)] for Xb in block])
     assert np.array_equal(prob.stacked_gradients(block),
                           [oracle.stacked_gradients(prob, Xb) for Xb in block])
+
+
+def _by_hand(n=6, d=5, m=3):
+    """A family written by hand that broadcasts as a ProblemInstance needs:
+    a per-agent residual plus a term on the point alone."""
+    rng = np.random.default_rng(3)
+    A, b = rng.standard_normal((n, m, d)), rng.standard_normal((n, m))
+    At = A.transpose(0, 2, 1)
+    return ProblemInstance(
+        n=n, d=d, ell=1.0, f_low=-np.inf,
+        residual=lambda X: (A @ X[..., None])[..., 0] - b,
+        cost_from=lambda X, R: 0.5 * np.vecdot(R, R) + np.sum(np.cos(X), axis=-1),
+        grad_from=lambda X, R: (At @ R[..., None])[..., 0] - np.sin(X))
+
+
+@pytest.mark.parametrize("make", [_by_hand, lambda: make_quadratic(7, 9, seed=2),
+                                  lambda: make_nonconvex(7, 9, seed=2)],
+                         ids=["by_hand", "quadratic", "nonconvex"])
+def test_shared_point_matches_the_point_tiled_to_n_rows(make):
+    # the shared point reaches the family as one row; every agent's cost and
+    # gradient, and f, are those of n copies of it, bit for bit
+    prob = make()
+    rng = np.random.default_rng(prob.n)
+    for x in (rng.standard_normal(prob.d) * 3.0, rng.standard_normal((4, prob.d)) * 3.0):
+        X = np.repeat(x[..., None, :], prob.n, axis=-2)
+        costs, G = prob.at_shared(x)
+        assert np.array_equal(costs, _costs(prob, X))
+        assert np.array_equal(G, prob.stacked_gradients(X))
+        for point, row in zip(np.atleast_2d(x), np.atleast_2d(_costs(prob, X))):
+            assert prob.f(point) == float(np.sum(row)) / prob.n

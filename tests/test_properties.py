@@ -33,6 +33,16 @@ KINDS = ("one_bit", "sat_quant", "top_k", "norm_sign", "unbiased_kbit", "rand_k"
 T = 5
 
 
+def _section(kind, **noise):
+    """A compressor section for ``kind`` with the parameters it reads, at
+    fixed values."""
+    make = config.KINDS[kind]
+    names = (("kbits", "step") if not isinstance(make, type)
+             else [f.name for f in dataclasses.fields(make) if not f.kw_only])
+    values = {"level": "1.5", "step": "0.4", "k": "2", "kbits": "3"}
+    return {"kind": kind, **{name: values[name] for name in names}, **noise}
+
+
 @st.composite
 def cases(draw, kind, init_mode, noises=("0", "0.3")):
     n = draw(st.integers(3, 10))
@@ -43,13 +53,12 @@ def cases(draw, kind, init_mode, noises=("0", "0.3")):
     problem = make(n, d, seed=draw(st.integers(0, 2 ** 16)))
     noise = draw(st.sampled_from(noises))
     noise_outer = draw(st.sampled_from(("0", "0.2")))
-    section = {"kind": kind, "level": "1.5", "step": "0.4", "k": "2", "kbits": "3"}
     # only the noise keys the kind reads; every draw above is unconditional,
     # so the derandomized examples do not depend on the kind
     if kind.startswith("compose_"):
-        section.update(noise_inner=noise, noise_outer=noise_outer)
+        section = _section(kind, noise_inner=noise, noise_outer=noise_outer)
     else:
-        section["noise"] = noise
+        section = _section(kind, noise=noise)
     compressor = config.build_compressor_from({"compressor": section},
                                               draw(st.integers(0, 2 ** 64 - 1)))
     try:
@@ -188,7 +197,7 @@ def test_certified_selection_shrinks_the_scale_inside_the_region(regime, kind, t
     make = data.draw(st.sampled_from((make_quadratic, make_nonconvex)))
     problem = make(n, d, seed=data.draw(st.integers(0, 2 ** 16)))
     compressor = config.build_compressor_from(
-        {"compressor": {"kind": kind, "level": "1.5", "step": "0.4"}},
+        {"compressor": _section(kind)},
         data.draw(st.integers(0, 2 ** 64 - 1)))
     contract = compressor.contract(d)
     sel = theorem_params(regime, problem, graph, contract, T=horizon,
