@@ -3,9 +3,9 @@
 ``GRAMMAR`` states each section's keys with their types and defaults, and
 ``section`` is its one reader.  One plain-string key is checked by the
 layer that owns it: ``[graph] topology`` (ring | path | complete |
-erdos_renyi).  The empirical mode needs alpha, gamma and tau_1; a theoretical
-mode derives them and reads clamp_alpha, tau_0, epsilon, omega and strict
-instead.
+erdos_renyi).  Every mode reads omega (1/r when absent).  The empirical mode
+needs alpha, gamma and tau_1; a theoretical mode derives them and reads
+clamp_alpha, tau_0, epsilon and strict instead.
 
 A JSON file holding one object with the same section names is accepted as an
 alternative input.  All randomness derives from the [algorithm] seed (64-bit
@@ -200,7 +200,8 @@ def regime_options(cfg: dict) -> dict:
 
 
 def build_run_plan(cfg: dict):
-    """Resolve a config into (problem, graph, compressor, hyper, run kwargs)."""
+    """Resolve a config into (problem, graph, compressor, hyper, run_kwargs,
+    feasibility, extras, echo); feasibility and extras are empty in empirical mode."""
     graph = build_graph_from(cfg)
     problem = build_problem_from(cfg, graph.n)
     alg = section(cfg, "algorithm")

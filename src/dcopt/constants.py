@@ -26,6 +26,7 @@ from .errors import InfeasibleParams, OutOfRange
 SAFETY = 0.9         # selected stepsizes sit at this fraction of their caps
 MARGIN = 1.05        # selected gamma and tau_1 sit this factor above kappa_2 and kappa_1
 KAPPA_HAT_3 = 1.0    # free constant in the last term of kappa_tilde_3
+DESCENT_STEPS = 31   # most times a selection lowers its stepsize to SAFETY x its cap
 
 
 class ConstantTable(dict):
@@ -116,7 +117,7 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
                   + (beta + gamma) ** 2 / (alpha * gamma ** 5)) / rho2 + 0.5
     t["tau_3"] = ((alpha + 1.0) / (2.0 * alpha * gamma ** 2) + 0.5) / rho2 ** 2
 
-    # gradient-dominated (local) family
+    # gradient-dominated (local) family; a cap over 1 - 2 eps_5 = 0 is +inf, as kappa_6 is
     t["kappa_5"] = _kappa5_root(t["phi_1"], t["phi_2"], t["phi_3"], t["phi_4"])
     one_minus = 1.0 - 2.0 * t["eps_5"]
     t["kappa_6"] = math.sqrt((t["eps_5"] + 2.0 * t["eps_5"] ** 2) / (one_minus * t["psi_3"])) \
@@ -138,10 +139,10 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     if T is not None and s0 is not None and l1_0 is not None and C > 0:
         e8 = t["eps_8"]
         t["kappa_8"] = min(
-            math.sqrt(e8 / (one_minus * t["psi_3"] * n * dt ** 2)),
+            math.sqrt(e8 / (one_minus * t["psi_3"] * n * dt ** 2)) if one_minus > 0 else math.inf,
             math.sqrt(e8 * C ** 2 * s0 ** 2 / (2.0 * t["psi_4"] * l1_0)) if l1_0 > 0 else math.inf,
             (e8 / (2.0 * one_minus * t["psi_2"] * t["psi_4"] * n * dt ** 2)) ** (1.0 / 3.0)
-            / T ** (1.0 / 3.0),
+            / T ** (1.0 / 3.0) if one_minus > 0 else math.inf,
         )
         t["kappa_tilde_0_prime"] = min(t["kappa_7"], t["kappa_8"])
         t["kappa_tilde_4"] = t["psi_4"] * l1_0 * alpha ** 2 / C ** 2 \
@@ -155,9 +156,10 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
             KAPPA_HAT_3 * dt ** 2 / math.sqrt(n),
         )
         # exact-first-round constants
-        t["kappa_0"] = (e8 / (2.0 * one_minus * t["psi_2"] * t["psi_4"])) ** (1.0 / 3.0)
+        t["kappa_0"] = (e8 / (2.0 * one_minus * t["psi_2"] * t["psi_4"])) ** (1.0 / 3.0) \
+            if one_minus > 0 else math.inf
         t["kappa_3"] = max(tau_0 ** 3 / (n * dt ** 2 * t["kappa_7"] ** 3),
-                           (one_minus * t["psi_3"] * tau_0 ** 2 / e8) ** 1.5
+                           (max(one_minus, 0.0) * t["psi_3"] * tau_0 ** 2 / e8) ** 1.5
                            * math.sqrt(n) * dt)
         t["kappa_4"] = 2.0 * t["psi_4"] * l1_0 / (C ** 2 * e8 * n)
     else:
@@ -165,8 +167,8 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
                      "kappa_tilde_3", "kappa_0", "kappa_3", "kappa_4"):
             t[name] = None
 
-    # gradient-dominated local regime
-    if nu is not None and t["psi_5"] is not None and np.isfinite(t["psi_5"]):
+    # gradient-dominated local regime, null where psi_5 is infinite or 0 (eps_5 = 1/2)
+    if t["psi_5"] is not None and 0.0 < t["psi_5"] < math.inf:
         t["kappa_6_prime"] = math.sqrt((t["eps_5"] + 2.0 * t["eps_5"] ** 2)
                                        / (one_minus * t["psi_3"] + t["psi_4"] * t["psi_5"]))
         t["kappa_0_prime"] = min(t["kappa_hat_0"], t["kappa_5"],
@@ -272,16 +274,15 @@ def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: 
                              s0=s0, nu=problem.pl_nu, tau_0=tau_0)
 
 
-def _fixed_point_alpha(table, cap: str) -> tuple:
-    """Iterate alpha = SAFETY * cap(alpha) down from a tiny stepsize until it
-    stops decreasing; returns the stepsize and the table at it."""
-    alpha, tab = None, table(1e-9)
-    for _ in range(32):
+def _descend(table, cap: str, alpha: float, steps: int = DESCENT_STEPS) -> tuple:
+    """Set alpha = SAFETY * table(alpha)[cap] while that lowers it, at most
+    ``steps`` times; returns the stepsize and the table at it."""
+    tab = table(alpha)
+    for _ in range(steps):
         cand = SAFETY * tab[cap]
-        if alpha is not None and cand >= alpha:
+        if not cand < alpha:
             break
-        alpha = cand
-        tab = table(alpha)
+        alpha, tab = cand, table(cand)
     return alpha, tab
 
 
@@ -292,11 +293,14 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     """Produce a complete parameter set for one convergence regime.
 
     Structural constraints are satisfied by construction; horizon-style
-    preconditions are evaluated and reported in ``feasibility``.  With
-    ``clamp_alpha`` the stepsize is lowered to the admissible range
-    min(kappa_7, kappa_8(T)) when the horizon-scaled value exceeds it, so
-    the induction behind the region guarantee applies as proved.  With
-    ``strict`` any False flag raises InfeasibleParams.
+    preconditions are evaluated and reported in ``feasibility``.  One rule
+    sets every stepsize: from a start, alpha = SAFETY * cap(alpha) while
+    that lowers alpha, the cap read from the regime's table at alpha.  T1/T2
+    start at the horizon display and descend on kappa_tilde_0_prime =
+    min(kappa_7, kappa_8(T)) only with ``clamp_alpha`` (so the induction
+    behind the region guarantee applies as proved), T2's s0 moving with
+    alpha; T3 and T5/T6 start at SAFETY * kappa_0_prime or kappa_hat_0_prime
+    at alpha = 1e-9.  With ``strict`` any False flag raises InfeasibleParams.
     """
     if regime not in REGIMES:
         raise InfeasibleParams(f"unknown regime {regime!r}")
@@ -335,28 +339,21 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     if regime in ("T1_local_nonconvex", "T2_local_exact_first"):
         if regime == "T1_local_nonconvex":
             alpha = 1.0 / (n ** 0.25 * dt * math.sqrt(T))
-            s0 = max(s0_floor(x0, contract), 1e-12)
+            s0_fixed = max(s0_floor(x0, contract), 1e-12)
+            s0_at = lambda a: s0_fixed
         else:
             alpha = tau_0 / (n ** (1.0 / 3.0) * dt ** (2.0 / 3.0) * T ** (1.0 / 3.0))
             # kappa_4 depends on neither alpha nor s0; tau_4 = kappa_4 makes
             # the second stepsize cap collapse onto alpha itself, so a
             # factor-2 margin keeps the cap non-binding
-            tau_4 = 2.0 * max(at(alpha, s0=1.0).kappa_4, 1e-12)
-        alpha_display = alpha
-        for _ in range(4):
-            if regime == "T2_local_exact_first":
-                s0 = math.sqrt(tau_4 * n) * alpha
-            tab = at(alpha, s0=s0)
-            limit = SAFETY * tab.kappa_tilde_0_prime
-            if not (clamp_alpha and alpha > limit):
-                break
-            alpha = limit
-        else:
-            # after the fourth clamp s0 stays at the previous stepsize's value
-            tab = at(alpha, s0=s0)
+            extras["tau_4"] = tau_4 = 2.0 * max(at(alpha, s0=1.0).kappa_4, 1e-12)
+            s0_at = lambda a: math.sqrt(tau_4 * n) * a
+        extras["alpha_display"] = alpha
+        alpha, tab = _descend(lambda a: at(a, s0=s0_at(a)), "kappa_tilde_0_prime", alpha,
+                              DESCENT_STEPS if clamp_alpha else 0)
+        s0 = s0_at(alpha)
 
         if regime == "T2_local_exact_first":
-            extras["tau_4"] = tau_4
             feas["tau_0_at_most_kappa_0"] = (tau_0 <= tab.kappa_0, tau_0, tab.kappa_0)
             feas["T_above_kappa_3"] = (T > tab.kappa_3, float(T), tab.kappa_3)
         else:
@@ -369,10 +366,12 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
             tab.eps_8 * s0 ** 2)
         schedule = RecursiveSchedule(s0=s0, eps8=tab.eps_8, kappa4=tab.kappa_tilde_4,
                                      horizon=T)
-        extras["alpha_display"] = alpha_display
 
     elif regime == "T3_local_PL":
-        alpha, tab = _fixed_point_alpha(at, "kappa_0_prime")
+        tab = at(1e-9)
+        if tab.kappa_0_prime is None:  # psi_5 <= 0 once eps_5 >= 1/2; s0 divides by it
+            raise InfeasibleParams(f"{regime}: the P-L family is null (psi_5 = {tab.psi_5:.3g})")
+        alpha, tab = _descend(at, "kappa_0_prime", SAFETY * tab.kappa_0_prime)
         eps_lo = max(tab.kappa_9, tab.kappa_10)
         if not eps_lo < 1.0:
             raise InfeasibleParams("no geometric ratio in (max(kappa_9, kappa_10), 1)")
@@ -390,7 +389,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         extras.update({"kappa_nu": kappa_nu, "epsilon": eps})
 
     else:  # T5 / T6 global regimes
-        alpha, tab = _fixed_point_alpha(at, "kappa_hat_0_prime")
+        alpha, tab = _descend(at, "kappa_hat_0_prime", SAFETY * at(1e-9).kappa_hat_0_prime)
         if not 0.0 < epsilon < 1.0:
             raise InfeasibleParams(f"epsilon must be in (0,1), got {epsilon}")
         s0 = max(float(pnorms(x0, 2.0).max()), 1e-12)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dcopt import cli, config, diagnostics, theorem_params
+from dcopt import cli, config, constants, diagnostics, theorem_params
 from dcopt.algorithm import ConstantSchedule, GeometricSchedule, RecursiveSchedule
 from dcopt.config import build_run_plan, load_config
 from dcopt.errors import ConfigError
@@ -368,6 +368,71 @@ def test_cmd_sweep_divergence_names_the_horizon(tmp_path, capsys):
     path = _write(tmp_path, text, "diverge.ini")
     assert cli.cmd_sweep(path, [300, 310, 320]) == cli.EXIT_DIVERGED
     assert capsys.readouterr().err.startswith("error: divergence: T=300: ")
+
+
+# every kind with the keys it reads, plain and noisy, and top_k with k = d;
+# identity, uniform_quant and top_k with k = d meet omega r (2 delta - delta^2) = 1
+# at the default omega
+MATRIX_KINDS = {"one_bit": "level = 2.0", "sat_quant": "level = 2.0\nstep = 0.5",
+                "top_k": "k = 1", "rand_k": "k = 1", "unbiased_kbit": "kbits = 3",
+                "uniform_quant": "step = 0.5", "compose_kbit_of_uniform": "kbits = 3\nstep = 0.5",
+                "compose_uniform_of_kbit": "kbits = 3\nstep = 0.5"}
+MATRIX_VARIANTS = [
+    *((kind, MATRIX_KINDS.get(kind, "") + extra) for kind in config.KINDS
+      for extra in (("", "\nnoise_inner = 0.5", "\nnoise_outer = 0.5")
+                    if kind.startswith("compose_") else ("", "\nnoise = 0.5"))),
+    ("top_k", "k = 3"), ("top_k", "k = 3\nnoise = 0.5")]
+MATRIX_CONFIG = """
+[problem]
+family = {family}
+d = 3
+seed = 4
+
+[graph]
+topology = ring
+n = 4
+
+[compressor]
+kind = {kind}
+{keys}
+
+[algorithm]
+mode = {mode}
+T = 5
+seed = 9
+alpha = 0.05
+gamma = 1.0
+tau_1 = 2.0
+
+[output]
+directory = out
+svg = false
+"""
+
+
+@pytest.mark.parametrize("kind,keys", MATRIX_VARIANTS,
+                         ids=[kind + "-" + keys.replace("\n", ",")
+                              for kind, keys in MATRIX_VARIANTS])
+def test_every_kind_mode_and_family_exits_with_a_documented_code(tmp_path, monkeypatch,
+                                                                 capsys, kind, keys):
+    monkeypatch.setenv("DCOPT_OUTPUT_ROOT", str(tmp_path))
+    codes = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_DIVERGED,
+             cli.EXIT_VERIFY_FAILED}
+    bad = []
+    for mode in ("empirical", *constants.REGIMES):
+        for family in ("quadratic", "nonconvex"):
+            path = _write(tmp_path, MATRIX_CONFIG.format(family=family, kind=kind,
+                                                         keys=keys, mode=mode))
+            for argv in (["run", path, "--force"], ["params", path]):
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:                       # noqa: BLE001
+                    code = repr(exc)
+                err = capsys.readouterr().err
+                if code not in codes or (code != cli.EXIT_OK and not any(
+                        line.startswith("error: ") for line in err.splitlines())):
+                    bad.append((argv[0], mode, family, code, err))
+    assert not bad, bad
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"

@@ -1,10 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from dcopt import build_graph, compute_constants, make_nonconvex, make_quadratic, theorem_params
-from dcopt.compressors import LOCAL, AssumptionContract, NormContext, OneBit, UnbiasedKBit
+from dcopt import (build_graph, compute_constants, constants, make_nonconvex, make_quadratic,
+                   theorem_params)
+from dcopt.compressors import (LOCAL, AssumptionContract, Identity, NormContext, OneBit, TopK,
+                               UnbiasedKBit, UniformQuantizer)
 from dcopt.constants import _kappa5_root, positivity_flags
 from dcopt.errors import InfeasibleParams
 
@@ -155,3 +158,73 @@ def test_regime_validation():
         theorem_params("T9_unknown", prob, g, local)
     with pytest.raises(InfeasibleParams):
         theorem_params("T1_local_nonconvex", prob, g, local, T=200, strict=True)
+
+
+def test_t2_s0_follows_alpha_through_every_clamp(monkeypatch):
+    # a cap at alpha itself clamps at every step of the descent; each table it
+    # evaluates, the last one included, is at T2's s0 = sqrt(tau_4 n) alpha
+    real, calls = constants.table_at, []
+
+    def shrinking(*args, **kwargs):
+        point = inspect.signature(real).bind(*args, **kwargs).arguments
+        tab = real(*args, **kwargs)
+        tab["kappa_tilde_0_prime"] = point["alpha"]
+        calls.append((point["alpha"], point.get("s0"), tab))
+        return tab
+
+    monkeypatch.setattr(constants, "table_at", shrinking)
+    prob = make_nonconvex(6, 4, seed=5)
+    g = build_graph("ring", 6)
+    sel = theorem_params("T2_local_exact_first", prob, g, OneBit(2.0).contract(4),
+                         T=500, x0_seed=2, clamp_alpha=True)
+    alpha, s0, tab = sel.hyper.alpha, sel.hyper.schedule.s0, sel.table
+    root = math.sqrt(sel.extras["tau_4"] * g.n)
+    assert s0 == root * alpha
+    descent = calls[1:]   # the first call sets tau_4, at s0 = 1
+    assert descent[-1] == (alpha, s0, tab) and descent[-1][2] is tab
+    assert all(s == root * a for a, s, _ in descent)
+    assert sel.feasibility["recursive_admissible"] == (
+        tab.kappa_tilde_4 <= tab.eps_8 * s0 ** 2, tab.kappa_tilde_4, tab.eps_8 * s0 ** 2)
+    assert [a for a, _, _ in descent[1:]] == [constants.SAFETY * a for a, _, _ in descent[:-1]]
+    assert len(descent) == constants.DESCENT_STEPS + 1
+
+
+# at the default omega = 1/r, top-k with k = d (local) and the uniform quantizer
+# and identity (global) meet omega r (2 delta - delta^2) = 1, i.e. eps_5 = 1/2
+@pytest.mark.parametrize("regime,compressor", [
+    ("T1_local_nonconvex", TopK(3)), ("T2_local_exact_first", TopK(3)),
+    ("T5_global_nonconvex", UniformQuantizer(0.5)), ("T5_global_nonconvex", Identity()),
+    ("T6_global_PL", UniformQuantizer(0.5)), ("T6_global_PL", Identity())],
+    ids=lambda v: v if isinstance(v, str) else v.kind)
+def test_half_eps5_makes_its_caps_vacuous(regime, compressor):
+    prob = make_quadratic(4, 3, seed=4, condition_number=5.0)
+    g = build_graph("ring", 4)
+    sel = theorem_params(regime, prob, g, compressor.contract(3), T=50, x0_seed=9,
+                         clamp_alpha=True)
+    t = sel.table
+    assert t.eps_5 == 0.5 and t.kappa_6 == math.inf
+    assert t.kappa_6_prime is t.kappa_0_prime is t.kappa_9 is t.kappa_10 is None
+    assert 0.0 < sel.hyper.alpha < math.inf
+    if regime.startswith(("T1", "T2")):
+        assert t.kappa_0 == math.inf and 0.0 < t.kappa_8 < math.inf
+        assert 0.0 < sel.hyper.schedule.s0 < math.inf
+
+
+def test_half_eps5_leaves_t3_no_stepsize():
+    # T3's s0 divides by psi_5, which is 0 at eps_5 = 1/2
+    prob = make_quadratic(4, 3, seed=4, condition_number=5.0)
+    g = build_graph("ring", 4)
+    with pytest.raises(InfeasibleParams, match="P-L family is null"):
+        theorem_params("T3_local_PL", prob, g, TopK(3).contract(3), x0_seed=9)
+
+
+@pytest.mark.parametrize("regime", ["T1_local_nonconvex", "T2_local_exact_first"])
+def test_omega_in_its_slack_above_one_over_r(regime):
+    # omega may exceed 1/r by 1e-12 (a decimal spelling of 1/r); with delta = 1
+    # that takes 1 - 2 eps_5 just below 0, where the same caps are vacuous
+    prob = make_nonconvex(4, 3, seed=4)
+    g = build_graph("ring", 4)
+    sel = theorem_params(regime, prob, g, TopK(3).contract(3), T=50, x0_seed=9,
+                         omega=1.0 + 5e-13, clamp_alpha=True)
+    assert sel.table.eps_5 > 0.5 and sel.table.kappa_6 == math.inf
+    assert 0.0 < sel.hyper.alpha < math.inf and 0.0 < sel.table.kappa_8 < math.inf
