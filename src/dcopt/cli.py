@@ -109,14 +109,14 @@ def _plot(trace, path: Path) -> None:
 @_exit_codes
 def cmd_run(config: str, force: bool = False) -> int:
     cfg = cfgmod.load_config(config)
-    problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
-        cfgmod.build_run_plan(cfg)
+    plan = cfgmod.build_run_plan(cfg)
     out = cfgmod.section(cfg, "output")
     path = _out_dir(out, "dcopt-out")
     _prepare_dir(path, force or out["force"],
                  (["trace.csv"] if out["csv"] else []) + ["summary.json"]
                  + ([fname for _, _, fname in PLOTS] if out["svg"] else []))
-    trace = algorithm.run(problem, graph, compressor, hyper, config_echo=echo, **run_kwargs)
+    trace = algorithm.run(plan.problem, plan.graph, plan.compressor, plan.hyper,
+                          config_echo=plan.echo, **plan.run_kwargs)
 
     if out["csv"]:
         diagnostics.write_csv(trace, path / "trace.csv")
@@ -131,15 +131,15 @@ def cmd_run(config: str, force: bool = False) -> int:
         except DcoptError:
             pass
     checks = {}
-    contract = run_kwargs.get("contract")
+    contract = plan.run_kwargs.get("contract")
     if contract is not None and contract.cls == LOCAL:
-        rep = diagnostics.contraction_local_check(trace, contract, hyper.omega)
+        rep = diagnostics.contraction_local_check(trace, contract, plan.hyper.omega)
         checks[rep.name] = {"checked": rep.checked, "violations": rep.violations}
 
     diagnostics.write_summary(trace, path / "summary.json", extra={
         "feasibility": {k: {"ok": ok, "value": v, "bound": b}
-                        for k, (ok, v, b) in feas.items()},
-        "extras": {k: v for k, v in extras.items() if np.isscalar(v)},
+                        for k, (ok, v, b) in plan.feasibility.items()},
+        "extras": {k: v for k, v in plan.extras.items() if np.isscalar(v)},
         "rate_fits": fits,
         "checks": checks,
     })
@@ -156,30 +156,29 @@ def cmd_sweep(config: str, horizons, force: bool = False) -> int:
     if len(horizons) < 3:
         raise ConfigError("sweep needs at least 3 distinct horizons")
     cfg = cfgmod.load_config(config)
+    graph = cfgmod.build_graph_from(cfg)
+    problem = cfgmod.build_problem_from(cfg, graph.n)
+    compressor = cfgmod.build_compressor_from(cfg, cfgmod.section(cfg, "algorithm")["seed"])
+    plans = [cfgmod.plan_at(cfg, problem, graph, compressor, T) for T in horizons]
+    out = cfgmod.section(cfg, "output")
+    path = _out_dir(out, "dcopt-sweep")
+    _prepare_dir(path, force or out["force"], ["sweep.json"])
 
     rows = []
-    for T in horizons:
-        cfg_t = {sec: dict(vals) for sec, vals in cfg.items()}
-        cfg_t.setdefault("algorithm", {})["T"] = str(T)
-        cfg_t["algorithm"].pop("t", None)
-        problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
-            cfgmod.build_run_plan(cfg_t)
+    for T, plan in zip(horizons, plans):
         try:
-            trace = algorithm.run(problem, graph, compressor, hyper,
-                                  config_echo=echo, **run_kwargs)
+            trace = algorithm.run(problem, graph, compressor, plan.hyper,
+                                  config_echo=plan.echo, **plan.run_kwargs)
         except NonFiniteState as exc:
             raise NonFiniteState(f"T={T}: {exc}", exc.iteration) from exc
         metric = float(np.mean(trace.grad_sq[:-1] + trace.consensus[:-1]))
-        rows.append({"T": T, "avg_metric": metric, "alpha": hyper.alpha,
+        rows.append({"T": T, "avg_metric": metric, "alpha": plan.hyper.alpha,
                      "bits": int(trace.bits_cum[-1])})
 
     exponent, r2 = diagnostics.rate_fit([r["T"] for r in rows],
                                         [r["avg_metric"] for r in rows],
                                         "power_law", burn_in_frac=0.0)
     result = {"rows": rows, "fit": {"exponent": exponent, "r_squared": r2}}
-    out = cfgmod.section(cfg, "output")
-    path = _out_dir(out, "dcopt-sweep")
-    _prepare_dir(path, force or out["force"], ["sweep.json"])
     with open(path / "sweep.json", "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
@@ -222,20 +221,20 @@ def cmd_verify(config: str, samples: int = 10_000, trials: int = 10_000) -> int:
 @_exit_codes
 def cmd_params(config: str) -> int:
     cfg = cfgmod.load_config(config)
-    problem, graph, compressor, hyper, run_kwargs, feas, extras, echo = \
-        cfgmod.build_run_plan(cfg)
+    plan = cfgmod.build_run_plan(cfg)
+    hyper, run_kwargs = plan.hyper, plan.run_kwargs
     sched = hyper.schedule
-    table = table_at(problem, graph, run_kwargs["contract"], hyper.gamma, hyper.tau_1,
-                     hyper.omega, hyper.alpha,
+    table = table_at(plan.problem, plan.graph, run_kwargs["contract"], hyper.gamma,
+                     hyper.tau_1, hyper.omega, hyper.alpha,
                      s0=sched.s0 if sched.mode == "recursive" else None,
                      T=run_kwargs["T"], tau_0=cfgmod.section(cfg, "algorithm")["tau_0"],
                      x0=run_kwargs["x0"])
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
-                  "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": echo["schedule"]},
+                  "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": plan.echo["schedule"]},
         "constants": table.as_dict(),
         "feasibility": {k: {"ok": ok, "value": v, "bound": b}
-                        for k, (ok, v, b) in feas.items()},
+                        for k, (ok, v, b) in plan.feasibility.items()},
     }
     print(json.dumps(diagnostics.json_safe(payload), indent=2, default=str))
     return EXIT_OK

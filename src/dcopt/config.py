@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import compressors as comp
 from .algorithm import (INIT_MODES, ConstantSchedule, GeometricSchedule, HyperParams, draw_x0,
@@ -25,8 +26,8 @@ from .algorithm import (INIT_MODES, ConstantSchedule, GeometricSchedule, HyperPa
 from .compressors import LOCAL
 from .constants import REGIMES, theorem_params
 from .errors import ConfigError
-from .graph import build_graph
-from .problems import make_nonconvex, make_quadratic
+from .graph import NetworkGraph, RingGraph, build_graph
+from .problems import ProblemInstance, make_nonconvex, make_quadratic
 
 # a class reads its positional fields and ``noise``; a composition reads kbits, step,
 # noise_inner and noise_outer; a kind refuses the keys it does not read
@@ -199,14 +200,31 @@ def regime_options(cfg: dict) -> dict:
     return {key: alg[key] for key in ("omega", "tau_0", "epsilon", "clamp_alpha", "strict")}
 
 
-def build_run_plan(cfg: dict):
-    """Resolve a config into (problem, graph, compressor, hyper, run_kwargs,
-    feasibility, extras, echo); feasibility and extras are empty in empirical mode."""
+class RunPlan(NamedTuple):
+    """A config resolved for one run; feasibility and extras are empty in empirical mode."""
+    problem: ProblemInstance
+    graph: NetworkGraph | RingGraph
+    compressor: comp.Compressor
+    hyper: HyperParams
+    run_kwargs: dict
+    feasibility: dict
+    extras: dict
+    echo: dict
+
+
+def build_run_plan(cfg: dict) -> RunPlan:
+    """Build the graph, problem and compressor of ``cfg``, and its plan at its own T."""
     graph = build_graph_from(cfg)
     problem = build_problem_from(cfg, graph.n)
     alg = section(cfg, "algorithm")
-    seed, T, mode, init_mode = alg["seed"], alg["t"], alg["mode"], alg["init_mode"]
-    compressor = build_compressor_from(cfg, seed)
+    return plan_at(cfg, problem, graph, build_compressor_from(cfg, alg["seed"]), alg["t"])
+
+
+def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
+    """The plan of ``cfg`` at horizon ``T`` for a built problem, graph and compressor;
+    of a whole plan, only this selection depends on T."""
+    alg = section(cfg, "algorithm")
+    seed, mode, init_mode = alg["seed"], alg["mode"], alg["init_mode"]
     contract = compressor_contract(compressor, problem.d, cfg)
     if T is None or T < 1:
         raise ConfigError("algorithm.T must be an integer >= 1")
@@ -233,10 +251,8 @@ def build_run_plan(cfg: dict):
     else:
         sel = theorem_params(mode, problem, graph, contract, T=T, x0_seed=seed,
                              **regime_options(cfg))
-        hyper, x0 = sel.hyper, sel.x0
-        init_mode = sel.init_mode
-        feasibility = sel.feasibility
-        extras = sel.extras
+        hyper, x0, init_mode = sel.hyper, sel.x0, sel.init_mode
+        feasibility, extras = sel.feasibility, sel.extras
 
     run_kwargs = dict(T=T, init_mode=init_mode, x0=x0, contract=contract)
     echo = {"mode": mode, "seed": seed, "alpha": hyper.alpha, "beta": hyper.beta,
@@ -244,4 +260,4 @@ def build_run_plan(cfg: dict):
             "schedule": {"mode": hyper.schedule.mode, **asdict(hyper.schedule)},
             "compressor": repr(compressor), "graph": graph.topology, "n": graph.n,
             "d": problem.d, "family": problem.family}
-    return problem, graph, compressor, hyper, run_kwargs, feasibility, extras, echo
+    return RunPlan(problem, graph, compressor, hyper, run_kwargs, feasibility, extras, echo)

@@ -392,9 +392,10 @@ directory = {tmp_path / 'run'}
 
     # the batched engine must equal the per-agent reference loop bit for bit
     from dcopt.config import build_run_plan, load_config
-    problem, graph, cpr, hyper, kwargs, _, _, _ = build_run_plan(load_config(p))
-    batched = dcopt.run(problem, graph, cpr, hyper, **kwargs)
-    ref, _ = oracle.run(problem, graph, cpr, hyper, kwargs["T"], kwargs["init_mode"],
+    plan = build_run_plan(load_config(p))
+    args, kwargs = (plan.problem, plan.graph, plan.compressor, plan.hyper), plan.run_kwargs
+    batched = dcopt.run(*args, **kwargs)
+    ref, _ = oracle.run(*args, kwargs["T"], kwargs["init_mode"],
                         x0=kwargs["x0"], contract=kwargs["contract"])
     csv_equal = first == second
     arrays_equal = not oracle.mismatches(

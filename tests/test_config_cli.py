@@ -2,9 +2,10 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dcopt import cli, config, constants, diagnostics, theorem_params
+from dcopt import algorithm, cli, config, constants, diagnostics, theorem_params
 from dcopt.algorithm import ConstantSchedule, GeometricSchedule, RecursiveSchedule
 from dcopt.config import build_run_plan, load_config
 from dcopt.errors import ConfigError
@@ -89,7 +90,7 @@ def _as_json(tmp_path, text, edit):
                                   {"algorithm": {"alpha": True}}])
 def test_json_numbers_are_not_truncated(tmp_path, capsys, edit):
     text = BASE_CONFIG.format(out=tmp_path / "o13")
-    assert build_run_plan(load_config(_as_json(tmp_path, text, {"graph": {"n": 4.0}})))[1].n == 4
+    assert build_run_plan(load_config(_as_json(tmp_path, text, {"graph": {"n": 4.0}}))).graph.n == 4
     path = _as_json(tmp_path, text, edit)
     with pytest.raises(ConfigError, match="bad value"):
         build_run_plan(load_config(path))
@@ -259,7 +260,7 @@ def test_summary_reproduces_schedule(tmp_path, edit):
     assert cli.cmd_run(path) == cli.EXIT_OK
     saved = json.loads((out / "summary.json").read_text())["config"]["schedule"]
     rebuilt = SCHEDULES[saved.pop("mode")](**saved)
-    assert rebuilt == build_run_plan(load_config(path))[3].schedule
+    assert rebuilt == build_run_plan(load_config(path)).hyper.schedule
 
 
 def test_cmd_run_deterministic_csv(tmp_path):
@@ -368,6 +369,71 @@ def test_cmd_sweep_divergence_names_the_horizon(tmp_path, capsys):
     path = _write(tmp_path, text, "diverge.ini")
     assert cli.cmd_sweep(path, [300, 310, 320]) == cli.EXIT_DIVERGED
     assert capsys.readouterr().err.startswith("error: divergence: T=300: ")
+
+
+def _count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cmd_sweep_refuses_to_overwrite_before_it_runs(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o14"
+    out.mkdir()
+    (out / "sweep.json").write_text("{}")
+    path = _write(tmp_path, BASE_CONFIG.format(out=out), "sweep.ini")
+    runs = _count_calls(monkeypatch, algorithm, "run")
+    assert cli.cmd_sweep(path, [20, 40, 80]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config: refusing to overwrite")
+    assert runs == []
+    assert (out / "sweep.json").read_text() == "{}"
+
+
+def test_cmd_sweep_builds_once(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "o15"), "sweep.ini")
+    builds = [_count_calls(monkeypatch, config, name) for name in
+              ("build_graph_from", "build_problem_from", "build_compressor_from")]
+    assert cli.cmd_sweep(path, [20, 40, 80]) == cli.EXIT_OK
+    assert [len(calls) for calls in builds] == [1, 1, 1]
+
+
+GLOBAL_KIND = ("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit\nkbits = 3")
+# one config per selection rule
+RESELECT_EDITS = {
+    "empirical": [],
+    "T1": [("mode = empirical", "mode = T1_local_nonconvex")],
+    "T1_clamped": [("mode = empirical", "mode = T1_local_nonconvex\nclamp_alpha = true")],
+    "T2": [("mode = empirical", "mode = T2_local_exact_first")],
+    "T3": [("mode = empirical", "mode = T3_local_PL")],
+    "T5": [("mode = empirical", "mode = T5_global_nonconvex"), GLOBAL_KIND],
+    "T6": [("mode = empirical", "mode = T6_global_PL"), GLOBAL_KIND],
+}
+
+
+@pytest.mark.parametrize("edits", RESELECT_EDITS.values(), ids=RESELECT_EDITS)
+def test_plan_at_reselects_a_built_plan_at_another_horizon(tmp_path, edits):
+    text = BASE_CONFIG.format(out=tmp_path / "o16")
+    for edit in edits:
+        text = text.replace(*edit)
+    cfg = load_config(_write(tmp_path, text))
+    built = build_run_plan(cfg)
+    for T in (7, 300):
+        want = build_run_plan(load_config(_write(tmp_path, text.replace("T = 20", f"T = {T}"),
+                                                 f"T{T}.ini")))
+        got = config.plan_at(cfg, built.problem, built.graph, built.compressor, T)
+        assert got.run_kwargs["T"] == T
+        assert got.hyper == want.hyper  # the schedule with it
+        assert np.array_equal(got.run_kwargs.pop("x0"), want.run_kwargs.pop("x0"))
+        assert got.run_kwargs == want.run_kwargs
+        assert got.feasibility == want.feasibility
+        assert got.extras == want.extras
+        assert got.echo == want.echo
 
 
 # every kind with the keys it reads, plain and noisy, and top_k with k = d;

@@ -84,6 +84,17 @@ def test_theorem1_alpha_display():
     assert "T_above_kappa_tilde_3" in sel.feasibility
 
 
+def test_theorem2_alpha_display():
+    prob = make_nonconvex(10, 4, seed=3)
+    g = build_graph("complete", 10)
+    display = [theorem_params("T2_local_exact_first", prob, g, OneBit(1.0).contract(4),
+                              T=T, x0_seed=1).extras["alpha_display"] for T in (1000, 8000)]
+    d_tilde = 4 ** 0.5
+    assert display[0] == pytest.approx(
+        1.0 / (10 ** (1 / 3) * d_tilde ** (2 / 3) * 1000 ** (1 / 3)))
+    assert display[1] == pytest.approx(display[0] / 2)
+
+
 def test_theorem1_clamped_alpha_certifies_recursion():
     prob = make_nonconvex(6, 4, seed=5)
     g = build_graph("ring", 6)
