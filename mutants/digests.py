@@ -24,6 +24,8 @@ CONFIGS = REPO / "demos" / "configs"
 
 COMMANDS = (
     ("run", "one_bit_ring.ini"),
+    # one trace row per record block, and dither and channel noise every round
+    ("run", "kbit_ring.ini"),
     ("sweep", "t1_sweep.ini", "--horizons", "100", "200", "400"),
     ("params", "one_bit_ring.ini"),
     ("params", "t1_sweep.ini"),

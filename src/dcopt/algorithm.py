@@ -96,7 +96,7 @@ class HyperParams:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 
-@dataclass
+@dataclass(slots=True)
 class AlgorithmState:
     x: np.ndarray          # n x d primal iterates
     v: np.ndarray          # n x d dual variables
@@ -179,15 +179,21 @@ def init_state(problem, graph, hyper: HyperParams, init_mode: str = "standard",
                           k=0, s_k=s0, bits_cum=bits)
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite, by one dot product: a finite sum of squares
+    says so; one that is not, or overflows (from ~1e155), defers to each entry."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def step(state: AlgorithmState, problem, graph, compressor: Compressor,
          hyper: HyperParams) -> AlgorithmState:
-    """Advance one iteration; pure in (state, seeds)."""
+    """Advance one iteration; pure in (state, seeds), and in new arrays."""
     if state.s_k <= 0:
         raise ConfigError(f"s_k must be positive, got {state.s_k}")
     s, k = state.s_k, state.k
     with np.errstate(over="ignore", invalid="ignore"):
         U = (state.x - state.x_hat) / s
-        if not np.isfinite(U).all():
+        if not _finite(U):
             raise NonFiniteState(f"non-finite compressor input at iteration {k}", iteration=k)
         Q, bits = compressor.apply(U, k)
         x_hat = state.x_hat + hyper.omega * s * Q
@@ -195,9 +201,8 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
         G = problem.stacked_gradients(state.x)
         x = state.x - hyper.alpha * (hyper.beta * y + hyper.gamma * state.v + G)
         v = state.v + hyper.alpha * hyper.gamma * y
-
-    if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(x_hat).all()):
-        raise NonFiniteState(f"non-finite state at iteration {k}", iteration=k)
+        if not (_finite(x) and _finite(v) and _finite(x_hat)):
+            raise NonFiniteState(f"non-finite state at iteration {k}", iteration=k)
     return AlgorithmState(x=x, v=v, x_hat=x_hat, y=y, k=k + 1,
                           s_k=hyper.schedule.value(k + 1),
                           bits_cum=state.bits_cum + bits)
@@ -211,8 +216,8 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
 
     The trace has T+1 rows; row k pairs x_k with the surrogate of the
     previous exchange.  The states of up to ``RECORD_BUDGET // (n d)``
-    consecutive rows are recorded in one ``trace_rows`` evaluation; the rows
-    do not depend on where the blocks end.
+    consecutive rows are held by reference and recorded in one
+    ``trace_rows`` evaluation; the rows do not depend on where blocks end.
     """
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
@@ -229,27 +234,25 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
     rows = np.zeros(T + 1, TRACE_DTYPE)
     n, d = state.x.shape
     size = max(1, RECORD_BUDGET // (n * d))
-    # a block row's x, v and x_hat, and its x_hat after the exchange; a block
-    # of one row records views of the states instead
-    block = np.empty((4, size, n, d)) if size > 1 else None
+    block = []  # the pending rows' states, by reference: a step leaves its input alone
     # diagnostics on a diverging state may transiently overflow; the step
     # itself raises NonFiniteState before the next round starts
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T + 1):
-            new_state = step(state, problem, graph, compressor, hyper) if k < T else state
-            row = rows[k]
-            row["k"], row["s_k"], row["bits_cum"] = state.k, state.s_k, state.bits_cum
-            j = k % size
-            arrays = (state.x, state.v, state.x_hat, new_state.x_hat)
-            if block is not None:
-                for buf, a in zip(block, arrays):
-                    buf[j] = a
-            if j + 1 == size or k == T:
-                X, V, Xhat, post = [a[None] for a in arrays] if block is None else block[:, :j + 1]
-                # the final row has no exchange after it
-                trace_rows(rows[k - j:k + 1], X, V, Xhat, post[:j + (k < T)],
+            block.append(state)
+            if k < T:
+                state = step(state, problem, graph, compressor, hyper)
+            if len(block) == size or k == T:
+                part = rows[k + 1 - len(block):k + 1]
+                part["k"], part["s_k"], part["bits_cum"] = zip(
+                    *[(s.k, s.s_k, s.bits_cum) for s in block])
+                # each row's x, v and x_hat, and x_hat after its exchange (the final
+                # row, then ``state`` itself, has none); a single row as views
+                X, V, Xhat, post = (a[0][None] if len(a) == 1 else np.stack(a) for a in zip(
+                    *[(s.x, s.v, s.x_hat, t.x_hat) for s, t in zip(block, block[1:] + [state])]))
+                trace_rows(part, X, V, Xhat, post[:len(block) - (k == T)],
                            problem, graph, hyper, contract)
-            state = new_state
+                block = []
 
     echo = dict(config_echo or {})
     echo.setdefault("T", T)

@@ -104,6 +104,11 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     return tuple(float(cols[name][0]) for name in ("e1", "e2", "e3", "e4", "e5"))
 
 
+def _pmax(D: np.ndarray, p: float) -> np.ndarray:
+    """Each state's largest p-norm over agents; at p = inf one exact max."""
+    return np.max(np.abs(D), axis=(-2, -1)) if p == np.inf else pnorms(D, p).max(axis=-1)
+
+
 def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
                Xhat_next: np.ndarray, problem, graph, hyper, contract) -> None:
     """Fill a block of trace rows from the states stacked along the leading
@@ -121,12 +126,12 @@ def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     cols, diff = _columns(X, V, Xhat, problem, graph, hyper.gamma, hyper.beta)
     for name, column in cols.items():
         rows[name] = column
-    pre = pnorms(diff, p).max(axis=-1)
+    pre = _pmax(diff, p)
     rows["surr_pre_pmax"] = pre
     rows["region_ok"] = pre <= contract.C * rows["s_k"] * (1.0 + 1e-12) if local else True
     m = len(Xhat_next)
     post = X[:m] - Xhat_next
-    rows["surr_post_pmax"][:m] = pnorms(post, p).max(axis=-1)
+    rows["surr_post_pmax"][:m] = _pmax(post, p)
     rows["surr_post_l2sq"][:m] = _total(post * post)
     rows["surr_post_pmax"][m:] = rows["surr_post_l2sq"][m:] = np.nan
 

@@ -142,18 +142,19 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
     y = np.where(_matvec(A, draws[:, :d]) + 0.3 * draws[:, d:] >= 0, 1.0, -1.0)
 
     ell = 0.25 + 2.0 * lam
-    neg_y, At = -y, A.transpose(0, 2, 1)
+    At = A.transpose(0, 2, 1)
 
+    # the margins P = y a^T x; the loss reads -P, and a sign flip is exact
     def margins(X):
-        return neg_y * _matvec(A, X)
+        return y * _matvec(A, X)
 
-    def costs(X, Z):
-        logistic = np.mean(np.logaddexp(0.0, Z), axis=-1)
+    def costs(X, P):
+        logistic = np.mean(np.logaddexp(0.0, -P), axis=-1)
         return logistic + lam * np.sum(X * X / (1.0 + X * X), axis=-1)
 
-    def grads(X, Z):
-        sig = 1.0 / (1.0 + np.exp(-Z))
-        G = -_matvec(At, y * sig) / m
+    def grads(X, P):
+        sig = 1.0 / (1.0 + np.exp(P))
+        G = _matvec(At, y * sig) / -m
         return G + lam * 2.0 * X / (1.0 + X * X) ** 2
 
     return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, residual=margins, cost_from=costs,

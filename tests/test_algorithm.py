@@ -213,23 +213,27 @@ def test_divergence_detected(monkeypatch):
 
 # (the array, state edits, hyperparameters): from a finite state whose rows
 # are equal, every one-bit output is +2 and L Q = 0 exactly, and each case
-# makes one array non-finite after the round, or the compressor input
+# makes one array non-finite after the round, or the compressor input.  The
+# last case stays finite, but the sums of squares of the compressor input,
+# x, v and x_hat overflow, so the finiteness checks fall back to each entry
 NON_FINITE = [
     ("x", {"x": 1e3}, dict(alpha=np.finfo(float).max)),
     ("v", {"y": 1e308}, dict(alpha=1.0, beta=1e-10, gamma=10.0)),
     ("x_hat", {"s_k": 1e308}, {}),
     ("compressor input", {"x": 1e10, "s_k": 1e-300}, {}),
+    (None, {"x": 2e200, "v": 1e200, "x_hat": 1e200}, dict(alpha=1e-10)),
 ]
 
 
-@pytest.mark.parametrize("name,edits,hyper", NON_FINITE, ids=[c[0] for c in NON_FINITE])
+@pytest.mark.parametrize("name,edits,hyper", NON_FINITE,
+                         ids=[c[0] or "finite_overflowing_squares" for c in NON_FINITE])
 def test_step_refuses_each_non_finite_array(name, edits, hyper):
     prob, g = make_quadratic(5, 3, seed=2), build_graph("ring", 5)
     ones = np.ones((5, 3))
     state = algorithm.AlgorithmState(x=ones, v=0 * ones, x_hat=0 * ones, y=0 * ones, k=7,
                                      s_k=1.0, bits_cum=0)
     for key, value in edits.items():
-        setattr(state, key, value * ones if key in ("x", "y") else value)
+        setattr(state, key, value if key == "s_k" else value * ones)
     hyper = _hyper(**{"omega": 1.0, **hyper})
     # the round written out: only the named array is non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,15 +243,62 @@ def test_step_refuses_each_non_finite_array(name, edits, hyper):
         v = state.v + hyper.alpha * hyper.gamma * state.y
         arrays = {"compressor input": (state.x - state.x_hat) / state.s_k,
                   "x": x, "v": v, "x_hat": x_hat}
-    assert [key for key, a in arrays.items() if not np.isfinite(a).all()] == [name]
+        squares = [np.vdot(a, a) for a in arrays.values()]
+    non_finite = [key for key, a in arrays.items() if not np.isfinite(a).all()]
+    assert non_finite == ([name] if name else [])
     # the round's overflow is the check's to report, not a floating-point warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if name is None:
+            assert squares == [np.inf] * 4
+            new = step(state, prob, g, OneBit(4.0), hyper)
+            assert new.k == 8 and all(np.array_equal(getattr(new, key), arrays[key])
+                                      for key in ("x", "v", "x_hat"))
+            return
         with pytest.raises(NonFiniteState) as exc:
             step(state, prob, g, OneBit(4.0), hyper)
     what = name if name == "compressor input" else "state"
     assert str(exc.value) == f"non-finite {what} at iteration 7"
     assert exc.value.iteration == 7
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("key", ["x", "v", "x_hat", "y"])
+def test_step_refuses_a_single_non_finite_entry(key, bad):
+    # one entry reaches the compressor input through x or x_hat, and the new
+    # x and v through v or y
+    prob, g = make_quadratic(5, 3, seed=2), build_graph("ring", 5)
+    gen = np.random.default_rng(3)
+    arrays = {name: gen.standard_normal((5, 3)) for name in ("x", "v", "x_hat", "y")}
+    arrays[key][gen.integers(5), gen.integers(3)] = bad
+    state = algorithm.AlgorithmState(**arrays, k=4, s_k=10.0, bits_cum=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as exc:
+            step(state, prob, g, OneBit(4.0), _hyper())
+    what = "compressor input" if key in ("x", "x_hat") else "state"
+    assert str(exc.value) == f"non-finite {what} at iteration 4"
+    assert exc.value.iteration == 4
+
+
+def test_states_share_no_memory():
+    # run holds the states of a block's rows by reference, which is safe only
+    # while a step leaves its input's arrays alone and returns new ones
+    prob, g = make_nonconvex(6, 4, seed=1), build_graph("ring", 6)
+    keys = ("x", "v", "x_hat", "y")
+    for init_mode in algorithm.INIT_MODES:
+        state = init_state(prob, g, _hyper(), init_mode, x0_seed=2)
+        before = [getattr(state, key).copy() for key in keys]
+        new = step(state, prob, g, comp.UnbiasedKBit(3, seed=1), _hyper())
+        assert not any(np.shares_memory(getattr(new, a), getattr(state, b))
+                       for a in keys for b in keys)
+        assert all(np.array_equal(getattr(state, key), old) for key, old in zip(keys, before))
+
+        a = algorithm.draw_x0(6, 4, init_mode, 5)
+        kept = a.copy()
+        final = run(prob, g, Identity(), _hyper(), T=3, init_mode=init_mode, x0=a).final_state
+        assert np.array_equal(a, kept)
+        assert not any(np.shares_memory(getattr(final, key), a) for key in keys)
 
 
 def test_recursive_schedule_needs_horizon():
