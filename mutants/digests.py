@@ -7,12 +7,19 @@ Each command runs in a subprocess with this checkout's ``src`` first on
 directory.  The script prints one line per command, the digest of its
 stdout with its exit code, then one line per file written under the output
 root.  The output root is replaced by ``$DCOPT_OUTPUT_ROOT`` in stdout
-before it is hashed, so two checkouts print the same lines exactly when
-their outputs are byte-identical: run it in each and diff the two listings.
-The digests depend on the NumPy and BLAS builds, so this is no tier-1 test.
+before it is hashed.  The last line is one digest over ``theorem_params`` on
+a grid of regimes, compressor kinds, graphs, problem families, sizes,
+horizons and options, run in this process on this checkout's ``src``: each
+selection's hyperparameters, schedule, init mode, x0 bytes, constant table,
+feasibility and extras, and each refusal's type and message, with the
+counts of selections and of refusals.  Two checkouts print the same lines
+exactly when their outputs are byte-identical: run it in each and diff the
+two listings.  The digests depend on the NumPy and BLAS builds, so this is
+no tier-1 test.
 """
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -38,6 +45,51 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def param_grid() -> str:
+    """The digest line of ``theorem_params`` over the grid.  Every tau_0,
+    epsilon and T in it is valid, so that only the selections and the
+    refusals of regime, contract class, nu, T and the P-L family show."""
+    sys.path.insert(0, str(REPO / "src"))
+    from dcopt import build_graph, compressors as comp, make_nonconvex, make_quadratic
+    from dcopt.constants import REGIMES, theorem_params
+    from dcopt.errors import DcoptError
+
+    def kinds(d):
+        return (comp.OneBit(1.0), comp.SaturatingQuantizer(2.0, 0.5), comp.NormSign(),
+                comp.TopK(1), comp.TopK(d),
+                comp.UnbiasedKBit(3), comp.RandK(2), comp.Scalarization(),
+                comp.UniformQuantizer(0.5), comp.Identity(),
+                comp.with_noise(comp.UnbiasedKBit(8), 0.5),
+                comp.compose_kbit_of_uniform(3, 0.5), comp.compose_uniform_of_kbit(3, 0.5))
+
+    graphs = [build_graph("ring", 5), build_graph("path", 5), build_graph("complete", 5),
+              build_graph("erdos_renyi", 6, prob=0.5, seed=1)]
+    # (clamp_alpha, x0_seed, tau_0, epsilon): each value of each option, and
+    # both tau_0 with either clamp
+    options = ((False, 0, 0.5, 0.9), (False, 1, 1.0, 0.99),
+               (True, 0, 1.0, 0.9), (True, 1, 0.5, 0.99))
+    digest, selections, refusals = hashlib.sha256(), 0, 0
+    for graph, d, family in itertools.product(graphs, (3, 6), ("quadratic", "nonconvex")):
+        problem = (make_quadratic(graph.n, d, seed=d) if family == "quadratic"
+                   else make_nonconvex(graph.n, d, seed=d, m=5))
+        for regime, compressor, T, (clamp, seed, tau_0, epsilon) in itertools.product(
+                REGIMES, kinds(d), (None, 50, 5000), options):
+            try:
+                sel = theorem_params(regime, problem, graph, compressor.contract(d), T=T,
+                                     x0_seed=seed, tau_0=tau_0, epsilon=epsilon,
+                                     clamp_alpha=clamp)
+            except DcoptError as exc:
+                refusals += 1
+                digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            selections += 1
+            digest.update(repr((sel.hyper, sel.init_mode, sel.table.as_dict(),
+                                sel.feasibility, sel.extras)).encode())
+            digest.update(sel.x0.tobytes())
+    return (f"{digest.hexdigest()}  theorem_params grid "
+            f"({selections} selections, {refusals} refusals)")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="dcopt-digests-") as tmp:
         root = Path(tmp)
@@ -53,6 +105,7 @@ def main() -> int:
                   f"(exit {proc.returncode})")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(root)}")
+    print(param_grid())
     return 0
 
 

@@ -228,7 +228,7 @@ def cmd_params(config: str) -> int:
                      hyper.tau_1, hyper.omega, hyper.alpha,
                      s0=sched.s0 if sched.mode == "recursive" else None,
                      T=run_kwargs["T"], tau_0=cfgmod.section(cfg, "algorithm")["tau_0"],
-                     x0=run_kwargs["x0"])
+                     l1_0=plan.extras.get("l1_0"))
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
                   "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": plan.echo["schedule"]},

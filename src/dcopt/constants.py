@@ -44,7 +44,9 @@ class ConstantTable(dict):
 
 def _kappa5_root(phi1, phi2, phi3, phi4) -> float:
     """Smaller positive root of alpha * min(phi1 - a phi2, phi3 - a phi4) = 1,
-    +inf when no root exists."""
+    +inf when no root exists.  That is so for every table: 4 phi_2 > phi_1^2 for all
+    beta, gamma > 0 (as lambda_n >= lambda_2), and a root on the second branch needs
+    lambda_n < 1/32, while every graph that ``build_graph`` makes has lambda_n >= 2."""
     best = math.inf
     for (lin, quad) in ((phi1, phi2), (phi3, phi4)):
         disc = lin * lin - 4.0 * quad
@@ -58,6 +60,14 @@ def _kappa5_root(phi1, phi2, phi3, phi4) -> float:
             if abs(root * min(phi1 - root * phi2, phi3 - root * phi4) - 1.0) < 1e-9:
                 best = min(best, root)
     return best
+
+
+def kappa_12(rho2: float, ell: float) -> tuple:
+    """(kappa_1, kappa_2), the floors of tau_1 and gamma, set by lambda_2 and ell alone."""
+    kappa_1 = 4.0 / rho2
+    return kappa_1, max(2.0 + 2.0 * ell ** 2, 5.0 / rho2,
+                        (16.0 * ell ** 2 * (kappa_1 + 1.0) ** 2 / rho2) ** (1.0 / 3.0),
+                        2.0 * math.sqrt(2.0) * ell / rho2)
 
 
 def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: float,
@@ -75,10 +85,7 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
 
     t = ConstantTable()
     t["beta"] = beta
-    t["kappa_1"] = 4.0 / rho2
-    t["kappa_2"] = max(2.0 + 2.0 * ell ** 2, 5.0 / rho2,
-                       (16.0 * ell ** 2 * (t["kappa_1"] + 1.0) ** 2 / rho2) ** (1.0 / 3.0),
-                       2.0 * math.sqrt(2.0) * ell / rho2)
+    t["kappa_1"], t["kappa_2"] = kappa_12(rho2, ell)
 
     t["phi_1"] = 0.5 * (rho2 * beta - (3.0 * gamma + 2.0 + 2.0 * ell ** 2))
     t["phi_2"] = 3.0 * rho ** 2 * beta ** 2 - rho2 * beta * gamma \
@@ -230,8 +237,11 @@ def positivity_flags(table: ConstantTable, gamma: float, tau_1: float,
 # regime parameter selection
 # ---------------------------------------------------------------------------
 
-REGIMES = ("T1_local_nonconvex", "T2_local_exact_first", "T3_local_PL",
-           "T5_global_nonconvex", "T6_global_PL")
+REGIMES = {"T1_local_nonconvex": (LOCAL, False, True),
+           "T2_local_exact_first": (LOCAL, False, True), "T3_local_PL": (LOCAL, True, False),
+           "T5_global_nonconvex": (GLOBAL, False, False), "T6_global_PL": (GLOBAL, True, False)}
+"""Each regime's (contract class, needs a P-L constant nu, needs T up front), keyed in
+the order in which ``config.GRAMMAR`` lists the theoretical modes."""
 
 
 @dataclass
@@ -258,17 +268,13 @@ def _initial_lyapunov(x0: np.ndarray, problem, graph, gamma: float,
 
 def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: float,
              omega: float, alpha: float, s0: float | None = None, T: int | None = None,
-             tau_0: float = 1.0, l1_0: float | None = None,
-             x0: np.ndarray | None = None) -> ConstantTable:
+             tau_0: float = 1.0, l1_0: float | None = None) -> ConstantTable:
     """The constant table at one parameter point of a problem, graph and contract.
 
     The horizon family (kappa_8, kappa_tilde_3, kappa_tilde_4, kappa_0,
     kappa_3, kappa_4) parameterizes a recursive schedule and is evaluated
-    only with its s0 and T; it also needs the initial Lyapunov bound, taken
-    at x0 unless the caller passes l1_0.
+    only with its s0, T and l1_0, the caller's bound on the initial Lyapunov value.
     """
-    if s0 is not None and l1_0 is None:
-        l1_0 = _initial_lyapunov(x0, problem, graph, gamma, tau_1 * gamma)[0]
     return compute_constants(graph, problem.ell, gamma, tau_1, omega, alpha, contract,
                              NormContext(p=contract.p, d=problem.d), T=T, l1_0=l1_0,
                              s0=s0, nu=problem.pl_nu, tau_0=tau_0)
@@ -300,34 +306,34 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     min(kappa_7, kappa_8(T)) only with ``clamp_alpha`` (so the induction
     behind the region guarantee applies as proved), T2's s0 moving with
     alpha; T3 and T5/T6 start at SAFETY * kappa_0_prime or kappa_hat_0_prime
-    at alpha = 1e-9.  With ``strict`` any False flag raises InfeasibleParams.
+    at alpha = 1e-9.  With ``strict`` any False flag raises InfeasibleParams.  All
+    other refusals come before the first table: what ``REGIMES`` requires and T5/T6's
+    epsilon in (0, 1) (InfeasibleParams), T >= 1 and tau_0 > 0 (OutOfRange), and omega.
     """
     if regime not in REGIMES:
         raise InfeasibleParams(f"unknown regime {regime!r}")
-    local_regime = regime.startswith(("T1", "T2", "T3"))
-    if local_regime and contract.cls != LOCAL:
-        raise InfeasibleParams(f"{regime} needs a local compressor contract")
-    if not local_regime and contract.cls != GLOBAL:
-        raise InfeasibleParams(f"{regime} needs a global compressor contract")
-    if regime in ("T3_local_PL", "T6_global_PL") and problem.pl_nu is None:
+    cls, needs_nu, needs_T = REGIMES[regime]
+    if contract.cls != cls:
+        raise InfeasibleParams(f"{regime} needs a {cls} compressor contract")
+    if needs_nu and problem.pl_nu is None:
         raise InfeasibleParams(f"{regime} needs a gradient-domination constant")
-    if regime in ("T1_local_nonconvex", "T2_local_exact_first") and T is None:
+    if needs_T and T is None:
         raise InfeasibleParams(f"{regime} needs the horizon T up front")
+    if T is not None and T < 1:
+        raise OutOfRange(f"T must be >= 1, got {T}")
+    if tau_0 <= 0:
+        raise OutOfRange(f"tau_0 must be positive, got {tau_0}")
+    omega = resolve_omega(omega, contract)
+    if cls == GLOBAL and not 0.0 < epsilon < 1.0:
+        raise InfeasibleParams(f"epsilon must be in (0,1), got {epsilon}")
 
     n, d = graph.n, problem.d
     norms = NormContext(p=contract.p, d=d)
     dt = norms.d_tilde
-    nu = problem.pl_nu
     init_mode = "exact_first_round" if regime == "T2_local_exact_first" else "standard"
     x0 = draw_x0(n, d, init_mode, x0_seed)
 
-    omega = resolve_omega(omega, contract)
-
-    # gamma and tau_1 need only the graph spectrum
-    probe = compute_constants(graph, problem.ell, gamma=1.0, tau_1=1.0, omega=omega,
-                              alpha=1e-12, contract=contract, norms=norms)
-    gamma = MARGIN * probe.kappa_2
-    tau_1 = MARGIN * probe.kappa_1
+    tau_1, gamma = (MARGIN * kappa for kappa in kappa_12(graph.rho2, problem.ell))
     beta = tau_1 * gamma
     l1_0, e123_0 = _initial_lyapunov(x0, problem, graph, gamma, beta)
     at = functools.partial(table_at, problem, graph, contract, gamma, tau_1, omega,
@@ -336,7 +342,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     feas = {}
     extras = {"l1_0": l1_0}
 
-    if regime in ("T1_local_nonconvex", "T2_local_exact_first"):
+    if needs_T:
         if regime == "T1_local_nonconvex":
             alpha = 1.0 / (n ** 0.25 * dt * math.sqrt(T))
             s0_fixed = max(s0_floor(x0, contract), 1e-12)
@@ -379,7 +385,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         # computable bound on the initial Lyapunov value under gradient
         # domination: e1 + e2 + e3 plus n ||gbar_0||^2 / (2 nu)
         gbar = problem.at_shared(x0.mean(axis=0))[1].mean(axis=0)
-        kappa_nu = e123_0 + n * float(gbar @ gbar) / (2.0 * nu)
+        kappa_nu = e123_0 + n * float(gbar @ gbar) / (2.0 * problem.pl_nu)
         s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
                  s0_floor(x0, contract))
         schedule = GeometricSchedule(s0=s0, rate=eps)
@@ -390,8 +396,6 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
 
     else:  # T5 / T6 global regimes
         alpha, tab = _descend(at, "kappa_hat_0_prime", SAFETY * at(1e-9).kappa_hat_0_prime)
-        if not 0.0 < epsilon < 1.0:
-            raise InfeasibleParams(f"epsilon must be in (0,1), got {epsilon}")
         s0 = max(float(pnorms(x0, 2.0).max()), 1e-12)
         schedule = GeometricSchedule(s0=s0, rate=epsilon)
         feas["alpha_below_kappa_hat_0_prime"] = (alpha < tab.kappa_hat_0_prime,

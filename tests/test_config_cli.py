@@ -131,6 +131,9 @@ REFUSALS = [
     ("ini", [("alpha = 0.05\n", "")], "missing required key 'alpha'"),
     ("ini", [("schedule = geometric", "schedule = recursive")], "bad value for 'schedule'"),
     ("ini", [("mode = empirical", "mode = T4_local")], "bad value for 'mode'"),
+    # tau_0 is refused by name before any table is evaluated
+    ("ini", [("mode = empirical", "mode = T2_local_exact_first\ntau_0 = 0")],
+     "tau_0 must be positive, got 0.0"),
     ("ini", [("alpha = 0.05", "alpha = nan")], "bad value for 'alpha'"),
     ("ini", [("gamma = 1.0", "gamma = inf")], "bad value for 'gamma'"),
     ("ini", [("level = 2.0", "level = nan")], "bad value for 'level'"),
@@ -300,6 +303,13 @@ def test_cmd_verify_pass_and_fail(tmp_path, capsys):
         "kind = one_bit", "kind = top_k").replace("level = 2.0", "k = 1")
     path = _write(tmp_path, text, "topk.ini")
     assert cli.cmd_verify(path, samples=2000, trials=500) == cli.EXIT_VERIFY_FAILED
+    capsys.readouterr()
+    # at k = d its contract has delta = 1, so the bound is 0 and top-k is exact
+    path = _write(tmp_path, text.replace("k = 1", "k = 3"), "topk3.ini")
+    assert cli.main(["verify", path, "--samples", "2000"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["contract"]["delta"] == 1.0
+    assert report["max_ratio"] == 0.0 and report["worst"] == {}
 
 
 def test_cmd_verify_global(tmp_path, capsys):
@@ -544,6 +554,19 @@ def test_cmd_params(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["constants"]["kappa_1"] == pytest.approx(4.0 / 2.0)  # ring-4 rho2 = 2
     assert payload["hyper"]["alpha"] == 0.05
+
+
+@pytest.mark.parametrize("mode", ["T1_local_nonconvex", "T2_local_exact_first"])
+def test_cmd_params_takes_l1_0_from_the_selection(tmp_path, capsys, monkeypatch, mode):
+    calls = []
+    real = constants._initial_lyapunov
+    monkeypatch.setattr(constants, "_initial_lyapunov",
+                        lambda *args: calls.append(args) or real(*args))
+    path = _write(tmp_path, BASE_CONFIG.format(out="o").replace("mode = empirical",
+                                                                 f"mode = {mode}"))
+    assert cli.main(["params", path]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["constants"]["kappa_tilde_4"] is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("edits", [

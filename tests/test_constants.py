@@ -9,7 +9,7 @@ from dcopt import (build_graph, compute_constants, constants, make_nonconvex, ma
 from dcopt.compressors import (LOCAL, AssumptionContract, Identity, NormContext, OneBit, TopK,
                                UnbiasedKBit, UniformQuantizer)
 from dcopt.constants import _kappa5_root, positivity_flags
-from dcopt.errors import InfeasibleParams
+from dcopt.errors import ConfigError, InfeasibleParams, OutOfRange
 
 LOCAL_CT = AssumptionContract(LOCAL, np.inf, 1.0, 1.0, 0.5)
 
@@ -69,6 +69,14 @@ def test_kappa5_root_against_scan():
     else:
         grid = np.linspace(1e-9, 10.0, 20000)
         assert np.all([f(a) < 1.0 for a in grid])
+
+
+def test_kappa5_root_on_its_active_branch():
+    # phi = (3, 1, 10, 1): a (3 - a) = 1 at a = (3 - sqrt 5) / 2 on the first
+    # branch; the second branch's smaller root, (10 - sqrt 96) / 2 ~ 0.101,
+    # solves a (10 - a) = 1, but there the min is 3 - a, so it is rejected
+    root = _kappa5_root(3.0, 1.0, 10.0, 1.0)
+    assert root == (3.0 - math.sqrt(5.0)) / 2.0 == 0.3819660112501051
 
 
 def test_theorem1_alpha_display():
@@ -169,6 +177,136 @@ def test_regime_validation():
         theorem_params("T9_unknown", prob, g, local)
     with pytest.raises(InfeasibleParams):
         theorem_params("T1_local_nonconvex", prob, g, local, T=200, strict=True)
+
+
+def _counting(monkeypatch, *names):
+    """Wrap each named function of ``constants`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(constants, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(constants, name, counted)
+    return calls
+
+
+# (regime, contract, family, keyword arguments, error class, message) of
+# each refusal that needs no table
+NO_TABLE_REFUSALS = [
+    ("T9_unknown", "local", "nonconvex", {"T": 50}, InfeasibleParams,
+     "unknown regime 'T9_unknown'"),
+    ("T1_local_nonconvex", "global", "nonconvex", {"T": 50}, InfeasibleParams,
+     "T1_local_nonconvex needs a local compressor contract"),
+    ("T5_global_nonconvex", "local", "nonconvex", {}, InfeasibleParams,
+     "T5_global_nonconvex needs a global compressor contract"),
+    ("T3_local_PL", "local", "nonconvex", {}, InfeasibleParams,
+     "T3_local_PL needs a gradient-domination constant"),
+    ("T6_global_PL", "global", "nonconvex", {}, InfeasibleParams,
+     "T6_global_PL needs a gradient-domination constant"),
+    ("T2_local_exact_first", "local", "nonconvex", {}, InfeasibleParams,
+     "T2_local_exact_first needs the horizon T up front"),
+    ("T5_global_nonconvex", "global", "nonconvex", {"epsilon": 1.0}, InfeasibleParams,
+     "epsilon must be in (0,1), got 1.0"),
+    ("T6_global_PL", "global", "quadratic", {"epsilon": 0.0}, InfeasibleParams,
+     "epsilon must be in (0,1), got 0.0"),
+    ("T1_local_nonconvex", "local", "nonconvex", {"T": 0}, OutOfRange,
+     "T must be >= 1, got 0"),
+    ("T2_local_exact_first", "local", "nonconvex", {"T": -3}, OutOfRange,
+     "T must be >= 1, got -3"),
+    ("T5_global_nonconvex", "global", "nonconvex", {"T": 0}, OutOfRange,
+     "T must be >= 1, got 0"),
+    ("T2_local_exact_first", "local", "nonconvex", {"T": 50, "tau_0": 0.0}, OutOfRange,
+     "tau_0 must be positive, got 0.0"),
+    ("T1_local_nonconvex", "local", "nonconvex", {"T": 50, "tau_0": -1.0}, OutOfRange,
+     "tau_0 must be positive, got -1.0"),
+    ("T3_local_PL", "local", "quadratic", {"tau_0": 0.0}, OutOfRange,
+     "tau_0 must be positive, got 0.0"),
+    ("T1_local_nonconvex", "local", "nonconvex", {"T": 50, "omega": 1.5}, ConfigError,
+     "omega must be in (0, 1/r], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("regime,cls,family,kwargs,error,message", NO_TABLE_REFUSALS,
+                         ids=[f"{case[0]}: {case[-1]}" for case in NO_TABLE_REFUSALS])
+def test_refusals_come_before_the_first_table(monkeypatch, regime, cls, family, kwargs,
+                                              error, message):
+    calls = _counting(monkeypatch, "table_at", "compute_constants")
+    make = make_quadratic if family == "quadratic" else make_nonconvex
+    contract = (OneBit(1.0) if cls == "local" else UnbiasedKBit(3)).contract(3)
+    with pytest.raises(error) as refused:
+        theorem_params(regime, make(4, 3, seed=13), build_graph("ring", 4), contract, **kwargs)
+    assert str(refused.value) == message
+    assert calls == {"table_at": 0, "compute_constants": 0}
+
+
+@pytest.mark.parametrize("regime", list(constants.REGIMES))
+def test_every_table_of_a_selection_is_one_table_at(monkeypatch, regime):
+    # kappa_1 and kappa_2 come from kappa_12, not from a probe table
+    calls = _counting(monkeypatch, "table_at", "compute_constants")
+    local = constants.REGIMES[regime][0] == LOCAL
+    sel = theorem_params(regime, make_quadratic(4, 3, seed=4), build_graph("ring", 4),
+                         (OneBit(2.0) if local else UnbiasedKBit(3)).contract(3), T=50,
+                         x0_seed=9, clamp_alpha=True)
+    assert calls["table_at"] >= 1 and calls["compute_constants"] == calls["table_at"]
+    assert (sel.hyper.tau_1, sel.hyper.gamma) == (constants.MARGIN * sel.table.kappa_1,
+                                                  constants.MARGIN * sel.table.kappa_2)
+
+
+# criterion 9's path-3 graph by hand: L, its lambda_2 = 1, and F = L^+ + 1 1^T / (n lambda_2);
+# the tests below take n = 3 agents and d = 4, so d_tilde^2 = d at p = inf
+PATH3_L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+PATH3_F = np.linalg.pinv(PATH3_L) + np.ones((3, 3)) / 3.0
+
+
+def _initial_e(sel, problem):
+    """e1, e2, e3, e4 (against f_low) at (x0, v = 0, xhat = x0) on the path-3
+    graph, from their definitions, and the mean gradient at the mean of x0."""
+    x0, gamma, beta = sel.x0, sel.hyper.gamma, sel.hyper.beta
+    xbar = x0.mean(axis=0)
+    costs, G = problem.at_shared(xbar)
+    dev, FW = x0 - xbar, PATH3_F @ (G / gamma)
+    return (0.5 * np.sum(dev * dev), 0.5 * (beta + gamma) / gamma * np.sum(G / gamma * FW),
+            np.sum(dev * FW), np.sum(costs) - 3 * problem.f_low), G.mean(axis=0)
+
+
+def test_t2_tau_4_is_twice_kappa_4_by_hand():
+    prob = make_nonconvex(3, 4, seed=1)
+    contract = OneBit(1.0).contract(4)
+    sel = theorem_params("T2_local_exact_first", prob, build_graph("path", 3), contract,
+                         T=1000, x0_seed=2)
+    l1_0 = sum(_initial_e(sel, prob)[0])
+    assert sel.extras["l1_0"] == pytest.approx(l1_0, rel=1e-12)
+    t = sel.table
+    kappa_4 = 2.0 * t.psi_4 * l1_0 / (contract.C ** 2 * t.eps_8 * 3)
+    assert sel.extras["tau_4"] == pytest.approx(2.0 * kappa_4, rel=1e-12)
+
+
+@pytest.mark.parametrize("regime", ["T1_local_nonconvex", "T2_local_exact_first"])
+def test_kappa_tilde_4_by_hand_and_linear_in_T(regime):
+    prob = make_nonconvex(3, 4, seed=1)
+    g = build_graph("path", 3)
+    contract = OneBit(1.0).contract(4)
+    T = 1000
+    sel = theorem_params(regime, prob, g, contract, T=T, x0_seed=2)
+    h, t = sel.hyper, sel.table
+    alpha, s0, l1_0 = h.alpha, h.schedule.s0, sel.extras["l1_0"]
+    per_round = (1.0 - 2.0 * t.eps_5) * t.psi_2 * t.psi_4 * 3 * 4 * s0 ** 2 * alpha ** 3
+    assert t.kappa_tilde_4 == pytest.approx(
+        t.psi_4 * l1_0 * alpha ** 2 / contract.C ** 2 + per_round * T, rel=1e-12)
+    at = [constants.table_at(prob, g, contract, h.gamma, h.tau_1, h.omega, alpha, s0=s0,
+                             T=k * T, l1_0=l1_0).kappa_tilde_4 for k in (1, 2, 3)]
+    assert at[0] == t.kappa_tilde_4
+    assert at[1] - at[0] == pytest.approx(per_round * T, rel=1e-9)
+    assert at[2] - at[1] == pytest.approx(per_round * T, rel=1e-9)
+
+
+def test_t3_kappa_nu_by_hand():
+    prob = make_quadratic(3, 4, seed=1, condition_number=5.0)
+    sel = theorem_params("T3_local_PL", prob, build_graph("path", 3), OneBit(2.0).contract(4),
+                         x0_seed=2)
+    (e1, e2, e3, _), gbar = _initial_e(sel, prob)
+    assert sel.extras["kappa_nu"] == pytest.approx(
+        e1 + e2 + e3 + 3 * float(gbar @ gbar) / (2.0 * prob.pl_nu), rel=1e-12)
 
 
 def test_t2_s0_follows_alpha_through_every_clamp(monkeypatch):

@@ -76,6 +76,18 @@ def test_wrong_contract_detected():
     assert not report.passed and report.max_ratio > 1.0
 
 
+def test_a_zero_bound_passes_only_an_exact_compressor():
+    # delta = 1 makes the bound C (1 - delta) zero: top-k with k = d carries
+    # that contract and is exact; one-bit against it fails where it moves a point
+    c = comp.TopK(6)
+    exact = comp.verify_local_assumption(c, c.contract(6), samples=500, seed=2)
+    assert exact.passed and exact.max_ratio == 0.0 and exact.worst == {}
+    zero_bound = comp.AssumptionContract(comp.LOCAL, np.inf, 1.0, 1.0, 1.0)
+    report = comp.verify_local_assumption(comp.OneBit(1.0), zero_bound, samples=500, seed=2)
+    assert not report.passed and report.max_ratio == np.inf
+    assert report.worst["bound"] == 0.0 and report.worst["error"] > 0.0
+
+
 class _NanBeyond(comp.OneBit):
     """One-bit, but NaN wherever |x| > 0.9."""
 
