@@ -41,7 +41,7 @@ sandwich = lyapunov_sandwich_check(trace, table.eps_1, table.eps_2,
                                    sel.hyper.gamma, sel.hyper.beta)
 checks.append(("two-sided Lyapunov bound", sandwich.violations, sandwich.checked))
 descent = lyapunov_descent_check(trace, sel.hyper.alpha, table.eps_6, table.eps_5,
-                                 table.psi_2, contract.C, sel.norms.d_tilde, 10)
+                                 table.psi_2, contract.C, contract.d_tilde(4), 10)
 checks.append(("one-step Lyapunov descent", descent.violations, descent.checked))
 
 for name, violations, total in checks:

@@ -4,18 +4,20 @@ Usage: python mutants/digests.py
 
 Each command runs in a subprocess with this checkout's ``src`` first on
 ``PYTHONPATH`` and ``DCOPT_OUTPUT_ROOT`` set to one fresh temporary
-directory.  The script prints one line per command, the digest of its
-stdout with its exit code, then one line per file written under the output
-root.  The output root is replaced by ``$DCOPT_OUTPUT_ROOT`` in stdout
-before it is hashed.  The last line is one digest over ``theorem_params`` on
-a grid of regimes, compressor kinds, graphs, problem families, sizes,
-horizons and options, run in this process on this checkout's ``src``: each
-selection's hyperparameters, schedule, init mode, x0 bytes, constant table,
-feasibility and extras, and each refusal's type and message, with the
-counts of selections and of refusals.  Two checkouts print the same lines
-exactly when their outputs are byte-identical: run it in each and diff the
-two listings.  The digests depend on the NumPy and BLAS builds, so this is
-no tier-1 test.
+directory.  A command reads a config of ``demos/configs`` or one of
+``GENERATED``, which the script writes into a second temporary directory,
+outside the output root.  The script prints one line per command, the digest
+of its stdout with its exit code, then one line per file written under the
+output root.  The output root is replaced by ``$DCOPT_OUTPUT_ROOT`` in
+stdout before it is hashed.  The last line is one digest over
+``theorem_params`` on a grid of regimes, compressor kinds, graphs, problem
+families, sizes, horizons and options, run in this process on this
+checkout's ``src``: each selection's hyperparameters, schedule, init mode,
+x0 bytes, constant table, feasibility and extras, and each refusal's type
+and message, with the counts of selections and of refusals.  Two checkouts
+print the same lines exactly when their outputs are byte-identical: run it
+in each and diff the two listings.  The digests depend on the NumPy and BLAS
+builds, so this is no tier-1 test.
 """
 
 import hashlib
@@ -38,7 +40,42 @@ COMMANDS = (
     ("params", "t1_sweep.ini"),
     ("params", "kbit_noisy_verify.ini"),
     ("verify", "kbit_noisy_verify.ini"),
+    # a composition with inner noise in each order; rel_of_abs also runs
+    ("run", "compose_kbit_of_uniform.ini"),
+    ("verify", "compose_kbit_of_uniform.ini", "--trials", "2000"),
+    ("verify", "compose_uniform_of_kbit.ini", "--trials", "2000"),
 )
+
+COMPOSE = """
+[problem]
+family = nonconvex
+d = 6
+seed = 3
+
+[graph]
+topology = ring
+n = 8
+
+[compressor]
+kind = {kind}
+kbits = 4
+step = 0.5
+noise_inner = 0.3
+noise_outer = 0.2
+
+[algorithm]
+T = 30
+seed = 11
+alpha = 0.05
+gamma = 1.0
+tau_1 = 2.0
+
+[output]
+directory = out/{kind}
+"""
+
+GENERATED = {f"{kind}.ini": COMPOSE.format(kind=kind)
+             for kind in ("compose_kbit_of_uniform", "compose_uniform_of_kbit")}
 
 
 def sha256(data: bytes) -> str:
@@ -91,14 +128,18 @@ def param_grid() -> str:
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="dcopt-digests-") as tmp:
+    with (tempfile.TemporaryDirectory(prefix="dcopt-digests-") as tmp,
+          tempfile.TemporaryDirectory(prefix="dcopt-configs-") as generated):
         root = Path(tmp)
+        for name, text in GENERATED.items():
+            (Path(generated) / name).write_text(text)
         env = dict(os.environ, DCOPT_OUTPUT_ROOT=str(root),
                    PYTHONPATH=os.pathsep.join(
                        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p))
         for command, config, *rest in COMMANDS:
+            folder = Path(generated) if config in GENERATED else CONFIGS
             proc = subprocess.run(
-                [sys.executable, "-m", "dcopt.cli", command, str(CONFIGS / config), *rest],
+                [sys.executable, "-m", "dcopt.cli", command, str(folder / config), *rest],
                 cwd=root, env=env, capture_output=True)
             stdout = proc.stdout.replace(str(root).encode(), b"$DCOPT_OUTPUT_ROOT")
             print(f"{sha256(stdout)}  stdout of {' '.join((command, config, *rest))} "

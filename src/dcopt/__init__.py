@@ -25,7 +25,6 @@ from .compressors import (
     Compose,
     Compressor,
     Identity,
-    NormContext,
     Noisy,
     NormSign,
     OneBit,

@@ -197,7 +197,7 @@ def cmd_verify(config: str, samples: int = 10_000, trials: int = 10_000) -> int:
     d = cfgmod.section(cfg, "problem")["d"]
     seed = cfgmod.section(cfg, "algorithm")["seed"]
     compressor = cfgmod.build_compressor_from(cfg, seed)
-    contract = cfgmod.compressor_contract(compressor, d, cfg)
+    contract = compressor.contract(d)
     if contract.cls == LOCAL:
         report = verify_local_assumption(compressor, contract, samples=samples,
                                          seed=seed, d=d)

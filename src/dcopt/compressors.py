@@ -16,6 +16,8 @@ noise-free base characterization: a *relative* base satisfies
 E||C(x)/r - x||^2 <= (1-delta_r)||x||^2 and an *absolute* base satisfies
 E||C(x)/r - x||^2 <= C_a.  Bounded additive noise and composition map
 base characterizations to global contracts via the two lemma rules below.
+Every kind, noise wrapper and composition here states the output scale
+r = 1; only the lemma rules take another r.
 
 All bit counts use b1 = 32 bits per exactly-transmitted scalar.
 """
@@ -59,21 +61,13 @@ class AssumptionContract:
         if self.cls == LOCAL and self.C == 0:
             raise OutOfRange("local contracts need a positive region radius C")
 
+    def d_hat(self, d: int) -> float:
+        """The least d_hat with ||x||_p <= d_hat ||x|| on R^d."""
+        return d ** (1.0 / self.p - 0.5) if self.p <= 2 else 1.0
 
-@dataclass(frozen=True)
-class NormContext:
-    """Norm-equivalence constants: ||x||_p <= d_hat ||x||, ||x|| <= d_tilde ||x||_p."""
-
-    p: float
-    d: int
-
-    @property
-    def d_hat(self) -> float:
-        return self.d ** (1.0 / self.p - 0.5) if self.p <= 2 else 1.0
-
-    @property
-    def d_tilde(self) -> float:
-        return 1.0 if self.p <= 2 else self.d ** (0.5 - 1.0 / self.p)
+    def d_tilde(self, d: int) -> float:
+        """The least d_tilde with ||x|| <= d_tilde ||x||_p on R^d."""
+        return 1.0 if self.p <= 2 else d ** (0.5 - 1.0 / self.p)
 
 
 def pnorms(X: np.ndarray, p: float) -> np.ndarray:
@@ -168,7 +162,6 @@ class Compressor:
     kind = "base"
     deterministic = True
     role = None      # "relative" / "absolute" for global kinds
-    r = 1.0
     seed: int = field(default=0, kw_only=True, repr=False)
     tag: int = field(default=0, kw_only=True, repr=False)
 
@@ -198,9 +191,9 @@ class Compressor:
         ``relative_delta``) or an absolute kind (C from ``absolute_error``);
         local kinds define their own."""
         if self.role == "relative":
-            return AssumptionContract(GLOBAL, 2.0, self.r, 0.0, self.relative_delta(d))
+            return AssumptionContract(GLOBAL, 2.0, 1.0, 0.0, self.relative_delta(d))
         if self.role == "absolute":
-            return AssumptionContract(GLOBAL, 2.0, self.r, self.absolute_error(d), 1.0)
+            return AssumptionContract(GLOBAL, 2.0, 1.0, self.absolute_error(d), 1.0)
         raise NotImplementedError
 
     # -- internals ----------------------------------------------------------
@@ -224,12 +217,12 @@ class Compressor:
         return self._kernel(X, zeta), X
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
-        """Monte-Carlo draws of ||C(x)/r - x||^2: the one input row x against
+        """Monte-Carlo draws of ||C(x) - x||^2: the one input row x against
         ``trials`` rows of draws (a deterministic kind's one error, broadcast)."""
         x = _check_vector(x)
         gen = _rng.substream(seed, _rng.VERIFY, tag)
         Q, _ = self._apply(x[None, :], gen, shape=(trials, x.size))
-        diff = Q / self.r - x
+        diff = Q - x
         return np.broadcast_to(np.sum(diff * diff, axis=1), (trials,))
 
 
@@ -491,7 +484,6 @@ class Noisy(Compressor):
         self.noise_bound = noise_bound
         self.deterministic = False
         self.role = base.role
-        self.r = base.r
         self.kind = f"noisy_{base.kind}"
 
     def bits(self, X):
@@ -515,9 +507,8 @@ class Noisy(Compressor):
 class Compose(Compressor):
     """Composition of one relative-type and one absolute-type compressor.
 
-    With a relative outer stage the inner output is rescaled by its r before
-    the outer compression, matching rel(abs(x)/r_a); with an absolute outer
-    stage the relative output is passed through unscaled, abs(rel(x)).
+    The outer stage compresses the inner stage's output as it is:
+    rel(abs(x)) in the order ``rel_of_abs``, abs(rel(x)) in ``abs_of_rel``.
     Bits are charged as the outer stage's formula on the inner output.
     Both stages draw from one generator, keyed by the inner stage's seed
     and tag.
@@ -528,13 +519,9 @@ class Compose(Compressor):
 
     def __init__(self, inner: Compressor, outer: Compressor):
         roles = (inner.role, outer.role)
-        if roles == ("absolute", "relative"):
-            self.order = "rel_of_abs"
-            self.r = outer.r
-        elif roles == ("relative", "absolute"):
-            self.order = "abs_of_rel"
-            self.r = inner.r * outer.r
-        else:
+        self.order = {("absolute", "relative"): "rel_of_abs",
+                      ("relative", "absolute"): "abs_of_rel"}.get(roles)
+        if self.order is None:
             raise IncompatibleContracts(
                 f"composition needs one relative and one absolute stage, got {roles}")
         super().__init__(seed=inner.seed, tag=inner.tag)
@@ -556,8 +543,6 @@ class Compose(Compressor):
         # both stages draw from the one generator, inner first, so two noise
         # wrappers never inject the same realization
         mid, _ = self.inner._apply(X, gen, iteration, shape)
-        if self.order == "rel_of_abs":
-            mid = mid / self.inner.r
         return self.outer._apply(mid, gen, iteration, shape)
 
     def __repr__(self):
@@ -569,9 +554,9 @@ def lemma1_contract(c: Compressor, d: int) -> AssumptionContract:
     noise: a Noisy wrapper's noise bound, or 0 for a plain compressor."""
     base, bound = (c.base, c.noise_bound) if isinstance(c, Noisy) else (c, 0.0)
     if base.role == "relative":
-        return lemma1_relative_params(base.relative_delta(d), base.r, bound)
+        return lemma1_relative_params(base.relative_delta(d), 1.0, bound)
     if base.role == "absolute":
-        return lemma1_absolute_params(base.absolute_error(d), base.r, bound)
+        return lemma1_absolute_params(base.absolute_error(d), 1.0, bound)
     raise IncompatibleContracts(f"{base.kind} has no global base characterization")
 
 

@@ -5,7 +5,8 @@
 layer that owns it: ``[graph] topology`` (ring | path | complete |
 erdos_renyi).  Every mode reads omega (1/r when absent).  The empirical mode
 needs alpha, gamma and tau_1; a theoretical mode derives them and reads
-clamp_alpha, tau_0, epsilon and strict instead.
+clamp_alpha, tau_0, epsilon and strict instead, and refuses any init_mode
+but its own.
 
 A JSON file holding one object with the same section names is accepted as an
 alternative input.  All randomness derives from the [algorithm] seed (64-bit
@@ -190,6 +191,7 @@ def build_compressor_from(cfg: dict, seed: int):
     return comp.with_noise(make(*(sec[key] for key in reads[:-1]), seed=seed), sec["noise"])
 
 
+# perfbench/workloads.py is its last caller; ROADMAP item 1 removes it
 def compressor_contract(compressor, d: int, cfg: dict):
     return compressor.contract(d)
 
@@ -225,7 +227,7 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
     of a whole plan, only this selection depends on T."""
     alg = section(cfg, "algorithm")
     seed, mode, init_mode = alg["seed"], alg["mode"], alg["init_mode"]
-    contract = compressor_contract(compressor, problem.d, cfg)
+    contract = compressor.contract(problem.d)
     if T is None or T < 1:
         raise ConfigError("algorithm.T must be an integer >= 1")
 
@@ -249,6 +251,9 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
                             gamma=alg["gamma"], omega=omega, schedule=schedule,
                             tau_1=alg["tau_1"])
     else:
+        own = REGIMES[mode][3]
+        if "init_mode" in cfg["algorithm"] and init_mode != own:
+            raise ConfigError(f"{mode} runs init_mode {own!r}, not {init_mode!r}")
         sel = theorem_params(mode, problem, graph, contract, T=T, x0_seed=seed,
                              **regime_options(cfg))
         hyper, x0, init_mode = sel.hyper, sel.x0, sel.init_mode

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithm import (GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0,
                         resolve_omega, s0_floor)
-from .compressors import GLOBAL, LOCAL, AssumptionContract, NormContext, pnorms
+from .compressors import GLOBAL, LOCAL, AssumptionContract, pnorms
 from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
 
@@ -71,16 +71,16 @@ def kappa_12(rho2: float, ell: float) -> tuple:
 
 
 def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: float,
-                      alpha: float, contract: AssumptionContract, norms: NormContext,
+                      alpha: float, contract: AssumptionContract, d: int,
                       T: int | None = None, l1_0: float | None = None,
                       s0: float | None = None, nu: float | None = None,
                       tau_0: float = 1.0) -> ConstantTable:
-    """Evaluate the full constant table at one parameter point."""
+    """Evaluate the full constant table at one parameter point, in dimension d."""
     if gamma <= 0 or tau_1 <= 0 or omega <= 0 or alpha <= 0:
         raise OutOfRange("gamma, tau_1, omega, alpha must be positive")
     rho, rho2, n = graph.rho, graph.rho2, graph.n
     r, delta, C = contract.r, contract.delta, contract.C
-    dh, dt = norms.d_hat, norms.d_tilde
+    dh, dt = contract.d_hat(d), contract.d_tilde(d)
     beta = tau_1 * gamma
 
     t = ConstantTable()
@@ -237,11 +237,13 @@ def positivity_flags(table: ConstantTable, gamma: float, tau_1: float,
 # regime parameter selection
 # ---------------------------------------------------------------------------
 
-REGIMES = {"T1_local_nonconvex": (LOCAL, False, True),
-           "T2_local_exact_first": (LOCAL, False, True), "T3_local_PL": (LOCAL, True, False),
-           "T5_global_nonconvex": (GLOBAL, False, False), "T6_global_PL": (GLOBAL, True, False)}
-"""Each regime's (contract class, needs a P-L constant nu, needs T up front), keyed in
-the order in which ``config.GRAMMAR`` lists the theoretical modes."""
+REGIMES = {"T1_local_nonconvex": (LOCAL, False, True, "standard"),
+           "T2_local_exact_first": (LOCAL, False, True, "exact_first_round"),
+           "T3_local_PL": (LOCAL, True, False, "standard"),
+           "T5_global_nonconvex": (GLOBAL, False, False, "standard"),
+           "T6_global_PL": (GLOBAL, True, False, "standard")}
+"""Each regime's (contract class, needs a P-L constant nu, needs T up front, init mode),
+keyed in the order in which ``config.GRAMMAR`` lists the theoretical modes."""
 
 
 @dataclass
@@ -252,7 +254,6 @@ class ParamSelection:
     x0: np.ndarray
     table: ConstantTable
     feasibility: dict
-    norms: NormContext
     extras: dict = field(default_factory=dict)
 
 
@@ -276,8 +277,7 @@ def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: 
     only with its s0, T and l1_0, the caller's bound on the initial Lyapunov value.
     """
     return compute_constants(graph, problem.ell, gamma, tau_1, omega, alpha, contract,
-                             NormContext(p=contract.p, d=problem.d), T=T, l1_0=l1_0,
-                             s0=s0, nu=problem.pl_nu, tau_0=tau_0)
+                             problem.d, T=T, l1_0=l1_0, s0=s0, nu=problem.pl_nu, tau_0=tau_0)
 
 
 def _descend(table, cap: str, alpha: float, steps: int = DESCENT_STEPS) -> tuple:
@@ -312,7 +312,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     """
     if regime not in REGIMES:
         raise InfeasibleParams(f"unknown regime {regime!r}")
-    cls, needs_nu, needs_T = REGIMES[regime]
+    cls, needs_nu, needs_T, init_mode = REGIMES[regime]
     if contract.cls != cls:
         raise InfeasibleParams(f"{regime} needs a {cls} compressor contract")
     if needs_nu and problem.pl_nu is None:
@@ -328,9 +328,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         raise InfeasibleParams(f"epsilon must be in (0,1), got {epsilon}")
 
     n, d = graph.n, problem.d
-    norms = NormContext(p=contract.p, d=d)
-    dt = norms.d_tilde
-    init_mode = "exact_first_round" if regime == "T2_local_exact_first" else "standard"
+    dt = contract.d_tilde(d)
     x0 = draw_x0(n, d, init_mode, x0_seed)
 
     tau_1, gamma = (MARGIN * kappa for kappa in kappa_12(graph.rho2, problem.ell))
@@ -414,4 +412,4 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     hyper = HyperParams(alpha=alpha, beta=beta, gamma=gamma, omega=omega,
                         schedule=schedule, tau_1=tau_1)
     return ParamSelection(regime=regime, hyper=hyper, init_mode=init_mode, x0=x0,
-                          table=tab, feasibility=feas, norms=norms, extras=extras)
+                          table=tab, feasibility=feas, extras=extras)

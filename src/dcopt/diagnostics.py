@@ -44,6 +44,7 @@ class RunTrace:
             return self.rows[name]
         raise AttributeError(name)
 
+    # perfbench/workloads.py is its last caller; ROADMAP item 1 removes it
     @property
     def surr_pre_l2sq(self) -> np.ndarray:
         """||x_k - xhat_{k-1}||^2 summed over agents: the e5 column."""
@@ -210,7 +211,7 @@ def contraction_global_check(traces: list, contract, omega: float,
     rows = min(t.T for t in traces)
     rho = 1.0 - omega * contract.r * contract.delta
     D = np.stack([
-        t.surr_post_l2sq[:rows] - rho * t.surr_pre_l2sq[:rows]
+        t.surr_post_l2sq[:rows] - rho * t.e5[:rows]
         - n * omega * contract.r * contract.C * t.s_k[:rows] ** 2
         for t in traces
     ])

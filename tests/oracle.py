@@ -74,8 +74,6 @@ def compress(c, x, k, row):
         return q + g / np.sqrt(np.sum(g * g)) * (c.noise_bound * u ** (1.0 / q.size)), bits
     if isinstance(c, Compose):
         mid, _ = compress(c.inner, x, k, row)
-        if c.order == "rel_of_abs":
-            mid = mid / c.inner.r
         return compress(c.outer, mid, k, row)
     if isinstance(c, Scalarization):
         psi = c.direction(x.size, k)
@@ -94,11 +92,11 @@ def compress_round(c, U, k):
 
 
 def sample_errors(c, x, trials, seed, tag=0):
-    """||C(x)/r - x||^2 per trial with x copied into every one of ``trials``
+    """||C(x) - x||^2 per trial with x copied into every one of ``trials``
     rows and the block compressed as one round of independent draws."""
     gen = _rng.substream(seed, _rng.VERIFY, tag)
     Q, _ = c._apply(np.broadcast_to(x, (trials, x.size)).copy(), gen)
-    diff = Q / c.r - x[None, :]
+    diff = Q - x[None, :]
     return np.sum(diff * diff, axis=1)
 
 

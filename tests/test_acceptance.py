@@ -285,9 +285,8 @@ def test_criterion_08_exact_first_round_improvement(t1_sweep, t2_sweep):
 def test_criterion_09_constant_formulas():
     g = dcopt.build_graph("path", 3)
     ct = comp.OneBit(1.0).contract(4)
-    norms = comp.NormContext(np.inf, 4)
     probe = dcopt.compute_constants(g, 1.0, gamma=8.0, tau_1=4.2, omega=1.0,
-                                    alpha=1e-6, contract=ct, norms=norms)
+                                    alpha=1e-6, contract=ct, d=4)
     # independent hand evaluation of the two displays
     kappa_1_hand = 4.0 / 1.0
     kappa_2_hand = max(2.0 + 2.0, 5.0, (16.0 * (4.0 + 1.0) ** 2) ** (1.0 / 3.0),
@@ -313,7 +312,7 @@ def test_criterion_10_lyapunov_checks():
     sandwich = lyapunov_sandwich_check(tr, t.eps_1, t.eps_2, sel.hyper.gamma,
                                        sel.hyper.beta)
     descent = lyapunov_descent_check(tr, sel.hyper.alpha, t.eps_6, t.eps_5,
-                                     t.psi_2, ct.C, sel.norms.d_tilde, 10)
+                                     t.psi_2, ct.C, ct.d_tilde(4), 10)
     _report("10", sandwich.passed and descent.passed,
             f"sandwich: {sandwich.violations} violations over {sandwich.checked} "
             f"iterations; descent: {descent.violations} violations")

@@ -158,9 +158,15 @@ REFUSALS = [
     # a key the mode never reads is still read as its type
     ("ini", [("mode = empirical", "mode = T1_local_nonconvex"), ("alpha = 0.05", "alpha = abc")],
      "bad value for 'alpha'"),
-    # the theoretical modes choose their own init mode, but read the key
+    # a theoretical mode reads the key as its type, and refuses any init mode but its own
     ("ini", [("mode = empirical", "mode = T1_local_nonconvex"),
              ("seed = 9", "seed = 9\ninit_mode = bogus")], "bad value for 'init_mode'"),
+    ("ini", [("mode = empirical", "mode = T1_local_nonconvex"),
+             ("seed = 9", "seed = 9\ninit_mode = exact_first_round")],
+     "T1_local_nonconvex runs init_mode 'standard', not 'exact_first_round'"),
+    ("ini", [("mode = empirical", "mode = T2_local_exact_first"),
+             ("seed = 9", "seed = 9\ninit_mode = standard")],
+     "T2_local_exact_first runs init_mode 'exact_first_round', not 'standard'"),
     ("json", {"output": {"directory": 5}}, "bad value for 'directory'"),
     ("json", {"graph": {"topology": ["ring"]}}, "bad value for 'topology'"),
     ("json", {"algorithm": {"gamma": float("nan")}}, "bad value for 'gamma'"),
@@ -187,6 +193,15 @@ def test_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch,
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: config: {message}")
     assert not (tmp_path / "root").exists()
+
+
+@pytest.mark.parametrize("mode,own", [("T1_local_nonconvex", "standard"),
+                                      ("T2_local_exact_first", "exact_first_round")])
+def test_a_theoretical_mode_runs_its_own_init_mode_named_or_not(tmp_path, mode, own):
+    text = BASE_CONFIG.format(out=tmp_path).replace("mode = empirical", f"mode = {mode}")
+    for named in ("", f"\ninit_mode = {own}"):
+        cfg = load_config(_write(tmp_path, text.replace("seed = 9", "seed = 9" + named)))
+        assert build_run_plan(cfg).run_kwargs["init_mode"] == own
 
 
 def test_each_kind_builds_from_its_params_and_shows_them_in_its_repr():

@@ -6,8 +6,8 @@ import pytest
 
 from dcopt import (build_graph, compute_constants, constants, make_nonconvex, make_quadratic,
                    theorem_params)
-from dcopt.compressors import (LOCAL, AssumptionContract, Identity, NormContext, OneBit, TopK,
-                               UnbiasedKBit, UniformQuantizer)
+from dcopt.compressors import (LOCAL, AssumptionContract, Identity, OneBit, TopK, UnbiasedKBit,
+                               UniformQuantizer)
 from dcopt.constants import _kappa5_root, positivity_flags
 from dcopt.errors import ConfigError, InfeasibleParams, OutOfRange
 
@@ -15,12 +15,11 @@ LOCAL_CT = AssumptionContract(LOCAL, np.inf, 1.0, 1.0, 0.5)
 
 
 def _table(graph, ell=1.0, gamma=None, tau_1=None, alpha=1e-4, omega=1.0, **kw):
-    probe = compute_constants(graph, ell, 1.0, 1.0, omega, 1e-12, LOCAL_CT,
-                              NormContext(np.inf, 4))
+    probe = compute_constants(graph, ell, 1.0, 1.0, omega, 1e-12, LOCAL_CT, 4)
     gamma = gamma if gamma is not None else 1.05 * probe.kappa_2
     tau_1 = tau_1 if tau_1 is not None else 1.05 * probe.kappa_1
-    return compute_constants(graph, ell, gamma, tau_1, omega, alpha, LOCAL_CT,
-                             NormContext(np.inf, 4), **kw), gamma, tau_1
+    return compute_constants(graph, ell, gamma, tau_1, omega, alpha, LOCAL_CT, 4,
+                             **kw), gamma, tau_1
 
 
 def test_kappa1_kappa2_path3():

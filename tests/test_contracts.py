@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracle
+from dcopt import build_graph, compute_constants
 from dcopt import compressors as comp
-from dcopt.errors import OutOfRange, WrongClass
+from dcopt.errors import DimensionMismatch, IncompatibleContracts, OutOfRange, WrongClass
 
 
 def test_lemma1_relative_values():
@@ -194,3 +195,65 @@ def test_global_verifier_checks_as_many_points_as_asked(monkeypatch, samples, ra
                                            trials_per_sample=50, seed=3, d=8)
     assert report.samples == samples
     np.testing.assert_allclose(seen, radii, rtol=1e-12)
+
+
+REL = comp.AssumptionContract(comp.GLOBAL, 2.0, 1.0, 3.0, 0.25)
+ABS = comp.AssumptionContract(comp.GLOBAL, 2.0, 1.0, 4.0, 1.0)
+ONE_BIT = comp.OneBit(1.0)
+KBIT = comp.UnbiasedKBit(3)
+
+
+def _constants(gamma=8.0, tau_1=4.2, omega=1.0, alpha=1e-6):
+    return compute_constants(build_graph("path", 3), 1.0, gamma, tau_1, omega, alpha,
+                             ONE_BIT.contract(4), 4)
+
+
+# each refusal of the contract layer: the call, its error class and its message
+CONTRACT_REFUSALS = [
+    (lambda: comp.AssumptionContract("bogus", 2.0, 1.0, 0.0, 0.5), OutOfRange,
+     "contract class must be local/global, got 'bogus'"),
+    (lambda: comp.AssumptionContract(comp.GLOBAL, 2.0, 0.0, 1.0, 0.5), OutOfRange,
+     "contract constants out of range: r=0.0, C=1.0, delta=0.5"),
+    (lambda: comp.AssumptionContract(comp.GLOBAL, 2.0, 1.0, 1.0, 0.0), OutOfRange,
+     "contract constants out of range: r=1.0, C=1.0, delta=0.0"),
+    (lambda: comp.AssumptionContract(comp.GLOBAL, 2.0, 1.0, 1.0, 1.5), OutOfRange,
+     "contract constants out of range: r=1.0, C=1.0, delta=1.5"),
+    (lambda: comp.AssumptionContract(comp.GLOBAL, 2.0, 1.0, -1.0, 0.5), OutOfRange,
+     "contract constants out of range: r=1.0, C=-1.0, delta=0.5"),
+    (lambda: comp.AssumptionContract(comp.LOCAL, np.inf, 1.0, 0.0, 0.5), OutOfRange,
+     "local contracts need a positive region radius C"),
+    (lambda: comp.lemma1_relative_params(0.5, 0.0, 1.0), OutOfRange,
+     "need r_r > 0 and C_xi >= 0, got 0.0, 1.0"),
+    (lambda: comp.lemma1_relative_params(0.5, 1.0, -1.0), OutOfRange,
+     "need r_r > 0 and C_xi >= 0, got 1.0, -1.0"),
+    (lambda: comp.lemma1_absolute_params(-1.0, 1.0, 0.0), OutOfRange,
+     "need C_a >= 0, r_a > 0, C_xi >= 0, got -1.0, 1.0, 0.0"),
+    (lambda: comp.lemma2_compose_params(ONE_BIT.contract(4), ABS, "rel_of_abs"),
+     IncompatibleContracts, "composition inputs must be global contracts"),
+    (lambda: comp.lemma2_compose_params(REL, REL, "rel_of_abs"), IncompatibleContracts,
+     "second argument must be an absolute-error contract"),
+    (lambda: comp.lemma2_compose_params(ABS, ABS, "rel_of_abs"), IncompatibleContracts,
+     "first argument must be a relative-error contract (delta = delta_r/2 <= 1/2)"),
+    (lambda: comp.lemma2_compose_params(REL, ABS, "sideways"), OutOfRange,
+     "order must be rel_of_abs or abs_of_rel, got 'sideways'"),
+    (lambda: comp.UnbiasedKBit(0), OutOfRange, "kbits must be >= 1, got 0"),
+    (lambda: comp.UniformQuantizer(0.0), OutOfRange, "step must be positive, got 0.0"),
+    (lambda: ONE_BIT.compress([0.0, np.nan]), DimensionMismatch,
+     "compressor input must be finite"),
+    (lambda: comp.verify_local_assumption(ONE_BIT, ONE_BIT.contract(6), samples=0),
+     OutOfRange, "samples must be >= 1"),
+    (lambda: comp.verify_global_assumption(KBIT, KBIT.contract(8), samples=0), OutOfRange,
+     "need samples >= 1 and trials_per_sample >= 2"),
+    (lambda: comp.verify_global_assumption(KBIT, KBIT.contract(8), trials_per_sample=1),
+     OutOfRange, "need samples >= 1 and trials_per_sample >= 2"),
+    *((lambda kw=kw: _constants(**kw), OutOfRange, "gamma, tau_1, omega, alpha must be positive")
+      for kw in ({"gamma": 0.0}, {"tau_1": -1.0}, {"omega": 0.0}, {"alpha": 0.0})),
+]
+
+
+@pytest.mark.parametrize("call,error,message", CONTRACT_REFUSALS,
+                         ids=[f"{i}: {case[-1]}" for i, case in enumerate(CONTRACT_REFUSALS)])
+def test_contract_layer_refusals(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

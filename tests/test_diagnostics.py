@@ -13,7 +13,6 @@ from dcopt import (
     run,
     write_csv,
 )
-from dcopt.compressors import NormContext
 from dcopt.diagnostics import lyapunov_sandwich_check, summary
 from dcopt.errors import DegenerateSeries
 
@@ -57,11 +56,10 @@ def test_sandwich_holds_on_random_states():
     states once tau_1 >= kappa_1 and gamma > kappa_2."""
     prob, g, _ = _setup(n=3, d=2, seed=4)
     ct = OneBit(1.0).contract(2)
-    norms = NormContext(np.inf, 2)
-    probe = compute_constants(g, prob.ell, 1.0, 1.0, 1.0, 1e-9, ct, norms)
+    probe = compute_constants(g, prob.ell, 1.0, 1.0, 1.0, 1e-9, ct, 2)
     gamma = 1.05 * probe.kappa_2
     tau_1 = 1.05 * probe.kappa_1
-    table = compute_constants(g, prob.ell, gamma, tau_1, 1.0, 1e-4, ct, norms)
+    table = compute_constants(g, prob.ell, gamma, tau_1, 1.0, 1e-4, ct, 2)
     beta = tau_1 * gamma
     E = np.eye(3) - 1.0 / 3
     rng = np.random.default_rng(5)
@@ -82,11 +80,10 @@ def test_sandwich_holds_on_random_states():
 def test_sandwich_check_on_trace():
     prob, g, _ = _setup(n=3, d=2, seed=6)
     ct = OneBit(4.0).contract(2)
-    norms = NormContext(np.inf, 2)
-    probe = compute_constants(g, prob.ell, 1.0, 1.0, 1.0, 1e-9, ct, norms)
+    probe = compute_constants(g, prob.ell, 1.0, 1.0, 1.0, 1e-9, ct, 2)
     gamma = 1.05 * probe.kappa_2
     tau_1 = 1.05 * probe.kappa_1
-    table = compute_constants(g, prob.ell, gamma, tau_1, 1.0, 1e-4, ct, norms)
+    table = compute_constants(g, prob.ell, gamma, tau_1, 1.0, 1e-4, ct, 2)
     hyper = HyperParams(alpha=1e-4, beta=tau_1 * gamma, gamma=gamma, omega=1.0,
                         schedule=GeometricSchedule(3.0, 0.999), tau_1=tau_1)
     tr = run(prob, g, OneBit(4.0), hyper, T=50, x0_seed=7, contract=ct)
