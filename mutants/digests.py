@@ -44,9 +44,11 @@ COMMANDS = (
     ("run", "compose_kbit_of_uniform.ini"),
     ("verify", "compose_kbit_of_uniform.ini", "--trials", "2000"),
     ("verify", "compose_uniform_of_kbit.ini", "--trials", "2000"),
+    # a variable-bit kind: bits_cum counts the indices its kernel sends
+    ("run", "uniform_quant.ini"),
 )
 
-COMPOSE = """
+RING = """
 [problem]
 family = nonconvex
 d = 6
@@ -58,11 +60,7 @@ n = 8
 
 [compressor]
 kind = {kind}
-kbits = 4
-step = 0.5
-noise_inner = 0.3
-noise_outer = 0.2
-
+{params}
 [algorithm]
 T = 30
 seed = 11
@@ -74,8 +72,10 @@ tau_1 = 2.0
 directory = out/{kind}
 """
 
-GENERATED = {f"{kind}.ini": COMPOSE.format(kind=kind)
-             for kind in ("compose_kbit_of_uniform", "compose_uniform_of_kbit")}
+COMPOSE = "kbits = 4\nstep = 0.5\nnoise_inner = 0.3\nnoise_outer = 0.2\n"
+GENERATED = {f"{kind}.ini": RING.format(kind=kind, params=params) for kind, params in (
+    ("compose_kbit_of_uniform", COMPOSE), ("compose_uniform_of_kbit", COMPOSE),
+    ("uniform_quant", "step = 0.5\n"))}
 
 
 def sha256(data: bytes) -> str:

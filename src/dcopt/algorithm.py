@@ -247,8 +247,9 @@ def run(problem, graph, compressor: Compressor, hyper: HyperParams, T: int,
                 part["k"], part["s_k"], part["bits_cum"] = zip(
                     *[(s.k, s.s_k, s.bits_cum) for s in block])
                 # each row's x, v and x_hat, and x_hat after its exchange (the final
-                # row, then ``state`` itself, has none); a single row as views
-                X, V, Xhat, post = (a[0][None] if len(a) == 1 else np.stack(a) for a in zip(
+                # row, then ``state`` itself, has none); a single row as views, more
+                # rows by one np.array copy each, about half the cost of np.stack
+                X, V, Xhat, post = (a[0][None] if len(a) == 1 else np.array(a) for a in zip(
                     *[(s.x, s.v, s.x_hat, t.x_hat) for s, t in zip(block, block[1:] + [state])]))
                 trace_rows(part, X, V, Xhat, post[:len(block) - (k == T)],
                            problem, graph, hyper, contract)

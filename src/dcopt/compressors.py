@@ -453,10 +453,10 @@ class UniformQuantizer(Compressor):
             raise OutOfRange(f"step must be positive, got {self.step}")
 
     def bits(self, X):
-        # row j sends ceil(log2(2 q_j + 1)) = 1 + bitlength(q_j) bits per
-        # coordinate for q_j = floor(max |X_j| / step); frexp's exponent is
-        # the bit length of the integer-valued float q_j
-        q = np.floor(np.max(np.abs(X), axis=1, initial=0.0) / self.step)
+        # row j sends indices floor(x / step + 1/2) in [-q_j, q_j], where q_j is
+        # their largest magnitude: ceil(log2(2 q_j + 1)) = 1 + bitlength(q_j) bits
+        # per coordinate; frexp's exponent is the bit length of the float q_j
+        q = np.max(np.abs(np.floor(X / self.step + 0.5)), axis=1, initial=0.0)
         return X.size + X.shape[1] * int(np.frexp(q)[1].sum())
 
     def absolute_error(self, d):

@@ -5,8 +5,8 @@
 layer that owns it: ``[graph] topology`` (ring | path | complete |
 erdos_renyi).  Every mode reads omega (1/r when absent).  The empirical mode
 needs alpha, gamma and tau_1; a theoretical mode derives them and reads
-clamp_alpha, tau_0, epsilon and strict instead, and refuses any init_mode
-but its own.
+clamp_alpha, tau_0, epsilon and strict instead, echoes the empirical keys its
+config names as ``ignored``, and refuses any init_mode but its own.
 
 A JSON file holding one object with the same section names is accepted as an
 alternative input.  All randomness derives from the [algorithm] seed (64-bit
@@ -196,6 +196,11 @@ def compressor_contract(compressor, d: int, cfg: dict):
     return compressor.contract(d)
 
 
+# the [algorithm] keys a theoretical mode reads and then ignores, since its
+# selection derives them; a run echoes those its config names as ``ignored``
+EMPIRICAL_ONLY = ("alpha", "gamma", "tau_1", "schedule", "rate", "s0", "s0_margin")
+
+
 def regime_options(cfg: dict) -> dict:
     """The [algorithm] keys a theoretical mode passes to theorem_params."""
     alg = section(cfg, "algorithm")
@@ -233,6 +238,7 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
 
     feasibility = {}
     extras = {}
+    ignored = []
     if mode == "empirical":
         x0 = draw_x0(graph.n, problem.d, init_mode, seed)
         missing = [key for key in ("gamma", "tau_1", "alpha") if alg[key] is None]
@@ -258,6 +264,7 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
                              **regime_options(cfg))
         hyper, x0, init_mode = sel.hyper, sel.x0, sel.init_mode
         feasibility, extras = sel.feasibility, sel.extras
+        ignored = sorted(key for key in EMPIRICAL_ONLY if key in cfg["algorithm"])
 
     run_kwargs = dict(T=T, init_mode=init_mode, x0=x0, contract=contract)
     echo = {"mode": mode, "seed": seed, "alpha": hyper.alpha, "beta": hyper.beta,
@@ -265,4 +272,6 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
             "schedule": {"mode": hyper.schedule.mode, **asdict(hyper.schedule)},
             "compressor": repr(compressor), "graph": graph.topology, "n": graph.n,
             "d": problem.d, "family": problem.family}
+    if ignored:
+        echo["ignored"] = ignored
     return RunPlan(problem, graph, compressor, hyper, run_kwargs, feasibility, extras, echo)

@@ -107,7 +107,7 @@ def cost(problem, i, x):
         return 0.5 * float(r @ r)
     y, lam = problem.data["y"], problem.meta["lam"]
     z = -y[i] * (A[i] @ x)
-    logistic = float(np.mean(np.logaddexp(0.0, z)))
+    logistic = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
     return logistic + lam * float(np.sum(x * x / (1.0 + x * x)))
 
 

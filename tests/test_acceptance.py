@@ -339,7 +339,9 @@ def test_criterion_11_bit_accounting():
     for _ in range(3):
         U = (st.x - st.x_hat) / st.s_k
         for i in range(n):
-            levels = 2 * math.floor(np.abs(U[i]).max() / 0.5) + 1
+            # the largest index magnitude the midtread kernel sends
+            q = max(abs(math.floor(u / 0.5 + 0.5)) for u in U[i])
+            levels = 2 * q + 1
             expected += d * max(1, math.ceil(math.log2(levels)))
         st = dcopt.step(st, prob, g, cpr, hyper)
     ok = ok and st.bits_cum == expected

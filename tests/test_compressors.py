@@ -142,17 +142,36 @@ def test_scalarization_direction_moments():
     assert not np.array_equal(psi0, c.direction(d, 4))
 
 
+def _sent_index(x, step):
+    # the largest index magnitude the midtread kernel sends for x
+    return max(abs(math.floor(float(v) / step + 0.5)) for v in x)
+
+
 def test_uniform_quant_bits_depend_on_input():
     c = comp.UniformQuantizer(0.5)
     x = np.array([3.3, -0.2, 1.0])
     _, bits = c.compress(x)
-    levels = 2 * math.floor(3.3 / 0.5) + 1
+    levels = 2 * _sent_index(x, 0.5) + 1
     assert bits == 3 * max(1, math.ceil(math.log2(levels)))
     # a block is charged row by row, in integers: ceil(log2(2q + 1)) is the
     # bit length of 2q, also where a float log2 of 2q + 1 would round down
     X = np.array([[0.0, 0.0, 0.0], [3.3, -0.2, 1.0], [2.0 ** 59, 0.0, -1.0]])
-    qs = [math.floor(float(np.max(np.abs(row))) / 0.5) for row in X]
+    qs = [_sent_index(row, 0.5) for row in X]
     assert c.bits(X) == sum(3 * max(1, (2 * q).bit_length()) for q in qs) == 3 + 12 + 186
+
+
+@pytest.mark.parametrize("x, sent, per_coordinate", [
+    ([0.6, 0.1], 1, 2),      # max |x| rounds up into the next index
+    ([1.6, 0.0], 2, 3),
+    ([3.6, 0.0], 4, 4),
+    ([-0.6], -1, 2),
+    ([0.0, 0.0], 0, 1),
+])
+def test_uniform_quant_charges_the_index_it_sends(x, sent, per_coordinate):
+    x = np.array(x)
+    q, bits = comp.UniformQuantizer(1.0).compress(x)
+    assert q[np.argmax(np.abs(q))] == sent
+    assert bits == per_coordinate * x.size
 
 
 def test_unbiased_kbit_bits():

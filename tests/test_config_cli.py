@@ -204,6 +204,23 @@ def test_a_theoretical_mode_runs_its_own_init_mode_named_or_not(tmp_path, mode, 
         assert build_run_plan(cfg).run_kwargs["init_mode"] == own
 
 
+def test_a_theoretical_mode_echoes_the_empirical_keys_it_ignores(tmp_path):
+    out = tmp_path / "out"
+    text = BASE_CONFIG.format(out=out).replace("mode = empirical", "mode = T1_local_nonconvex")
+    for line in ("gamma = 1.0\n", "tau_1 = 2.0\n", "rate = 0.99\n"):
+        text = text.replace(line, "")
+    path = _write(tmp_path, text.replace("alpha = 0.05", "alpha = 123.0")
+                  .replace("schedule = geometric", "schedule = constant"))
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert echo["ignored"] == ["alpha", "schedule"]
+    assert echo["alpha"] == build_run_plan(load_config(path)).hyper.alpha != 123.0
+    # a theoretical mode given none of them, and the empirical mode, echo no list
+    for plain in (text.replace("alpha = 0.05\n", "").replace("schedule = geometric\n", ""),
+                  BASE_CONFIG.format(out=out)):
+        assert "ignored" not in build_run_plan(load_config(_write(tmp_path, plain))).echo
+
+
 def test_each_kind_builds_from_its_params_and_shows_them_in_its_repr():
     values = {"level": "1.5", "step": "0.4", "k": "2", "kbits": "3"}
     for kind, make in config.KINDS.items():

@@ -69,6 +69,16 @@ def test_nonconvex_value_at_origin():
     assert _costs(prob, np.zeros((2, 3))) == pytest.approx([math.log(2.0)] * 2)
 
 
+def test_nonconvex_loss_is_logaddexp_within_two_ulp():
+    # one agent, one sample, no penalty: the cost at margin P is the loss itself
+    prob = make_nonconvex(1, 1, seed=0, lam=0.0, m=1)
+    grid = np.array([0.0, 1e-300, 1.0, 30.0, 709.0, 745.0, 1e300])
+    P = np.concatenate([grid, -grid, np.linspace(-800.0, 800.0, 16001)])
+    loss = prob.cost_from(np.zeros((P.size, 1, 1)), P[:, None, None])[:, 0]
+    assert np.all(np.isfinite(loss)) and np.all(loss >= 0.0)
+    np.testing.assert_array_max_ulp(loss, np.logaddexp(0.0, -P), maxulp=2)
+
+
 @pytest.mark.parametrize("factory", [
     lambda: make_quadratic(3, 5, seed=7, condition_number=8.0),
     lambda: make_nonconvex(3, 5, seed=7),
