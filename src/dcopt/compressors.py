@@ -274,8 +274,10 @@ class SaturatingQuantizer(Compressor):
 
     def __post_init__(self):
         level, step = self.level, self.step
-        if level <= 0 or not 0 < step < 2 * level:
-            raise OutOfRange(f"need level > 0 and step in (0, 2*level), got {level}, {step}")
+        # the output indices floor(+-level / step) must be finite
+        if level <= 0 or not 0 < step < 2 * level or not math.isfinite(level / step):
+            raise OutOfRange(f"need level > 0, step in (0, 2*level) and level/step finite, "
+                             f"got {level}, {step}")
         self._lo = math.floor(-level / step)
         self._hi = math.floor(level / step)
 
@@ -367,11 +369,14 @@ class UnbiasedKBit(Compressor):
     kind = "unbiased_kbit"
     deterministic = False
     role = "relative"
+    max_kbits = 511   # the largest k with 4^k a finite float; relative_delta divides by it
     kbits: int
 
     def __post_init__(self):
         if self.kbits < 1:
             raise OutOfRange(f"kbits must be >= 1, got {self.kbits}")
+        if self.kbits > self.max_kbits:
+            raise OutOfRange(f"kbits must be <= {self.max_kbits}, got {self.kbits}")
 
     def bits(self, X):
         return (self.kbits + 1) * X.size + len(X) * B1

@@ -113,10 +113,12 @@ def _read(key: str, typ, raw):
 
 def section(cfg: dict, name: str) -> dict:
     """Section ``name`` of ``cfg`` read by ``GRAMMAR``: each value as its
-    type and each absent key at its default.  An unknown key, a value that
-    does not read as its type and a missing required key are refused."""
+    type and each absent key at its default.  It refuses an unknown key, a value
+    that does not read as its type, a missing required key, and both T and t."""
     grammar = GRAMMAR[name]
     values = {("t" if key == "T" else key): raw for key, raw in cfg.get(name, {}).items()}
+    if len(values) < len(cfg.get(name, {})):
+        raise ConfigError(f"section {name!r} names both 'T' and 't'")
     unknown = sorted(set(values) - set(grammar))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")

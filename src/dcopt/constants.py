@@ -1,6 +1,7 @@
 """Closed-form analysis constants and theoretically-derived hyperparameters.
 
-Every named scalar (the kappa, phi, psi, eps, tau families) is evaluated
+The table holds the constants that a stepsize cap, a schedule, a feasibility
+flag or a check reads (the kappa, phi, psi and eps families), each evaluated
 exactly from the graph spectrum, the smoothness constant, the compressor
 contract, and the candidate scalars (gamma, tau_1, omega, alpha).  Regime
 parameter selection builds on these constants.  Structural constraints
@@ -42,26 +43,6 @@ class ConstantTable(dict):
         return {k: (None if v is None else float(v)) for k, v in self.items()}
 
 
-def _kappa5_root(phi1, phi2, phi3, phi4) -> float:
-    """Smaller positive root of alpha * min(phi1 - a phi2, phi3 - a phi4) = 1,
-    +inf when no root exists.  That is so for every table: 4 phi_2 > phi_1^2 for all
-    beta, gamma > 0 (as lambda_n >= lambda_2), and a root on the second branch needs
-    lambda_n < 1/32, while every graph that ``build_graph`` makes has lambda_n >= 2."""
-    best = math.inf
-    for (lin, quad) in ((phi1, phi2), (phi3, phi4)):
-        disc = lin * lin - 4.0 * quad
-        if disc < 0 or quad <= 0:
-            continue
-        for root in ((lin - math.sqrt(disc)) / (2.0 * quad),
-                     (lin + math.sqrt(disc)) / (2.0 * quad)):
-            if root <= 0:
-                continue
-            # the root must lie on the active min branch
-            if abs(root * min(phi1 - root * phi2, phi3 - root * phi4) - 1.0) < 1e-9:
-                best = min(best, root)
-    return best
-
-
 def kappa_12(rho2: float, ell: float) -> tuple:
     """(kappa_1, kappa_2), the floors of tau_1 and gamma, set by lambda_2 and ell alone."""
     kappa_1 = 4.0 / rho2
@@ -75,7 +56,7 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
                       T: int | None = None, l1_0: float | None = None,
                       s0: float | None = None, nu: float | None = None,
                       tau_0: float = 1.0) -> ConstantTable:
-    """Evaluate the full constant table at one parameter point, in dimension d."""
+    """Evaluate the constant table at one parameter point, in dimension d."""
     if gamma <= 0 or tau_1 <= 0 or omega <= 0 or alpha <= 0:
         raise OutOfRange("gamma, tau_1, omega, alpha must be positive")
     rho, rho2, n = graph.rho, graph.rho2, graph.n
@@ -84,7 +65,6 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     beta = tau_1 * gamma
 
     t = ConstantTable()
-    t["beta"] = beta
     t["kappa_1"], t["kappa_2"] = kappa_12(rho2, ell)
 
     t["phi_1"] = 0.5 * (rho2 * beta - (3.0 * gamma + 2.0 + 2.0 * ell ** 2))
@@ -108,10 +88,8 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     t["eps_2"] = max((1.0 + tau_1 * rho2) / 2.0,
                      (1.0 + tau_1) / 2.0 + 1.0 / (2.0 * tau_1 * rho2 ** 2))
     t["eps_3"] = min(t["phi_1"] - alpha * t["phi_2"], t["phi_3"] - alpha * t["phi_4"])
-    t["eps_4"] = min(t["eps_3"], 0.25)
     t["eps_5"] = omega * r * (delta - delta ** 2 / 2.0)
 
-    t["psi_1"] = 2.0 * (t["phi_5"] + alpha * t["phi_6"])
     t["psi_2"] = t["phi_7"] + alpha * t["phi_8"]
     t["psi_3"] = 4.0 * (1.0 + 1.0 / t["eps_5"]) * dh ** 2 * beta ** 2 * rho ** 2
     # eps_1 <= 0 marks tau_1 below its admissible floor; the dependent
@@ -120,25 +98,15 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
         * max(beta ** 2 * rho ** 2 + ell ** 2, gamma ** 2 * rho) / t["eps_1"] \
         if t["eps_1"] > 0 else math.inf
 
-    t["tau_2"] = ((beta + gamma) / (2.0 * gamma ** 3)
-                  + (beta + gamma) ** 2 / (alpha * gamma ** 5)) / rho2 + 0.5
-    t["tau_3"] = ((alpha + 1.0) / (2.0 * alpha * gamma ** 2) + 0.5) / rho2 ** 2
-
     # gradient-dominated (local) family; a cap over 1 - 2 eps_5 = 0 is +inf, as kappa_6 is
-    t["kappa_5"] = _kappa5_root(t["phi_1"], t["phi_2"], t["phi_3"], t["phi_4"])
     one_minus = 1.0 - 2.0 * t["eps_5"]
     t["kappa_6"] = math.sqrt((t["eps_5"] + 2.0 * t["eps_5"] ** 2) / (one_minus * t["psi_3"])) \
         if one_minus > 0 else math.inf
-    t["kappa_tilde_0"] = min(t["kappa_hat_0"], t["kappa_5"],
-                             t["kappa_6"] / (math.sqrt(n) * dt))
     if nu is not None:
         t["eps_6"] = min(nu / 2.0, t["eps_3"]) / t["eps_2"]
         t["psi_5"] = 2.0 * one_minus * t["psi_2"] / t["eps_6"] if t["eps_6"] > 0 else math.inf
     else:
-        t["eps_6"] = None
-        t["psi_5"] = None
-    t["eps_7"] = (t["eps_5"] + 2.0 * t["eps_5"] ** 2) \
-        - alpha ** 2 * n * dt ** 2 * one_minus * t["psi_3"]
+        t["eps_6"] = t["psi_5"] = None
 
     # horizon-dependent (local nonconvex) family
     t["eps_8"] = (t["eps_5"] + 2.0 * t["eps_5"] ** 2) / 2.0
@@ -178,8 +146,11 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     if t["psi_5"] is not None and 0.0 < t["psi_5"] < math.inf:
         t["kappa_6_prime"] = math.sqrt((t["eps_5"] + 2.0 * t["eps_5"] ** 2)
                                        / (one_minus * t["psi_3"] + t["psi_4"] * t["psi_5"]))
-        t["kappa_0_prime"] = min(t["kappa_hat_0"], t["kappa_5"],
-                                 t["kappa_6_prime"] / (math.sqrt(n) * dt))
+        # the paper's min also takes κ₅, the least alpha > 0 with alpha min(phi_1 -
+        # alpha phi_2, phi_3 - alpha phi_4) = 1. None exists on a connected graph: with
+        # u = lambda_2 beta, phi_2 >= 3u^2 - u gamma + 2 gamma^2 + 1 > 0, and phi_1 > 0 forces
+        # phi_1^2 < u^2/4 < 4 phi_2, so alpha phi_1 - alpha^2 phi_2 < 1 for every alpha > 0
+        t["kappa_0_prime"] = min(t["kappa_hat_0"], t["kappa_6_prime"] / (math.sqrt(n) * dt))
         t["kappa_9"] = math.sqrt(max(
             1.0 - alpha * (t["eps_6"] - one_minus * t["psi_2"] / t["psi_5"]), 0.0))
         t["kappa_10"] = math.sqrt(max(
@@ -193,8 +164,6 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     # globally-bounded family
     t["eps_9"] = omega * r * delta / 2.0
     t["eps_10"] = (1.0 - 2.0 * t["eps_9"]) * (1.0 + 1.0 / t["eps_9"])
-    t["eps_11"] = t["eps_9"] + 2.0 * t["eps_9"] ** 2 \
-        - 4.0 * t["eps_10"] * alpha ** 2 * beta ** 2 * rho ** 2
     t["eps_12"] = (t["eps_9"] + 2.0 * t["eps_9"] ** 2) / 2.0
     t["phi_2_prime"] = (3.0 + 4.0 * t["eps_10"]) * rho ** 2 * beta ** 2 \
         - rho2 * beta * gamma + (rho + 2.0) * gamma ** 2 + 1.0 \
@@ -204,7 +173,6 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
         + (rho - 2.0 * rho2) * beta * gamma + (rho + 2.0) * gamma ** 2 + 1.0
     t["eps_3_prime"] = min(t["phi_1"] - alpha * t["phi_2_prime"],
                            t["phi_3"] - alpha * t["phi_4_prime"])
-    t["eps_4_prime"] = min(t["eps_3_prime"], 0.25)
     t["kappa_hat_0_prime"] = min(
         t["phi_1"] / t["phi_2_prime"], t["phi_3"] / t["phi_4_prime"],
         t["phi_5"] / t["phi_6"],

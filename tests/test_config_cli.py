@@ -171,6 +171,13 @@ REFUSALS = [
     ("json", {"graph": {"topology": ["ring"]}}, "bad value for 'topology'"),
     ("json", {"algorithm": {"gamma": float("nan")}}, "bad value for 'gamma'"),
     ("document", [BASE_CONFIG], "JSON config must be a single object"),
+    # JSON keeps the case of T, so a section may name it twice
+    ("json", {"algorithm": {"t": 7}}, "section 'algorithm' names both 'T' and 't'"),
+    # compressor parameters whose arithmetic would overflow a float
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit\nkbits = 600")],
+     "kbits must be <= 511, got 600"),
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = sat_quant\nlevel = 1e308\nstep = 1e-300")],
+     "need level > 0, step in (0, 2*level) and level/step finite"),
 ]
 
 
@@ -352,6 +359,15 @@ def test_cmd_verify_global(tmp_path, capsys):
     assert cli.cmd_verify(path, trials=2000) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["contract"]["class"] == "global"
+
+
+@pytest.mark.parametrize("params", ["kind = unbiased_kbit\nkbits = 600",
+                                    "kind = sat_quant\nlevel = 1e308\nstep = 1e-300"])
+def test_verify_refuses_a_compressor_that_overflows(tmp_path, capsys, params):
+    text = BASE_CONFIG.format(out=tmp_path / "o15").replace("kind = one_bit\nlevel = 2.0", params)
+    assert cli.main(["verify", _write(tmp_path, text)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not (tmp_path / "o15").exists()
 
 
 @pytest.mark.parametrize("kind,code", [("one_bit", cli.EXIT_OK),

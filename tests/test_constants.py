@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcopt import (build_graph, compute_constants, constants, make_nonconvex, make_quadratic,
-                   theorem_params)
+from dcopt import (build_graph, compute_constants, constants, from_adjacency, make_nonconvex,
+                   make_quadratic, theorem_params)
 from dcopt.compressors import (LOCAL, AssumptionContract, Identity, OneBit, TopK, UnbiasedKBit,
                                UniformQuantizer)
-from dcopt.constants import _kappa5_root, positivity_flags
+from dcopt.constants import positivity_flags
 from dcopt.errors import ConfigError, InfeasibleParams, OutOfRange
 
 LOCAL_CT = AssumptionContract(LOCAL, np.inf, 1.0, 1.0, 0.5)
@@ -56,26 +58,36 @@ def test_kappa_monotone_in_rho2():
         assert b.kappa_2 <= a.kappa_2 + 1e-12
 
 
-def test_kappa5_root_against_scan():
-    g = build_graph("complete", 4)
-    t, gamma, tau_1 = _table(g, ell=0.5)
-    root = _kappa5_root(t.phi_1, t.phi_2, t.phi_3, t.phi_4)
-    f = lambda a: a * min(t.phi_1 - a * t.phi_2, t.phi_3 - a * t.phi_4)
-    if math.isfinite(root):
-        assert f(root) == pytest.approx(1.0, abs=1e-6)
-        grid = np.linspace(1e-9, root * 0.999, 4000)
-        assert np.all([f(a) < 1.0 for a in grid])
-    else:
-        grid = np.linspace(1e-9, 10.0, 20000)
-        assert np.all([f(a) < 1.0 for a in grid])
+@st.composite
+def connected_graphs(draw):
+    """A graph of each ``build_graph`` topology, or a weighted one with lambda_n < 1/32."""
+    topology = draw(st.sampled_from(("ring", "path", "complete", "erdos_renyi", "weighted")))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if topology != "weighted":
+        return build_graph(topology, draw(st.integers(3, 30)), prob=0.5, seed=seed)
+    n, rng = draw(st.integers(2, 8)), np.random.default_rng(seed)
+    A = np.triu(rng.uniform(0.05, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5), 1)
+    A[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.05, 1.0, n - 1)   # a spanning path
+    A += A.T
+    lam_n = np.linalg.eigvalsh(np.diag(A.sum(axis=1)) - A)[-1]
+    graph = from_adjacency(A / lam_n * 10.0 ** draw(st.floats(-4.0, -1.6)), "weighted")
+    assert graph.rho < 1.0 / 32.0
+    return graph
 
 
-def test_kappa5_root_on_its_active_branch():
-    # phi = (3, 1, 10, 1): a (3 - a) = 1 at a = (3 - sqrt 5) / 2 on the first
-    # branch; the second branch's smaller root, (10 - sqrt 96) / 2 ~ 0.101,
-    # solves a (10 - a) = 1, but there the min is 3 - a, so it is rejected
-    root = _kappa5_root(3.0, 1.0, 10.0, 1.0)
-    assert root == (3.0 - math.sqrt(5.0)) / 2.0 == 0.3819660112501051
+log_uniform = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graph=connected_graphs(), ell=st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False),
+       gamma=log_uniform, tau_1=log_uniform)
+def test_alpha_phi_1_minus_alpha_squared_phi_2_stays_below_one(graph, ell, gamma, tau_1):
+    # κ₅, the least alpha > 0 with alpha min(phi_1 - alpha phi_2, phi_3 - alpha phi_4) = 1,
+    # is left out of kappa_0_prime: the min is at most alpha phi_1 - alpha^2 phi_2, which stays
+    # below 1 for every alpha > 0 when phi_2 > 0 and phi_1 <= 0 or phi_1^2 < 4 phi_2
+    t = compute_constants(graph, ell, gamma, tau_1, 1.0, 1e-4, LOCAL_CT, 4)
+    assert t.phi_2 > 0
+    assert t.phi_1 <= 0 or t.phi_1 ** 2 < 4.0 * t.phi_2
 
 
 def test_theorem1_alpha_display():

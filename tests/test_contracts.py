@@ -248,7 +248,17 @@ CONTRACT_REFUSALS = [
      OutOfRange, "need samples >= 1 and trials_per_sample >= 2"),
     *((lambda kw=kw: _constants(**kw), OutOfRange, "gamma, tau_1, omega, alpha must be positive")
       for kw in ({"gamma": 0.0}, {"tau_1": -1.0}, {"omega": 0.0}, {"alpha": 0.0})),
+    (lambda: comp.UnbiasedKBit(512), OutOfRange, "kbits must be <= 511, got 512"),
+    (lambda: comp.SaturatingQuantizer(1e308, 1e-300), OutOfRange,
+     "need level > 0, step in (0, 2*level) and level/step finite, got 1e+308, 1e-300"),
 ]
+
+
+def test_max_kbits_is_the_last_finite_power_of_four():
+    k = comp.UnbiasedKBit.max_kbits
+    assert comp.UnbiasedKBit(k).relative_delta(8) == 1.0 - 8 / 4.0 ** k
+    with pytest.raises(OverflowError):
+        4.0 ** (k + 1)
 
 
 @pytest.mark.parametrize("call,error,message", CONTRACT_REFUSALS,
