@@ -46,6 +46,9 @@ COMMANDS = (
     ("verify", "compose_uniform_of_kbit.ini", "--trials", "2000"),
     # a variable-bit kind: bits_cum counts the indices its kernel sends
     ("run", "uniform_quant.ini"),
+    # one generator per round: the shared direction, then the channel noise
+    ("run", "scalarization.ini"),
+    ("verify", "scalarization.ini", "--trials", "2000"),
 )
 
 RING = """
@@ -75,7 +78,7 @@ directory = out/{kind}
 COMPOSE = "kbits = 4\nstep = 0.5\nnoise_inner = 0.3\nnoise_outer = 0.2\n"
 GENERATED = {f"{kind}.ini": RING.format(kind=kind, params=params) for kind, params in (
     ("compose_kbit_of_uniform", COMPOSE), ("compose_uniform_of_kbit", COMPOSE),
-    ("uniform_quant", "step = 0.5\n"))}
+    ("uniform_quant", "step = 0.5\n"), ("scalarization", "noise = 0.3\n"))}
 
 
 def sha256(data: bytes) -> str:

@@ -169,12 +169,12 @@ class Compressor:
         """Return (Q, bits) for one round: Q row-wise, bits the round's total.
 
         Stochastic kinds build one generator per round, from the iteration's
-        substream, and draw every row from it in one block.
+        substream, and take every draw of the round from it.
         """
         gen = None
         if not self.deterministic:
             gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, iteration)
-        Q, charged = self._apply(U, gen, iteration)
+        Q, charged = self._apply(U, gen)
         return Q, self.bits(charged)
 
     def compress(self, x, iteration: int = 0):
@@ -202,16 +202,15 @@ class Compressor:
         for stochastic kinds and is None for deterministic ones."""
         raise NotImplementedError
 
-    def _apply(self, X: np.ndarray, gen: np.random.Generator | None,
-               iteration: int | None = None, shape: tuple | None = None):
+    def _apply(self, X: np.ndarray, gen: np.random.Generator | None, shape: tuple | None = None):
         """Compress the rows of X with one block draw of ``shape`` (default
         X.shape) from ``gen``; X's rows broadcast against it, so one input
         row meets every row of draws and a deterministic kind returns X's rows.
 
         Returns the output and the block the ``bits`` formula is charged on
-        (X itself, except for a composition).  The rows are the agents of
-        round ``iteration``, or independent draws when it is None; only
-        scalarization tells the two apart.
+        (X itself, except for a composition).  Without ``shape`` the rows are
+        one round's agents, with it independent draws; only scalarization,
+        which shares one direction across a round, tells the two apart.
         """
         zeta = None if self.deterministic else gen.uniform(size=shape or X.shape)
         return self._kernel(X, zeta), X
@@ -416,8 +415,8 @@ class RandK(_KeepK):
 class Scalarization(Compressor):
     """Project onto a shared random unit direction and transmit one scalar.
 
-    The direction for iteration k is regenerated from (seed, iteration) alone,
-    so every agent reproduces it without transmission.
+    A round's direction is its generator's first draw, so every agent
+    reproduces it without transmission; independent draws take one each.
     """
 
     kind = "scalarization"
@@ -431,16 +430,12 @@ class Scalarization(Compressor):
         # E[psi psi^T] = I/d gives E||psi psi^T x - x||^2 = (1 - 1/d) ||x||^2
         return 1.0 / d
 
-    def direction(self, d: int, iteration: int) -> np.ndarray:
-        gen = _rng.substream(self.seed, _rng.SCALARIZATION, self.tag, iteration)
-        return _rng.sphere_point(gen, d)
-
-    def _apply(self, X, gen, iteration=None, shape=None):
-        if iteration is not None:
-            psi = self.direction(X.shape[1], iteration)
+    def _apply(self, X, gen, shape=None):
+        if shape is None:
+            psi = _rng.sphere_point(gen, X.shape[1])
             # vecdot matches the per-row psi @ x bit for bit; X @ psi does not
             return psi * np.vecdot(X, psi)[:, None], X
-        G = gen.standard_normal(size=shape or X.shape)
+        G = gen.standard_normal(size=shape)
         G /= np.linalg.norm(G, axis=1, keepdims=True)
         return G * np.sum(G * X, axis=1, keepdims=True), X
 
@@ -497,9 +492,9 @@ class Noisy(Compressor):
     def contract(self, d):
         return lemma1_contract(self, d)
 
-    def _apply(self, X, gen, iteration=None, shape=None):
+    def _apply(self, X, gen, shape=None):
+        Q, charged = self.base._apply(X, gen, shape)
         shape = shape or X.shape
-        Q, charged = self.base._apply(X, gen, iteration, shape)
         G = gen.standard_normal(size=shape)
         G /= np.linalg.norm(G, axis=1, keepdims=True)
         radii = self.noise_bound * gen.uniform(size=(shape[0], 1)) ** (1.0 / shape[1])
@@ -544,11 +539,11 @@ class Compose(Compressor):
         # X is the outer stage's input, which _apply charges
         return self.outer.bits(X)
 
-    def _apply(self, X, gen, iteration=None, shape=None):
+    def _apply(self, X, gen, shape=None):
         # both stages draw from the one generator, inner first, so two noise
         # wrappers never inject the same realization
-        mid, _ = self.inner._apply(X, gen, iteration, shape)
-        return self.outer._apply(mid, gen, iteration, shape)
+        mid, _ = self.inner._apply(X, gen, shape)
+        return self.outer._apply(mid, gen, shape)
 
     def __repr__(self):
         return f"Compose({self.inner!r} -> {self.outer!r})"

@@ -59,6 +59,9 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     """Evaluate the constant table at one parameter point, in dimension d."""
     if gamma <= 0 or tau_1 <= 0 or omega <= 0 or alpha <= 0:
         raise OutOfRange("gamma, tau_1, omega, alpha must be positive")
+    # phi_6 >= ell / 2 divides kappa_hat_0, so ell / 2 must not be 0 (nor NaN)
+    if not ell / 2.0 > 0:
+        raise OutOfRange(f"ell must be positive with ell / 2 > 0, got {ell}")
     rho, rho2, n = graph.rho, graph.rho2, graph.n
     r, delta, C = contract.r, contract.delta, contract.C
     dh, dt = contract.d_hat(d), contract.d_tilde(d)

@@ -3,12 +3,12 @@
 Every random draw in the library flows from a single 64-bit seed through a
 named Philox substream keyed by (seed, purpose) with the counter set from
 (tag, iteration).  A stream's draws depend only on its coordinates, never on
-execution order.  A compression round is one block draw: the round's
-generator comes from its (tag, iteration) coordinates and fills every row in
-turn, so compressing one vector is a round of one row.  A round's input
-rows broadcast against its draw shape: a verification point is one input
-row against ``trials`` rows of draws.  Scalarization's shared direction
-has its own stream keyed by the iteration alone.
+execution order.  A compression round draws from one generator, built from
+its (tag, iteration) coordinates, which fills every row in turn, so
+compressing one vector is a round of one row; scalarization's shared
+direction is the round's first draw, and every row projects on it.  A
+verification point is one input row broadcast against ``trials`` rows of
+independent draws.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 GRAPH = 1
 X0 = 2
 COMPRESSOR = 3
-SCALARIZATION = 5
 PROBLEM = 6
 VERIFY = 7
 

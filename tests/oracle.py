@@ -3,8 +3,9 @@
 It loops over agents the way the simulator first did: each agent's
 compression written out on its own input, and each agent's cost and gradient
 from its own slice of the problem data.  A stochastic round draws its random
-numbers as one block from the round's stream, in the library's order, and
-agent i then uses row i of each block.  Sums over agents and norms use the
+numbers as blocks from the round's one stream, in the library's order, and
+agent i then uses row i of each block; scalarization's direction is its
+block's one row, which every agent gets.  Sums over agents and norms use the
 library's NumPy reductions on each agent's row, and a ring mixes each
 agent's row from its two neighbours in the library's order.  The batched
 engine in ``dcopt`` must match it bit for bit.  The record keeps the dense
@@ -60,23 +61,25 @@ def draw_round(c, shape, gen):
                                                  gen.uniform(size=(shape[0], 1))]
     if isinstance(c, Compose):
         return draw_round(c.inner, shape, gen) + draw_round(c.outer, shape, gen)
-    if c.deterministic or isinstance(c, Scalarization):
+    if isinstance(c, Scalarization):
+        return [np.broadcast_to(_rng.sphere_point(gen, shape[1]), shape)]
+    if c.deterministic:
         return []
     return [gen.uniform(size=shape)]
 
 
-def compress(c, x, k, row):
-    """(q, bits) for one agent's input x in round k; ``row`` yields that
-    agent's row of each drawn block, in draw order."""
+def compress(c, x, row):
+    """(q, bits) for one agent's input x; ``row`` yields that agent's row of
+    each block its round drew, in draw order."""
     if isinstance(c, Noisy):
-        q, bits = compress(c.base, x, k, row)
+        q, bits = compress(c.base, x, row)
         g, u = next(row), next(row)
         return q + g / np.sqrt(np.sum(g * g)) * (c.noise_bound * u ** (1.0 / q.size)), bits
     if isinstance(c, Compose):
-        mid, _ = compress(c.inner, x, k, row)
-        return compress(c.outer, mid, k, row)
+        mid, _ = compress(c.inner, x, row)
+        return compress(c.outer, mid, row)
     if isinstance(c, Scalarization):
-        psi = c.direction(x.size, k)
+        psi = next(row)
         return psi * float(psi @ x), c.bits(x[None])
     zeta = None if c.deterministic else next(row)[None, :]
     return c._kernel(x[None, :], zeta)[0], c.bits(x[None])
@@ -87,7 +90,7 @@ def compress_round(c, U, k):
     agent j's input."""
     gen = None if c.deterministic else _rng.substream(c.seed, _rng.COMPRESSOR, c.tag, k)
     blocks = draw_round(c, U.shape, gen)
-    out = [compress(c, U[j], k, iter([b[j] for b in blocks])) for j in range(len(U))]
+    out = [compress(c, U[j], iter([b[j] for b in blocks])) for j in range(len(U))]
     return np.stack([q for q, _ in out]), [bits for _, bits in out]
 
 
@@ -95,7 +98,8 @@ def sample_errors(c, x, trials, seed, tag=0):
     """||C(x) - x||^2 per trial with x copied into every one of ``trials``
     rows and the block compressed as one round of independent draws."""
     gen = _rng.substream(seed, _rng.VERIFY, tag)
-    Q, _ = c._apply(np.broadcast_to(x, (trials, x.size)).copy(), gen)
+    shape = (trials, x.size)
+    Q, _ = c._apply(np.broadcast_to(x, shape).copy(), gen, shape)
     diff = Q - x[None, :]
     return np.sum(diff * diff, axis=1)
 

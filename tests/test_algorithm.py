@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,15 +13,25 @@ from dcopt import (
     OneBit,
     RecursiveSchedule,
     build_graph,
+    contraction_global_check,
+    from_adjacency,
     init_state,
     make_nonconvex,
     make_quadratic,
+    rate_fit,
     run,
     step,
 )
 from dcopt import algorithm
 from dcopt import compressors as comp
-from dcopt.errors import ConfigError, InvalidScale, NonFiniteState
+from dcopt.errors import (
+    ConfigError,
+    DegenerateSeries,
+    InvalidScale,
+    InvalidTopology,
+    NonFiniteState,
+    SingularSystem,
+)
 
 
 def _hyper(alpha=0.05, beta=2.0, gamma=1.0, omega=1.0, schedule=None):
@@ -308,3 +319,60 @@ def test_recursive_schedule_needs_horizon():
     hyper = _hyper(schedule=rec)
     with pytest.raises(ConfigError):
         run(prob, g, Identity(), hyper, T=20, x0_seed=1)
+
+
+def _path3(**changes):
+    # (state, problem, graph) at the start on the path of three agents, with
+    # ``changes`` applied to the state
+    prob, g = make_quadratic(3, 2, seed=1), build_graph("path", 3)
+    return dataclasses.replace(init_state(prob, g, _hyper(), x0_seed=2), **changes), prob, g
+
+
+def _one_trace():
+    _, prob, g = _path3()
+    return run(prob, g, comp.UnbiasedKBit(3, seed=1), _hyper(), T=2, x0_seed=2)
+
+
+# each refusal of the schedule, hyperparameter, state, diagnostics, graph and
+# problem layers: the call, its error class and its message
+LAYER_REFUSALS = [
+    *((lambda eps8=eps8: RecursiveSchedule(s0=1.0, eps8=eps8, kappa4=0.5, horizon=10),
+       ConfigError, f"eps8 must be in (0,1), got {eps8}") for eps8 in (0.0, 1.0)),
+    (lambda: RecursiveSchedule(s0=1.0, eps8=0.5, kappa4=-0.5, horizon=10), ConfigError,
+     "kappa4 must be >= 0, got -0.5"),
+    (lambda: RecursiveSchedule(s0=1.0, eps8=0.5, kappa4=0.5, horizon=0), ConfigError,
+     "recursive schedule needs a fixed horizon >= 1"),
+    *((lambda kw=kw: _hyper(**kw), ConfigError, "beta, gamma, omega must all be positive")
+      for kw in ({"beta": 0.0}, {"gamma": -1.0}, {"omega": 0.0})),
+    (lambda: _hyper(alpha=-0.1), ConfigError, "alpha must be >= 0, got -0.1"),
+    (lambda: init_state(*_path3()[1:], _hyper(), "warm"), ConfigError,
+     "unknown init mode 'warm'"),
+    (lambda: init_state(*_path3()[1:], _hyper(), x0=np.zeros((2, 2))), ConfigError,
+     "x0 must have shape (3, 2), got (2, 2)"),
+    (lambda: step(*_path3(s_k=0.0), Identity(), _hyper()), ConfigError,
+     "s_k must be positive, got 0.0"),
+    (lambda: contraction_global_check([_one_trace()], comp.UnbiasedKBit(3).contract(2), 1.0,
+                                      n=3),
+     DegenerateSeries, "need at least two seeds for the aggregate check"),
+    (lambda: rate_fit([1.0, 2.0, 3.0], [1.0, 2.0]), DegenerateSeries,
+     "ts and vs must have equal length"),
+    (lambda: rate_fit([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.3, 0.2], burn_in_frac=0.0),
+     DegenerateSeries, "power_law needs positive abscissae"),
+    *((lambda topology=topology: build_graph(topology, 1), InvalidTopology,
+       f"{topology} needs n >= 2, got 1") for topology in ("path", "complete", "erdos_renyi")),
+    (lambda: build_graph("erdos_renyi", 4, prob=0.0), InvalidTopology,
+     "erdos_renyi edge probability must be in (0,1], got 0.0"),
+    (lambda: from_adjacency([[0.0, 1.0], [0.0, 0.0]]), InvalidTopology,
+     "adjacency must be symmetric, nonnegative, zero diagonal"),
+    (lambda: make_quadratic(3, 2, condition_number=0.5), SingularSystem,
+     "need n, d >= 1 and condition_number >= 1"),
+    (lambda: make_nonconvex(3, 2, lam=-0.1), SingularSystem, "need n, d, m >= 1 and lam >= 0"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", LAYER_REFUSALS,
+                         ids=[f"{i}: {case[-1]}" for i, case in enumerate(LAYER_REFUSALS)])
+def test_layer_refusals(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcopt import compressors as comp
+from dcopt import rng
 from dcopt.errors import DimensionMismatch, IncompatibleContracts, OutOfRange
 
 
@@ -127,19 +128,32 @@ def test_round_rows_are_unbiased_and_independent(make, mean_factor):
 
 
 def test_scalarization_direction_moments():
+    # on U = I a round returns psi psi^T, whose mean over rounds is I/d
     c = comp.Scalarization(seed=9)
-    d = 4
-    gen = np.random.default_rng(1)
-    G = gen.standard_normal((100_000, d))
-    G /= np.linalg.norm(G, axis=1, keepdims=True)
-    outer = np.einsum("ti,tj->ij", G, G) / G.shape[0]
-    se = 1.0 / math.sqrt(G.shape[0])
+    d, rounds = 4, 10_000
+    outer = sum(c.apply(np.eye(d), k)[0] for k in range(rounds)) / rounds
+    se = 1.0 / math.sqrt(rounds)
     assert np.abs(outer - np.eye(d) / d).max() <= 4 * se
     # shared direction: identical for all agents at an iteration, varies with k
-    psi0 = c.direction(d, 3)
-    psi1 = c.direction(d, 3)
-    np.testing.assert_array_equal(psi0, psi1)
-    assert not np.array_equal(psi0, c.direction(d, 4))
+    U = np.tile([0.7, -1.3, 0.2, 2.1], (3, 1))
+    Q = c.apply(U, 3)[0]
+    np.testing.assert_array_equal(Q, np.tile(Q[0], (3, 1)))
+    np.testing.assert_array_equal(Q, c.apply(U, 3)[0])
+    assert not np.array_equal(Q, c.apply(U, 4)[0])
+
+
+def test_scalarization_round_draws_its_direction_first(monkeypatch):
+    # a round builds one generator, and its shared direction is the first draw
+    built = []
+    substream = rng.substream
+    monkeypatch.setattr(rng, "substream", lambda *key: built.append(key) or substream(*key))
+    s, k, d = 7, 5, 6
+    U = np.random.default_rng(0).standard_normal((4, d))
+    Q, _ = comp.Scalarization(seed=s).apply(U, k)
+    assert built == [(s, rng.COMPRESSOR, 0, k)]
+    psi = rng.sphere_point(substream(s, rng.COMPRESSOR, 0, k), d)
+    for j in range(len(U)):
+        np.testing.assert_array_equal(Q[j], psi * float(psi @ U[j]))
 
 
 def _sent_index(x, step):

@@ -276,6 +276,13 @@ def test_run_checks_only_the_files_it_writes(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_a_json_false_csv_writes_no_trace(tmp_path):
+    out = tmp_path / "out"
+    path = _as_json(tmp_path, BASE_CONFIG.format(out=out), {"output": {"csv": False}})
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
 @pytest.mark.parametrize("plot", ["metrics_vs_iterations.svg", "metrics_vs_bits.svg"])
 def test_run_refuses_to_overwrite_a_plot(tmp_path, capsys, plot):
     out = tmp_path / "out"

@@ -203,9 +203,17 @@ ONE_BIT = comp.OneBit(1.0)
 KBIT = comp.UnbiasedKBit(3)
 
 
-def _constants(gamma=8.0, tau_1=4.2, omega=1.0, alpha=1e-6):
-    return compute_constants(build_graph("path", 3), 1.0, gamma, tau_1, omega, alpha,
+def _constants(gamma=8.0, tau_1=4.2, omega=1.0, alpha=1e-6, ell=1.0):
+    return compute_constants(build_graph("path", 3), ell, gamma, tau_1, omega, alpha,
                              ONE_BIT.contract(4), 4)
+
+
+def test_a_tiny_ell_still_evaluates():
+    # 1e-300 squares to 0, but phi_6 >= ell / 2 = 5e-301 still divides kappa_hat_0
+    table = _constants(ell=1e-300)
+    assert table["phi_6"] == 5e-301
+    assert table["kappa_hat_0"] == min(table["phi_1"] / table["phi_2"],
+                                       table["phi_3"] / table["phi_4"], 0.125 / 5e-301)
 
 
 # each refusal of the contract layer: the call, its error class and its message
@@ -251,6 +259,9 @@ CONTRACT_REFUSALS = [
     (lambda: comp.UnbiasedKBit(512), OutOfRange, "kbits must be <= 511, got 512"),
     (lambda: comp.SaturatingQuantizer(1e308, 1e-300), OutOfRange,
      "need level > 0, step in (0, 2*level) and level/step finite, got 1e+308, 1e-300"),
+    *((lambda ell=ell: _constants(ell=ell), OutOfRange,
+       f"ell must be positive with ell / 2 > 0, got {ell}")
+      for ell in (0.0, -1.0, float("nan"), 5e-324)),
 ]
 
 
