@@ -1,12 +1,12 @@
 """Run configuration: a flat sectioned key-value file (INI grammar) or JSON.
 
-``GRAMMAR`` states each section's keys with their types and defaults, and
-``section`` is its one reader.  One plain-string key is checked by the
-layer that owns it: ``[graph] topology`` (ring | path | complete |
-erdos_renyi).  Every mode reads omega (1/r when absent).  The empirical mode
-needs alpha, gamma and tau_1; a theoretical mode derives them and reads
-clamp_alpha, tau_0, epsilon and strict instead, echoes the empirical keys its
-config names as ``ignored``, and refuses any init_mode but its own.
+``GRAMMAR`` states each section's keys with their types and defaults
+(``[graph] topology`` takes one of ``graph.TOPOLOGIES``), and ``section``, its
+one reader, checks every section as the config loads.  Every mode reads omega
+(1/r when absent).  The empirical mode needs alpha, gamma and tau_1; a
+theoretical mode derives them and reads clamp_alpha, tau_0, epsilon and strict
+instead, echoes the empirical keys its config names as ``ignored``, and refuses
+any init_mode but its own.
 
 A JSON file holding one object with the same section names is accepted as an
 alternative input.  All randomness derives from the [algorithm] seed (64-bit
@@ -27,7 +27,7 @@ from .algorithm import (INIT_MODES, ConstantSchedule, GeometricSchedule, HyperPa
 from .compressors import LOCAL
 from .constants import REGIMES, theorem_params
 from .errors import ConfigError
-from .graph import NetworkGraph, RingGraph, build_graph
+from .graph import TOPOLOGIES, NetworkGraph, RingGraph, build_graph
 from .problems import ProblemInstance, make_nonconvex, make_quadratic
 
 # a class reads its positional fields and ``noise``; a composition reads kbits, step,
@@ -77,8 +77,8 @@ GRAMMAR = {
     "problem": {"family": (("quadratic", "nonconvex"), REQUIRED), "d": (_count, REQUIRED),
                 "seed": (_seed, 0), "condition_number": (_finite, 10.0),
                 "lam": (_finite, 0.1), "m": (_int, 20)},
-    "graph": {"topology": (str, REQUIRED), "n": (_int, REQUIRED), "prob": (_finite, 0.4),
-              "seed": (_seed, 0)},
+    "graph": {"topology": (tuple(TOPOLOGIES), REQUIRED), "n": (_int, REQUIRED),
+              "prob": (_finite, 0.4), "seed": (_seed, 0)},
     "compressor": {"kind": (tuple(KINDS), REQUIRED), "level": (_finite, 1.0),
                    "step": (_finite, 0.5), "k": (_int, 1), "kbits": (_int, 3),
                    "noise": (_finite, 0.0), "noise_inner": (_finite, 0.0),
@@ -167,8 +167,7 @@ def load_config(path) -> dict:
 
 
 def build_graph_from(cfg: dict):
-    sec = section(cfg, "graph")
-    return build_graph(sec["topology"], sec["n"], prob=sec["prob"], seed=sec["seed"])
+    return build_graph(**section(cfg, "graph"))
 
 
 def build_problem_from(cfg: dict, n: int):

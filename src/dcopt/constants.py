@@ -12,7 +12,9 @@ conservative at desk scale, are evaluated and reported as feasibility flags
 (raised only in strict mode).
 """
 
+import contextlib
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +45,22 @@ class ConstantTable(dict):
         return {k: (None if v is None else float(v)) for k, v in self.items()}
 
 
+def _evaluable(formulas):
+    """The layer's one range rule: no cap or floor can be read at a point where
+    ``formulas`` overflows a float, leaves a function's domain or gives a NaN."""
+    @functools.wraps(formulas)
+    def evaluate(*args, **kwargs):
+        with contextlib.suppress(ArithmeticError, ValueError):
+            out = formulas(*args, **kwargs)
+            if not any(v != v for v in (out.values() if isinstance(out, dict) else out)):
+                return out
+        point = inspect.signature(formulas).bind(*args, **kwargs).arguments.items()
+        raise OutOfRange(f"{formulas.__name__} cannot be evaluated in floats at " + ", ".join(
+            f"{name}={value}" for name, value in point if isinstance(value, float)))
+    return evaluate
+
+
+@_evaluable
 def kappa_12(rho2: float, ell: float) -> tuple:
     """(kappa_1, kappa_2), the floors of tau_1 and gamma, set by lambda_2 and ell alone."""
     kappa_1 = 4.0 / rho2
@@ -51,6 +69,7 @@ def kappa_12(rho2: float, ell: float) -> tuple:
                         2.0 * math.sqrt(2.0) * ell / rho2)
 
 
+@_evaluable
 def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: float,
                       alpha: float, contract: AssumptionContract, d: int,
                       T: int | None = None, l1_0: float | None = None,
@@ -278,7 +297,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     behind the region guarantee applies as proved), T2's s0 moving with
     alpha; T3 and T5/T6 start at SAFETY * kappa_0_prime or kappa_hat_0_prime
     at alpha = 1e-9.  With ``strict`` any False flag raises InfeasibleParams.  All
-    other refusals come before the first table: what ``REGIMES`` requires and T5/T6's
+    refusals but the range rule's precede the first table: ``REGIMES``' needs and T5/T6's
     epsilon in (0, 1) (InfeasibleParams), T >= 1 and tau_0 > 0 (OutOfRange), and omega.
     """
     if regime not in REGIMES:

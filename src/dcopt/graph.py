@@ -15,7 +15,8 @@ from shifted slices, and ``apply_F`` divides the real FFT along the agent
 axis by the spectrum.  Every other topology holds its dense adjacency,
 Laplacian and F (by ``eigh``), mixes as ``L @ Q`` and applies ``F @ W``.
 Dense ``adjacency``, ``laplacian`` and ``F`` are readable on every graph;
-a ring builds them when they are read.
+a ring builds them when they are read.  ``[graph] topology`` takes one of
+``TOPOLOGIES``, the topologies ``build_graph`` builds, checked as a config loads.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +34,9 @@ _IDENTITY_TOL = 1e-10
 # because the FFT's error in F W grows with rho / rho2 (about n^2 / pi^2)
 _RING_COND_REF = 1.0 / np.sin(np.pi / 400) ** 2
 _ER_MAX_RESAMPLE = 100
+
+TOPOLOGIES = {"ring": 3, "path": 2, "complete": 2, "erdos_renyi": 2}
+"""Each topology ``build_graph`` builds, with the fewest agents it is defined on."""
 
 
 @dataclass(frozen=True)
@@ -91,50 +95,18 @@ class RingGraph:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        return _adjacency("ring", self.n, 0.0, 0, 0)
+        i, A = np.arange(self.n), np.zeros((self.n, self.n))
+        A[i, i - 1] = A[i - 1, i] = 1.0
+        return A
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        return _laplacian(self.adjacency)
+        return 2.0 * np.eye(self.n) - self.adjacency
 
     @cached_property
     def F(self) -> np.ndarray:
         """The dense F by eigendecomposition, as for every other topology."""
         return from_adjacency(self.adjacency, topology="ring").F
-
-
-def _adjacency(topology: str, n: int, prob: float, seed: int, attempt: int) -> np.ndarray:
-    A = np.zeros((n, n))
-    if topology == "ring":
-        if n < 3:
-            raise InvalidTopology(f"ring needs n >= 3, got {n}")
-        i = np.arange(n)
-        A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1.0
-    elif topology == "path":
-        if n < 2:
-            raise InvalidTopology(f"path needs n >= 2, got {n}")
-        i = np.arange(n - 1)
-        A[i, i + 1] = A[i + 1, i] = 1.0
-    elif topology == "complete":
-        if n < 2:
-            raise InvalidTopology(f"complete needs n >= 2, got {n}")
-        A = np.ones((n, n)) - np.eye(n)
-    elif topology == "erdos_renyi":
-        if n < 2:
-            raise InvalidTopology(f"erdos_renyi needs n >= 2, got {n}")
-        if not 0.0 < prob <= 1.0:
-            raise InvalidTopology(f"erdos_renyi edge probability must be in (0,1], got {prob}")
-        gen = _rng.substream(seed, _rng.GRAPH, tag=attempt)
-        upper = gen.uniform(size=(n, n)) < prob
-        A = np.triu(upper, k=1).astype(float)
-        A = A + A.T
-    else:
-        raise InvalidTopology(f"unknown topology {topology!r}")
-    return A
-
-
-def _laplacian(A: np.ndarray) -> np.ndarray:
-    return np.diag(A.sum(axis=1)) - A
 
 
 def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -153,15 +125,15 @@ def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
     """Assemble a NetworkGraph from a symmetric nonnegative adjacency matrix
-    of a connected graph on at least two agents."""
-    A = np.asarray(A, dtype=float)
+    of a connected graph on at least two agents, holding its own copy of it."""
+    A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
         raise InvalidTopology(f"adjacency must be a square matrix over at least 2 agents, "
                               f"got shape {A.shape}")
     if not np.allclose(A, A.T) or (A < 0).any() or np.diag(A).any():
         raise InvalidTopology("adjacency must be symmetric, nonnegative, zero diagonal")
 
-    L = _laplacian(A)
+    L = np.diag(A.sum(axis=1)) - A
     lam, V = np.linalg.eigh(L)
     resid = np.max(np.abs(L @ V - V * lam))
     if resid > _EIG_RESIDUAL_TOL:
@@ -178,8 +150,6 @@ def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
 def _ring_graph(n: int) -> RingGraph:
     """The ring on n >= 3 agents from its closed-form spectrum, checked
     against F L = E in operator form on one fixed random block."""
-    if n < 3:
-        raise InvalidTopology(f"ring needs n >= 3, got {n}")
     # lambda_k = 2 - 2 cos(2 pi k / n) for Fourier mode k, written as
     # 4 sin^2(pi k / n), which has no cancellation near k = 0
     lam = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
@@ -205,18 +175,28 @@ def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0):
     """Build a connected unit-weight graph of the requested topology: a
     ``RingGraph`` for the ring, a dense ``NetworkGraph`` for any other.
 
-    For erdos_renyi the adjacency is resampled (up to 100 times) until a
-    connected graph appears.
+    It refuses a topology, or an n, that ``TOPOLOGIES`` does not allow.  The
+    Erdos-Renyi adjacency is resampled (up to 100 times) until it is connected.
     """
+    if topology not in TOPOLOGIES:
+        raise InvalidTopology(f"unknown topology {topology!r}")
+    if n < TOPOLOGIES[topology]:
+        raise InvalidTopology(f"{topology} needs n >= {TOPOLOGIES[topology]}, got {n}")
     if topology == "ring":
         return _ring_graph(n)
-    attempts = _ER_MAX_RESAMPLE if topology == "erdos_renyi" else 1
+    if topology == "path":
+        return from_adjacency(np.eye(n, k=1) + np.eye(n, k=-1), topology=topology)
+    if topology == "complete":
+        return from_adjacency(np.ones((n, n)) - np.eye(n), topology=topology)
+    if not 0.0 < prob <= 1.0:
+        raise InvalidTopology(f"erdos_renyi edge probability must be in (0,1], got {prob}")
     last = None
-    for attempt in range(attempts):
-        A = _adjacency(topology, n, prob, seed, attempt)
+    for attempt in range(_ER_MAX_RESAMPLE):
+        gen = _rng.substream(seed, _rng.GRAPH, tag=attempt)
+        A = np.triu(gen.uniform(size=(n, n)) < prob, k=1).astype(float)
         try:
-            return from_adjacency(A, topology=topology)
+            return from_adjacency(A + A.T, topology=topology)
         except DisconnectedGraph as exc:
             last = exc
-    raise DisconnectedGraph(
-        f"no connected graph after {attempts} attempts (topology={topology}, n={n})") from last
+    raise DisconnectedGraph(f"no connected graph after {_ER_MAX_RESAMPLE} attempts "
+                            f"(topology={topology}, n={n})") from last

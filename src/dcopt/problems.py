@@ -99,7 +99,8 @@ def make_quadratic(n: int, d: int, seed: int = 0,
     rhs = np.einsum("ikj,ik->j", A, b) / n
     eigs = np.linalg.eigvalsh(H)
     if eigs[-1] <= 0 or eigs[0] <= 1e-12 * eigs[-1]:
-        raise SingularSystem("aggregate normal matrix is rank deficient; retry with a new seed")
+        raise SingularSystem(f"aggregate normal matrix is rank deficient: eigenvalue ratio "
+                             f"{eigs[0] / eigs[-1]:.3g} is not above 1e-12")
     x_star = np.linalg.solve(H, rhs)
 
     ell = float(np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)[:, -1].max())

@@ -367,6 +367,13 @@ LAYER_REFUSALS = [
     (lambda: make_quadratic(3, 2, condition_number=0.5), SingularSystem,
      "need n, d >= 1 and condition_number >= 1"),
     (lambda: make_nonconvex(3, 2, lam=-0.1), SingularSystem, "need n, d, m >= 1 and lam >= 0"),
+    # build_graph alone refuses a topology it does not build or too few agents for it
+    (lambda: build_graph("ring", 2), InvalidTopology, "ring needs n >= 3, got 2"),
+    (lambda: build_graph("torus", 4), InvalidTopology, "unknown topology 'torus'"),
+    # at n = 1 the aggregate matrix is A_1^T A_1, whose eigenvalue ratio is
+    # 1 / condition_number whatever the seed
+    (lambda: make_quadratic(1, 4, condition_number=1e13), SingularSystem,
+     "aggregate normal matrix is rank deficient: eigenvalue ratio 1e-13 is not above 1e-12"),
 ]
 
 

@@ -178,6 +178,13 @@ REFUSALS = [
      "kbits must be <= 511, got 600"),
     ("ini", [("kind = one_bit\nlevel = 2.0", "kind = sat_quant\nlevel = 1e308\nstep = 1e-300")],
      "need level > 0, step in (0, 2*level) and level/step finite"),
+    # the grammar reads the topologies build_graph builds
+    ("ini", [("topology = ring", "topology = torus")],
+     "bad value for 'topology': 'torus' (one of ring, path, complete, erdos_renyi)"),
+    # a finite lam whose constants overflow a float (gamma ** 5 in phi_5)
+    ("ini", [("mode = empirical", "mode = T1_local_nonconvex"),
+             ("family = quadratic", "family = nonconvex\nlam = 1e40")],
+     "compute_constants cannot be evaluated in floats at ell=2e+40"),
 ]
 
 
@@ -375,6 +382,15 @@ def test_verify_refuses_a_compressor_that_overflows(tmp_path, capsys, params):
     assert cli.main(["verify", _write(tmp_path, text)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: config: ")
     assert not (tmp_path / "o15").exists()
+
+
+def test_verify_refuses_an_unknown_topology_as_the_config_loads(tmp_path, capsys):
+    # verify builds no graph, so only the grammar can refuse the name
+    text = BASE_CONFIG.format(out=tmp_path / "o16").replace("topology = ring", "topology = torus")
+    assert cli.main(["verify", _write(tmp_path, text)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: config: bad value for 'topology': 'torus' "
+                                       "(one of ring, path, complete, erdos_renyi)\n")
+    assert not (tmp_path / "o16").exists()
 
 
 @pytest.mark.parametrize("kind,code", [("one_bit", cli.EXIT_OK),

@@ -262,6 +262,16 @@ CONTRACT_REFUSALS = [
     *((lambda ell=ell: _constants(ell=ell), OutOfRange,
        f"ell must be positive with ell / 2 > 0, got {ell}")
       for ell in (0.0, -1.0, float("nan"), 5e-324)),
+    # the layer's one range rule: an overflow, a domain error or a NaN value
+    (lambda: _constants(ell=1e200), OutOfRange,
+     "kappa_12 cannot be evaluated in floats at rho2=1.0, ell=1e+200"),
+    *((lambda kw=kw: _constants(**kw), OutOfRange,
+       f"compute_constants cannot be evaluated in floats at {point}, alpha=1e-06")
+      for kw, point in (({"ell": 1e154}, "ell=1e+154, gamma=8.0, tau_1=4.2, omega=1.0"),
+                        ({"ell": np.inf}, "ell=inf, gamma=8.0, tau_1=4.2, omega=1.0"),
+                        ({"gamma": np.nan}, "ell=1.0, gamma=nan, tau_1=4.2, omega=1.0"),
+                        ({"tau_1": np.nan}, "ell=1.0, gamma=8.0, tau_1=nan, omega=1.0"),
+                        ({"omega": np.inf}, "ell=1.0, gamma=8.0, tau_1=4.2, omega=inf"))),
 ]
 
 

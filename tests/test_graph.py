@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dcopt import GeometricSchedule, HyperParams, UnbiasedKBit, build_graph, from_adjacency, run
 from dcopt.errors import DisconnectedGraph, InvalidTopology, NumericalFailure
-from dcopt.graph import _IDENTITY_TOL, RingGraph, _adjacency, _check_ring
+from dcopt.graph import _IDENTITY_TOL, RingGraph, _check_ring
 from dcopt.problems import make_quadratic
 
 EPS = np.finfo(float).eps
@@ -93,6 +93,14 @@ def test_rejections():
             from_adjacency(A)
 
 
+def test_from_adjacency_keeps_its_own_copy():
+    A = build_graph("path", 3).adjacency.copy()
+    g = from_adjacency(A)
+    A[0, 1] = 5.0
+    assert g.adjacency[0, 1] == 1.0 and g.laplacian[0, 1] == -1.0
+    assert not np.shares_memory(g.adjacency, A)
+
+
 # Tolerances of the ring's operators against the dense eigh reference, with
 # the largest deviation measured over 150 random draws (n in [3, 400], d in
 # [1, 8], entries scaled by 1e-3 to 1e3):
@@ -109,7 +117,10 @@ def test_rejections():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_ring_operator_matches_dense_reference(n, d, scale, seed):
     g = build_graph("ring", n)
-    dense = from_adjacency(_adjacency("ring", n, 0.0, 0, 0))
+    i = np.arange(n)
+    A = np.zeros((n, n))
+    A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1.0
+    dense = from_adjacency(A)
     W = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** scale
     w_max = np.abs(W).max()
     assert np.abs(g.mix(W) - dense.laplacian @ W).max() <= 16 * EPS * w_max
@@ -126,6 +137,7 @@ def test_ring_operator_matches_dense_reference(n, d, scale, seed):
     assert np.abs(g.eigenvalues - lam).max() <= 1e-13
     assert abs(g.rho - lam[-1]) <= 1e-13 and abs(g.rho2 - lam[1]) <= 1e-13
     # the dense views of a ring are the ones every other topology holds
+    np.testing.assert_array_equal(g.adjacency, A)
     np.testing.assert_array_equal(g.laplacian, dense.laplacian)
     np.testing.assert_array_equal(g.F, dense.F)
 
