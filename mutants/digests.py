@@ -52,6 +52,9 @@ COMMANDS = (
     # the two dense topologies that no demo config builds
     ("run", "path.ini"),
     ("run", "erdos_renyi.ini"),
+    # each theoretical mode that no demo config selects, from the CLI
+    *((command, f"{mode}.ini") for mode in ("T2", "T3", "T5", "T6")
+      for command in ("params", "run")),
 )
 
 RING = """
@@ -86,6 +89,36 @@ GENERATED.update({f"{name}.ini": RING.format(kind="unbiased_kbit", params="kbits
     "topology = ring", graph).replace("out/unbiased_kbit", f"out/{name}")
     for name, graph in (("path", "topology = path"),
                         ("erdos_renyi", "topology = erdos_renyi\nprob = 0.5"))})
+
+THEORY = """
+[problem]
+family = {family}
+d = 6
+seed = 3
+
+[graph]
+topology = ring
+n = 8
+
+[compressor]
+kind = {kind}
+{params}
+[algorithm]
+mode = {mode}
+T = 40
+seed = 11
+
+[output]
+directory = out/{name}
+"""
+
+GENERATED.update({f"{name}.ini": THEORY.format(name=name, mode=mode, family=family, kind=kind,
+                                                params=params)
+                  for name, mode, family, kind, params in (
+    ("T2", "T2_local_exact_first", "nonconvex", "one_bit", "level = 1.0\n"),
+    ("T3", "T3_local_PL", "quadratic", "one_bit", "level = 1.0\n"),
+    ("T5", "T5_global_nonconvex", "nonconvex", "unbiased_kbit", "kbits = 3\nnoise = 0.3\n"),
+    ("T6", "T6_global_PL", "quadratic", "unbiased_kbit", "kbits = 3\n"))})
 
 
 def sha256(data: bytes) -> str:

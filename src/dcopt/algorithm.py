@@ -70,6 +70,8 @@ class RecursiveSchedule:
             raise ConfigError(f"eps8 must be in (0,1), got {self.eps8}")
         if self.kappa4 < 0:
             raise ConfigError(f"kappa4 must be >= 0, got {self.kappa4}")
+        if not (math.isfinite(self.kappa4) and math.isfinite(self.s0)):
+            raise ConfigError(f"need finite kappa4 and s0, got kappa4={self.kappa4}, s0={self.s0}")
         if self.horizon < 1:
             raise ConfigError("recursive schedule needs a fixed horizon >= 1")
 

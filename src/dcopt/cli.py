@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algorithm, config as cfgmod, diagnostics
 from .compressors import LOCAL, verify_global_assumption, verify_local_assumption
-from .constants import table_at
+from .constants import compute_constants
 from .errors import (
     ConfigError,
     DcoptError,
@@ -222,13 +222,10 @@ def cmd_verify(config: str, samples: int = 10_000, trials: int = 10_000) -> int:
 def cmd_params(config: str) -> int:
     cfg = cfgmod.load_config(config)
     plan = cfgmod.build_run_plan(cfg)
-    hyper, run_kwargs = plan.hyper, plan.run_kwargs
-    sched = hyper.schedule
-    table = table_at(plan.problem, plan.graph, run_kwargs["contract"], hyper.gamma,
-                     hyper.tau_1, hyper.omega, hyper.alpha,
-                     s0=sched.s0 if sched.mode == "recursive" else None,
-                     T=run_kwargs["T"], tau_0=cfgmod.section(cfg, "algorithm")["tau_0"],
-                     l1_0=plan.extras.get("l1_0"))
+    hyper, problem = plan.hyper, plan.problem
+    table = plan.extras.get("table") or compute_constants(
+        plan.graph, problem.ell, hyper.gamma, hyper.tau_1, hyper.omega, hyper.alpha,
+        plan.run_kwargs["contract"], problem.d, nu=problem.pl_nu)
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
                   "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": plan.echo["schedule"]},

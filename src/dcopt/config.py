@@ -5,8 +5,8 @@
 one reader, checks every section as the config loads.  Every mode reads omega
 (1/r when absent).  The empirical mode needs alpha, gamma and tau_1; a
 theoretical mode derives them and reads clamp_alpha, tau_0, epsilon and strict
-instead, echoes the empirical keys its config names as ``ignored``, and refuses
-any init_mode but its own.
+instead, and refuses any init_mode but its own.  A run echoes the keys its
+config names that only the other kind of mode reads as ``ignored``.
 
 A JSON file holding one object with the same section names is accepted as an
 alternative input.  All randomness derives from the [algorithm] seed (64-bit
@@ -197,19 +197,21 @@ def compressor_contract(compressor, d: int, cfg: dict):
     return compressor.contract(d)
 
 
-# the [algorithm] keys a theoretical mode reads and then ignores, since its
-# selection derives them; a run echoes those its config names as ``ignored``
+# the [algorithm] keys a theoretical mode derives, and those only it reads; a run
+# echoes the keys its config names that its mode does not read as ``ignored``
 EMPIRICAL_ONLY = ("alpha", "gamma", "tau_1", "schedule", "rate", "s0", "s0_margin")
+THEORETICAL_ONLY = ("tau_0", "epsilon", "clamp_alpha", "strict")
 
 
 def regime_options(cfg: dict) -> dict:
     """The [algorithm] keys a theoretical mode passes to theorem_params."""
     alg = section(cfg, "algorithm")
-    return {key: alg[key] for key in ("omega", "tau_0", "epsilon", "clamp_alpha", "strict")}
+    return {key: alg[key] for key in ("omega", *THEORETICAL_ONLY)}
 
 
 class RunPlan(NamedTuple):
-    """A config resolved for one run; feasibility and extras are empty in empirical mode."""
+    """A config resolved for one run; feasibility and extras are empty in empirical mode,
+    and a theoretical mode's extras hold its selection's constant table as ``table``."""
     problem: ProblemInstance
     graph: NetworkGraph | RingGraph
     compressor: comp.Compressor
@@ -237,9 +239,7 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
     if T is None or T < 1:
         raise ConfigError("algorithm.T must be an integer >= 1")
 
-    feasibility = {}
-    extras = {}
-    ignored = []
+    feasibility, extras = {}, {}
     if mode == "empirical":
         x0 = draw_x0(graph.n, problem.d, init_mode, seed)
         missing = [key for key in ("gamma", "tau_1", "alpha") if alg[key] is None]
@@ -264,8 +264,9 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
         sel = theorem_params(mode, problem, graph, contract, T=T, x0_seed=seed,
                              **regime_options(cfg))
         hyper, x0, init_mode = sel.hyper, sel.x0, sel.init_mode
-        feasibility, extras = sel.feasibility, sel.extras
-        ignored = sorted(key for key in EMPIRICAL_ONLY if key in cfg["algorithm"])
+        feasibility, extras = sel.feasibility, {**sel.extras, "table": sel.table}
+    unread = THEORETICAL_ONLY if mode == "empirical" else EMPIRICAL_ONLY
+    ignored = sorted(key for key in unread if key in cfg["algorithm"])
 
     run_kwargs = dict(T=T, init_mode=init_mode, x0=x0, contract=contract)
     echo = {"mode": mode, "seed": seed, "alpha": hyper.alpha, "beta": hyper.beta,

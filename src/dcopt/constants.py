@@ -132,7 +132,9 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
 
     # horizon-dependent (local nonconvex) family
     t["eps_8"] = (t["eps_5"] + 2.0 * t["eps_5"] ** 2) / 2.0
-    t["kappa_7"] = min(t["kappa_hat_0"], 1.0 / (2.0 * ell))
+    # the paper's min also takes 1/(2 ell), which cannot bind, in floats too (rounding is
+    # monotone): phi_5 <= 1/8 and phi_6 >= ell/2 give kappa_hat_0 <= phi_5/phi_6 <= 1/(4 ell)
+    t["kappa_7"] = t["kappa_hat_0"]
     if T is not None and s0 is not None and l1_0 is not None and C > 0:
         e8 = t["eps_8"]
         t["kappa_8"] = min(
@@ -257,19 +259,6 @@ def _initial_lyapunov(x0: np.ndarray, problem, graph, gamma: float,
     return max(e1 + e2 + e3 + e4, 1e-12), e1 + e2 + e3
 
 
-def table_at(problem, graph, contract: AssumptionContract, gamma: float, tau_1: float,
-             omega: float, alpha: float, s0: float | None = None, T: int | None = None,
-             tau_0: float = 1.0, l1_0: float | None = None) -> ConstantTable:
-    """The constant table at one parameter point of a problem, graph and contract.
-
-    The horizon family (kappa_8, kappa_tilde_3, kappa_tilde_4, kappa_0,
-    kappa_3, kappa_4) parameterizes a recursive schedule and is evaluated
-    only with its s0, T and l1_0, the caller's bound on the initial Lyapunov value.
-    """
-    return compute_constants(graph, problem.ell, gamma, tau_1, omega, alpha, contract,
-                             problem.d, T=T, l1_0=l1_0, s0=s0, nu=problem.pl_nu, tau_0=tau_0)
-
-
 def _descend(table, cap: str, alpha: float, steps: int = DESCENT_STEPS) -> tuple:
     """Set alpha = SAFETY * table(alpha)[cap] while that lowers it, at most
     ``steps`` times; returns the stepsize and the table at it."""
@@ -324,8 +313,8 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
     tau_1, gamma = (MARGIN * kappa for kappa in kappa_12(graph.rho2, problem.ell))
     beta = tau_1 * gamma
     l1_0, e123_0 = _initial_lyapunov(x0, problem, graph, gamma, beta)
-    at = functools.partial(table_at, problem, graph, contract, gamma, tau_1, omega,
-                           T=T, tau_0=tau_0, l1_0=l1_0)
+    at = functools.partial(compute_constants, graph, problem.ell, gamma, tau_1, omega,
+                           contract=contract, d=d, T=T, l1_0=l1_0, nu=problem.pl_nu, tau_0=tau_0)
 
     feas = {}
     extras = {"l1_0": l1_0}

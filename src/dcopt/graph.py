@@ -1,8 +1,8 @@
 """Communication graphs as the operators the algorithm applies.
 
-A graph gives the engine its size ``n``, its ``topology``, the eigenvalues
-of the Laplacian L = D - A in ascending order, ``rho`` = lambda_n and
-``rho2`` = lambda_2, and two products on a stacked n x d block:
+A graph gives the engine its size ``n``, its ``topology``, ``rho`` = lambda_n
+and ``rho2`` = lambda_2 of the Laplacian L = D - A (whose ascending spectrum,
+``eigenvalues``, the engine does not read), and two products on a stacked n x d block:
 ``mix(Q) = L Q``, the neighbour exchange, and ``apply_F(W) = F W``, which
 also takes a (B, n, d) stack of blocks.  F is the positive definite matrix
 obtained from the eigendecomposition of L by replacing the zero eigenvalue

@@ -133,6 +133,9 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
     """
     if n < 1 or d < 1 or m < 1 or lam < 0:
         raise SingularSystem("need n, d, m >= 1 and lam >= 0")
+    ell = 0.25 + 2.0 * lam
+    if not np.isfinite(ell):
+        raise SingularSystem(f"need a finite ell = 1/4 + 2 lam, got lam = {lam}")
     gen = _rng.substream(seed, _rng.PROBLEM, 1)
     A = gen.standard_normal((n, m, d))
     # A_i^T A_i and A_i A_i^T share their top eigenvalue; use the smaller one
@@ -142,7 +145,6 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
     draws = gen.standard_normal((n, d + m))
     y = np.where(_matvec(A, draws[:, :d]) + 0.3 * draws[:, d:] >= 0, 1.0, -1.0)
 
-    ell = 0.25 + 2.0 * lam
     At = A.transpose(0, 2, 1)
 
     # the margins P = y a^T x; the loss reads -P, and a sign flip is exact

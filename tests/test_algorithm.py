@@ -374,6 +374,14 @@ LAYER_REFUSALS = [
     # 1 / condition_number whatever the seed
     (lambda: make_quadratic(1, 4, condition_number=1e13), SingularSystem,
      "aggregate normal matrix is rank deficient: eigenvalue ratio 1e-13 is not above 1e-12"),
+    # ell = 1/4 + 2 lam must be a finite float; NaN passes the lam >= 0 test
+    *((lambda lam=lam: make_nonconvex(3, 2, lam=lam), SingularSystem,
+       f"need a finite ell = 1/4 + 2 lam, got lam = {lam}") for lam in (1e308, np.nan)),
+    # an infinite kappa4 or s0 is refused before it reaches a run
+    *((lambda s0=s0, kappa4=kappa4: RecursiveSchedule(s0=s0, eps8=0.5, kappa4=kappa4,
+                                                      horizon=10), ConfigError,
+       f"need finite kappa4 and s0, got kappa4={kappa4}, s0={s0}")
+      for s0, kappa4 in ((1.0, np.inf), (1.0, np.nan), (np.inf, 0.5))),
 ]
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcopt import algorithm, cli, config, constants, diagnostics, theorem_params
+from dcopt import (algorithm, cli, compute_constants, config, constants, diagnostics,
+                   theorem_params)
 from dcopt.algorithm import ConstantSchedule, GeometricSchedule, RecursiveSchedule
 from dcopt.config import build_run_plan, load_config
 from dcopt.errors import ConfigError
@@ -185,6 +186,15 @@ REFUSALS = [
     ("ini", [("mode = empirical", "mode = T1_local_nonconvex"),
              ("family = quadratic", "family = nonconvex\nlam = 1e40")],
      "compute_constants cannot be evaluated in floats at ell=2e+40"),
+    # a lam whose ell = 1/4 + 2 lam overflows is refused as the problem is built, before
+    # any cost is evaluated (a RuntimeWarning is an error under pytest)
+    ("ini", [("mode = empirical", "mode = T1_local_nonconvex"),
+             ("family = quadratic", "family = nonconvex\nlam = 1e308")],
+     "need a finite ell = 1/4 + 2 lam, got lam = 1e+308"),
+    # a finite lam whose kappa_tilde_4 overflows to inf refuses the recursive schedule
+    ("ini", [("mode = empirical", "mode = T2_local_exact_first"),
+             ("family = quadratic", "family = nonconvex\nlam = 1e25")],
+     "need finite kappa4 and s0, got kappa4=inf"),
 ]
 
 
@@ -233,6 +243,12 @@ def test_a_theoretical_mode_echoes_the_empirical_keys_it_ignores(tmp_path):
     for plain in (text.replace("alpha = 0.05\n", "").replace("schedule = geometric\n", ""),
                   BASE_CONFIG.format(out=out)):
         assert "ignored" not in build_run_plan(load_config(_write(tmp_path, plain))).echo
+    # the empirical mode echoes the theoretical keys its config names
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace(
+        "rate = 0.99", "rate = 0.99\nclamp_alpha = true\nstrict = true\ntau_0 = 0.5"))
+    assert cli.cmd_run(path, force=True) == cli.EXIT_OK
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert echo["ignored"] == ["clamp_alpha", "strict", "tau_0"]
 
 
 def test_each_kind_builds_from_its_params_and_shows_them_in_its_repr():
@@ -646,6 +662,9 @@ def test_cmd_params_takes_l1_0_from_the_selection(tmp_path, capsys, monkeypatch,
     [("mode = empirical", "mode = T3_local_PL")],
     [("mode = empirical", "mode = T5_global_nonconvex"),
      ("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit\nkbits = 3\nnoise = 1.0")],
+    [("mode = empirical", "mode = T6_global_PL"),
+     ("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit\nkbits = 3")],
+    [],
 ])
 def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
     text = BASE_CONFIG.format(out=tmp_path / "o10")
@@ -659,9 +678,19 @@ def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
     graph = config.build_graph_from(cfg)
     problem = config.build_problem_from(cfg, graph.n)
     compressor = config.build_compressor_from(cfg, 9)
+    constants = payload["constants"]
+    if cfg["algorithm"]["mode"] == "empirical":
+        # the table at the config's own point, where no horizon family is evaluated
+        table = compute_constants(graph, problem.ell, 1.0, 2.0, 1.0, 0.05,
+                                  compressor.contract(problem.d), problem.d, nu=problem.pl_nu)
+        assert constants == diagnostics.json_safe(table.as_dict())
+        assert all(constants[k] is None for k in ("kappa_8", "kappa_tilde_0_prime",
+                                                  "kappa_tilde_4", "kappa_tilde_3",
+                                                  "kappa_0", "kappa_3", "kappa_4"))
+        assert payload["feasibility"] == {}
+        return
     sel = theorem_params(cfg["algorithm"]["mode"], problem, graph, compressor.contract(problem.d),
                          T=20, x0_seed=9, **config.regime_options(cfg))
-    constants = payload["constants"]
     assert constants == diagnostics.json_safe(sel.table.as_dict())
     # a bound named after a table entry is that entry
     matched = 0

@@ -88,6 +88,8 @@ def test_alpha_phi_1_minus_alpha_squared_phi_2_stays_below_one(graph, ell, gamma
     t = compute_constants(graph, ell, gamma, tau_1, 1.0, 1e-4, LOCAL_CT, 4)
     assert t.phi_2 > 0
     assert t.phi_1 <= 0 or t.phi_1 ** 2 < 4.0 * t.phi_2
+    # kappa_7 is kappa_hat_0 alone: the paper's second term 1/(2 ell) cannot bind
+    assert t.kappa_hat_0 < 1.0 / (2.0 * ell)
 
 
 def test_theorem1_alpha_display():
@@ -241,24 +243,24 @@ NO_TABLE_REFUSALS = [
                          ids=[f"{case[0]}: {case[-1]}" for case in NO_TABLE_REFUSALS])
 def test_refusals_come_before_the_first_table(monkeypatch, regime, cls, family, kwargs,
                                               error, message):
-    calls = _counting(monkeypatch, "table_at", "compute_constants")
+    calls = _counting(monkeypatch, "compute_constants")
     make = make_quadratic if family == "quadratic" else make_nonconvex
     contract = (OneBit(1.0) if cls == "local" else UnbiasedKBit(3)).contract(3)
     with pytest.raises(error) as refused:
         theorem_params(regime, make(4, 3, seed=13), build_graph("ring", 4), contract, **kwargs)
     assert str(refused.value) == message
-    assert calls == {"table_at": 0, "compute_constants": 0}
+    assert calls == {"compute_constants": 0}
 
 
 @pytest.mark.parametrize("regime", list(constants.REGIMES))
-def test_every_table_of_a_selection_is_one_table_at(monkeypatch, regime):
+def test_every_table_of_a_selection_is_one_compute_constants(monkeypatch, regime):
     # kappa_1 and kappa_2 come from kappa_12, not from a probe table
-    calls = _counting(monkeypatch, "table_at", "compute_constants")
+    calls = _counting(monkeypatch, "compute_constants")
     local = constants.REGIMES[regime][0] == LOCAL
     sel = theorem_params(regime, make_quadratic(4, 3, seed=4), build_graph("ring", 4),
                          (OneBit(2.0) if local else UnbiasedKBit(3)).contract(3), T=50,
                          x0_seed=9, clamp_alpha=True)
-    assert calls["table_at"] >= 1 and calls["compute_constants"] == calls["table_at"]
+    assert calls["compute_constants"] >= 1
     assert (sel.hyper.tau_1, sel.hyper.gamma) == (constants.MARGIN * sel.table.kappa_1,
                                                   constants.MARGIN * sel.table.kappa_2)
 
@@ -304,8 +306,8 @@ def test_kappa_tilde_4_by_hand_and_linear_in_T(regime):
     per_round = (1.0 - 2.0 * t.eps_5) * t.psi_2 * t.psi_4 * 3 * 4 * s0 ** 2 * alpha ** 3
     assert t.kappa_tilde_4 == pytest.approx(
         t.psi_4 * l1_0 * alpha ** 2 / contract.C ** 2 + per_round * T, rel=1e-12)
-    at = [constants.table_at(prob, g, contract, h.gamma, h.tau_1, h.omega, alpha, s0=s0,
-                             T=k * T, l1_0=l1_0).kappa_tilde_4 for k in (1, 2, 3)]
+    at = [compute_constants(g, prob.ell, h.gamma, h.tau_1, h.omega, alpha, contract, prob.d,
+                            T=k * T, l1_0=l1_0, s0=s0).kappa_tilde_4 for k in (1, 2, 3)]
     assert at[0] == t.kappa_tilde_4
     assert at[1] - at[0] == pytest.approx(per_round * T, rel=1e-9)
     assert at[2] - at[1] == pytest.approx(per_round * T, rel=1e-9)
@@ -323,7 +325,7 @@ def test_t3_kappa_nu_by_hand():
 def test_t2_s0_follows_alpha_through_every_clamp(monkeypatch):
     # a cap at alpha itself clamps at every step of the descent; each table it
     # evaluates, the last one included, is at T2's s0 = sqrt(tau_4 n) alpha
-    real, calls = constants.table_at, []
+    real, calls = constants.compute_constants, []
 
     def shrinking(*args, **kwargs):
         point = inspect.signature(real).bind(*args, **kwargs).arguments
@@ -332,7 +334,7 @@ def test_t2_s0_follows_alpha_through_every_clamp(monkeypatch):
         calls.append((point["alpha"], point.get("s0"), tab))
         return tab
 
-    monkeypatch.setattr(constants, "table_at", shrinking)
+    monkeypatch.setattr(constants, "compute_constants", shrinking)
     prob = make_nonconvex(6, 4, seed=5)
     g = build_graph("ring", 6)
     sel = theorem_params("T2_local_exact_first", prob, g, OneBit(2.0).contract(4),
