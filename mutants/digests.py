@@ -14,12 +14,16 @@ stdout before it is hashed.  The last line is one digest over
 families, sizes, horizons and options, run in this process on this
 checkout's ``src``: each selection's hyperparameters, schedule, init mode,
 x0 bytes, constant table, feasibility and extras, and each refusal's type
-and message, with the counts of selections and of refusals.  Two checkouts
+and message, with the counts of selections and of refusals.  The line before
+it is the grammar fuzzer's: the configs ``tests/test_grammar_fuzz.py`` draws
+from ``FUZZ_SEED``, run through its commands in this process, and each
+command's histogram of exit codes.  Two checkouts
 print the same lines exactly when their outputs are byte-identical: run it
 in each and diff the two listings.  The digests depend on the NumPy and BLAS
 builds, so this is no tier-1 test.
 """
 
+import collections
 import hashlib
 import itertools
 import os
@@ -27,9 +31,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "demos" / "configs"
+FUZZ_SEED = 0
 
 COMMANDS = (
     ("run", "one_bit_ring.ini"),
@@ -170,6 +176,37 @@ def param_grid() -> str:
             f"({selections} selections, {refusals} refusals)")
 
 
+def fuzz_histogram() -> str:
+    """The fuzzer's line: per command, how many configs exited with each code.
+    A code carries " warned" when the command raised a warning, and an
+    exception that escapes a command counts under its type's name."""
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+    from hypothesis import HealthCheck, given, seed, settings
+
+    import test_grammar_fuzz as fuzz
+
+    counts = {command: collections.Counter() for command in fuzz.COMMANDS}
+
+    @seed(FUZZ_SEED)
+    @settings(max_examples=fuzz.EXAMPLES, database=None, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(fuzz.configs())
+    def tally(drawn):
+        with (tempfile.TemporaryDirectory(prefix="dcopt-fuzz-") as root,
+              mock.patch.dict(os.environ, {"DCOPT_OUTPUT_ROOT": root})):
+            path = fuzz.write_config(*drawn, Path(root))
+            for command, histogram in counts.items():
+                try:
+                    code, _, caught = fuzz.run_command(command, path)
+                    histogram[f"{code}{' warned' if caught else ''}"] += 1
+                except Exception as exc:                       # noqa: BLE001
+                    histogram[type(exc).__name__] += 1
+
+    tally()
+    return f"fuzz seed {FUZZ_SEED}, {fuzz.EXAMPLES} configs: " + "; ".join(
+        f"{command} {dict(sorted(histogram.items()))}" for command, histogram in counts.items())
+
+
 def main() -> int:
     with (tempfile.TemporaryDirectory(prefix="dcopt-digests-") as tmp,
           tempfile.TemporaryDirectory(prefix="dcopt-configs-") as generated):
@@ -189,6 +226,7 @@ def main() -> int:
                   f"(exit {proc.returncode})")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(root)}")
+    print(fuzz_histogram())
     print(param_grid())
     return 0
 

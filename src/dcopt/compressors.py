@@ -54,7 +54,7 @@ class AssumptionContract:
     def __post_init__(self):
         if self.cls not in (LOCAL, GLOBAL):
             raise OutOfRange(f"contract class must be local/global, got {self.cls!r}")
-        if self.r <= 0 or not 0 < self.delta <= 1 or self.C < 0:
+        if not 0 < self.r < math.inf or not 0 < self.delta <= 1 or not 0 <= self.C < math.inf:
             raise OutOfRange(f"contract constants out of range: r={self.r}, "
                              f"C={self.C}, delta={self.delta}")
         # a local region of radius zero admits no compressor input at all
@@ -106,7 +106,7 @@ def lemma1_relative_params(delta_r: float, r_r: float, C_xi: float) -> Assumptio
         raise OutOfRange(f"delta_r must be in (0,1], got {delta_r}")
     if r_r <= 0 or C_xi < 0:
         raise OutOfRange(f"need r_r > 0 and C_xi >= 0, got {r_r}, {C_xi}")
-    C = (2.0 - delta_r) * C_xi ** 2 / (delta_r * r_r ** 2)
+    C = (2.0 - delta_r) * (C_xi * C_xi) / (delta_r * (r_r * r_r))
     return AssumptionContract(GLOBAL, 2.0, r_r, C, delta_r / 2.0)
 
 
@@ -115,7 +115,8 @@ def lemma1_absolute_params(C_a: float, r_a: float, C_xi: float) -> AssumptionCon
     r = r_a, C = 2 C_a + 2 C_xi^2 / r_a^2, delta = 1."""
     if C_a < 0 or r_a <= 0 or C_xi < 0:
         raise OutOfRange(f"need C_a >= 0, r_a > 0, C_xi >= 0, got {C_a}, {r_a}, {C_xi}")
-    return AssumptionContract(GLOBAL, 2.0, r_a, 2.0 * C_a + 2.0 * C_xi ** 2 / r_a ** 2, 1.0)
+    C = 2.0 * C_a + 2.0 * (C_xi * C_xi) / (r_a * r_a)
+    return AssumptionContract(GLOBAL, 2.0, r_a, C, 1.0)
 
 
 def lemma2_compose_params(rel: AssumptionContract, abs_: AssumptionContract,
@@ -141,7 +142,7 @@ def lemma2_compose_params(rel: AssumptionContract, abs_: AssumptionContract,
         C = head + (4.0 - delta_r) * (12.0 - delta_r) * C_at / (4.0 * delta_r)
         return AssumptionContract(GLOBAL, 2.0, r_r, C, delta_r / 8.0)
     if order == "abs_of_rel":
-        C = head + (4.0 - delta_r) * C_at / (delta_r * r_r ** 2)
+        C = head + (4.0 - delta_r) * C_at / (delta_r * (r_r * r_r))
         return AssumptionContract(GLOBAL, 2.0, r_r * r_a, C, delta_r / 4.0)
     raise OutOfRange(f"order must be rel_of_abs or abs_of_rel, got {order!r}")
 
@@ -461,7 +462,7 @@ class UniformQuantizer(Compressor):
 
     def absolute_error(self, d):
         # per-coordinate rounding error <= step/2
-        return d * self.step ** 2 / 4.0
+        return d * (self.step * self.step) / 4.0
 
     def _kernel(self, X, zeta):
         return self.step * np.floor(X / self.step + 0.5)
@@ -626,6 +627,18 @@ def _boundary_cases(gen: np.random.Generator, p: float, d: int, C: float) -> lis
     return cases
 
 
+def _report(compressor: Compressor, cls: str, ratios: np.ndarray, worst) -> VerificationReport:
+    """A verifier's report on its points' ratios of error to bound, naming the worst
+    point ``worst(i)``.  A point passes only when its ratio is at most 1 + 1e-12: contracts
+    that hold with equality and zero variance (e.g. rand-k) land on it up to rounding."""
+    # argmax finds the first NaN ratio, and max keeps it: a NaN point fails
+    i = int(np.argmax(ratios))
+    max_ratio = max(float(ratios[i]), 0.0)
+    return VerificationReport(kind=compressor.kind, cls=cls, max_ratio=max_ratio,
+                              passed=bool(max_ratio <= 1.0 + 1e-12), samples=len(ratios),
+                              worst=worst(i) if max_ratio != 0 else {})
+
+
 def verify_local_assumption(compressor: Compressor, contract: AssumptionContract,
                             samples: int = 10_000, seed: int = 0,
                             d: int = 6) -> VerificationReport:
@@ -636,23 +649,18 @@ def verify_local_assumption(compressor: Compressor, contract: AssumptionContract
     if samples < 1:
         raise OutOfRange("samples must be >= 1")
     p, C, r, delta = contract.p, contract.C, contract.r, contract.delta
+    # the points are drawn from [-C, C], whose width must be a finite float
+    if not math.isfinite(2.0 * C):
+        raise OutOfRange(f"cannot sample the region of radius C={C}: 2 C is not finite")
     gen = _rng.substream(seed, _rng.VERIFY, 0)
     P = np.vstack([_pball_samples(gen, p, d, C, samples), *_boundary_cases(gen, p, d, C)])
     bound = C * (1.0 - delta)
 
     Q, _ = compressor.apply(P)
     errs = pnorms(Q / r - P, p)
-    if bound > 0:
-        ratios = errs / bound
-    else:
-        ratios = np.where(errs <= 1e-15 * max(C, 1.0), 0.0, np.inf)
-    # argmax finds the first NaN ratio, and max keeps it: a NaN output fails
-    i = int(np.argmax(ratios))
-    max_ratio = max(float(ratios[i]), 0.0)
-    worst = {"x": P[i].tolist(), "error": float(errs[i]), "bound": bound} if max_ratio != 0 else {}
-    return VerificationReport(kind=compressor.kind, cls=LOCAL, max_ratio=max_ratio,
-                              passed=bool(max_ratio <= 1.0 + 1e-12),
-                              samples=len(P), worst=worst)
+    ratios = errs / bound if bound > 0 else np.where(errs <= 1e-15 * max(C, 1.0), 0.0, np.inf)
+    return _report(compressor, LOCAL, ratios, lambda i: {
+        "x": P[i].tolist(), "error": float(errs[i]), "bound": bound})
 
 
 def verify_global_assumption(compressor: Compressor, contract: AssumptionContract,
@@ -660,7 +668,7 @@ def verify_global_assumption(compressor: Compressor, contract: AssumptionContrac
                              seed: int = 0, d: int = 8) -> VerificationReport:
     """Monte-Carlo check of the global mean-square contract on points with
     radii spanning [0, 1e3]; pass needs mean <= bound + 3 standard errors
-    at every point."""
+    at every point, with that sum a finite float."""
     if contract.cls != GLOBAL:
         raise WrongClass("verify_global_assumption needs a global contract")
     if samples < 1 or trials_per_sample < 2:
@@ -676,22 +684,16 @@ def verify_global_assumption(compressor: Compressor, contract: AssumptionContrac
         else:
             points.append(rad * np.ones(d) / math.sqrt(d))
 
-    max_ratio = 0.0
-    worst = {}
+    ratios, worst = [], []
     for i, x in enumerate(points):
-        errs = compressor.sample_errors(x, trials_per_sample, seed, tag=i)
-        mean = float(np.mean(errs))
-        se = float(np.std(errs, ddof=1) / math.sqrt(trials_per_sample))
+        # an overflowing draw reaches the verdict as a non-finite mean or se
+        with np.errstate(over="ignore", invalid="ignore"):
+            errs = compressor.sample_errors(x, trials_per_sample, seed, tag=i)
+            mean = float(np.mean(errs))
+            se = float(np.std(errs, ddof=1) / math.sqrt(trials_per_sample))
         bound = (1.0 - contract.delta) * float(x @ x) + contract.C
         denom = bound + 3.0 * se
-        ratio = mean / denom if denom > 0 else (0.0 if mean == 0.0 else np.inf)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = {"radius": float(np.linalg.norm(x)), "mean": mean,
-                     "bound": bound, "se": se}
-    # 1e-12 relative headroom: contracts that hold with equality and zero
-    # variance (e.g. rand-k on equal-magnitude inputs) land exactly on the
-    # bound up to rounding
-    return VerificationReport(kind=compressor.kind, cls=GLOBAL, max_ratio=float(max_ratio),
-                              passed=bool(max_ratio <= 1.0 + 1e-12),
-                              samples=len(points), worst=worst)
+        ratios.append(np.nan if not math.isfinite(denom) else mean / denom if denom > 0
+                      else 0.0 if mean == 0.0 else np.inf)
+        worst.append({"radius": float(np.linalg.norm(x)), "mean": mean, "bound": bound, "se": se})
+    return _report(compressor, GLOBAL, np.array(ratios), worst.__getitem__)

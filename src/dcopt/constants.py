@@ -363,8 +363,11 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         # domination: e1 + e2 + e3 plus n ||gbar_0||^2 / (2 nu)
         gbar = problem.at_shared(x0.mean(axis=0))[1].mean(axis=0)
         kappa_nu = e123_0 + n * float(gbar @ gbar) / (2.0 * problem.pl_nu)
-        s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
-                 s0_floor(x0, contract))
+        try:
+            s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
+                     s0_floor(x0, contract))
+        except OverflowError:
+            raise OutOfRange(f"{regime}: s0 cannot be evaluated in floats at C={contract.C}")
         schedule = GeometricSchedule(s0=s0, rate=eps)
         feas["alpha_below_kappa_0_prime"] = (alpha < tab.kappa_0_prime, alpha,
                                              tab.kappa_0_prime)

@@ -156,7 +156,8 @@ def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,
         # of it, on NumPy's vectorized exp and log1p instead of a scalar loop
         loss = np.maximum(-P, 0.0) + np.log1p(np.exp(-np.abs(P)))
         logistic = np.mean(loss, axis=-1)
-        return logistic + lam * np.sum(X * X / (1.0 + X * X), axis=-1)
+        # x^2 / (1 + x^2) <= 1 reads inf / inf once x^2 overflows; fmin takes the 1
+        return logistic + lam * np.sum(np.fmin(X * X / (1.0 + X * X), 1.0), axis=-1)
 
     def grads(X, P):
         sig = 1.0 / (1.0 + np.exp(P))

@@ -203,7 +203,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         tr["s_k"][row] = st.s_k
         tr["surr_pre_pmax"][row] = pre
         tr["bits_cum"][row] = st.bits_cum
-        tr["region_ok"][row] = not local or pre <= contract.C * st.s_k * (1.0 + 1e-12)
+        tr["region_ok"][row] = not local or pre <= contract.C * st.s_k * (1.0 + 1e-12) < np.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(T):

@@ -195,6 +195,18 @@ REFUSALS = [
     ("ini", [("mode = empirical", "mode = T2_local_exact_first"),
              ("family = quadratic", "family = nonconvex\nlam = 1e25")],
      "need finite kappa4 and s0, got kappa4=inf"),
+    # a finite parameter whose contract constant overflows a float
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit\nnoise = 1e155")],
+     "contract constants out of range: r=1.0, C=inf, delta=0.4765625"),
+    ("ini", [("kind = one_bit\nlevel = 2.0", "kind = rand_k\nnoise = 1e200")],
+     "contract constants out of range: r=1.0, C=inf, delta=0.16666666666666666"),
+    *(("ini", [("kind = one_bit\nlevel = 2.0", params)],
+       "contract constants out of range: r=1.0, C=inf, delta=1.0")
+      for params in ("kind = compose_kbit_of_uniform\nnoise_inner = 1e200",
+                     "kind = uniform_quant\nstep = 1e200")),
+    # T3's initial scale divides by C^2
+    ("ini", [("mode = empirical", "mode = T3_local_PL"), ("level = 2.0", "level = 1e200")],
+     "T3_local_PL: s0 cannot be evaluated in floats at C=1e+200"),
 ]
 
 
@@ -392,7 +404,9 @@ def test_cmd_verify_global(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("params", ["kind = unbiased_kbit\nkbits = 600",
-                                    "kind = sat_quant\nlevel = 1e308\nstep = 1e-300"])
+                                    "kind = sat_quant\nlevel = 1e308\nstep = 1e-300",
+                                    "kind = unbiased_kbit\nnoise = 1e155",
+                                    "kind = one_bit\nlevel = 1e308"])
 def test_verify_refuses_a_compressor_that_overflows(tmp_path, capsys, params):
     text = BASE_CONFIG.format(out=tmp_path / "o15").replace("kind = one_bit\nlevel = 2.0", params)
     assert cli.main(["verify", _write(tmp_path, text)]) == cli.EXIT_CONFIG

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from dcopt import build_graph, compute_constants
+from dcopt import build_graph, compute_constants, make_quadratic, theorem_params
 from dcopt import compressors as comp
 from dcopt.errors import DimensionMismatch, IncompatibleContracts, OutOfRange, WrongClass
 
@@ -272,6 +272,23 @@ CONTRACT_REFUSALS = [
                         ({"gamma": np.nan}, "ell=1.0, gamma=nan, tau_1=4.2, omega=1.0"),
                         ({"tau_1": np.nan}, "ell=1.0, gamma=8.0, tau_1=nan, omega=1.0"),
                         ({"omega": np.inf}, "ell=1.0, gamma=8.0, tau_1=4.2, omega=inf"))),
+    # a contract's constants are finite floats, so a formula that overflows is refused
+    *((lambda r=r, C=C: comp.AssumptionContract(comp.GLOBAL, 2.0, r, C, 0.5), OutOfRange,
+       f"contract constants out of range: r={r}, C={C}, delta=0.5")
+      for r, C in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf), (1.0, np.nan))),
+    (lambda: comp.lemma1_relative_params(0.5, 1.0, 1e155), OutOfRange,
+     "contract constants out of range: r=1.0, C=inf, delta=0.25"),
+    *((call, OutOfRange, "contract constants out of range: r=1.0, C=inf, delta=1.0") for call in (
+        lambda: comp.lemma1_absolute_params(0.0, 1.0, 1e200),
+        lambda: comp.UniformQuantizer(1e200).contract(6),
+        lambda: comp.compose_kbit_of_uniform(3, 0.5, noise_inner=1e200).contract(6))),
+    # T3's initial scale divides by C^2
+    (lambda: theorem_params("T3_local_PL", make_quadratic(4, 3, seed=13), build_graph("ring", 4),
+                            comp.OneBit(1e200).contract(3)), OutOfRange,
+     "T3_local_PL: s0 cannot be evaluated in floats at C=1e+200"),
+    # the local verifier draws from [-C, C]
+    (lambda: comp.verify_local_assumption(comp.OneBit(1e308), comp.OneBit(1e308).contract(6)),
+     OutOfRange, "cannot sample the region of radius C=1e+308: 2 C is not finite"),
 ]
 
 
@@ -288,3 +305,12 @@ def test_contract_layer_refusals(call, error, message):
     with pytest.raises(error) as refused:
         call()
     assert str(refused.value) == message
+
+
+def test_a_point_whose_bound_overflows_fails_with_a_nan_ratio():
+    # the noise's trial variance overflows, so bound + 3 se is no finite float
+    c = comp.Noisy(comp.UnbiasedKBit(3, seed=5), 1e150)
+    report = comp.verify_global_assumption(c, c.contract(8), samples=4,
+                                           trials_per_sample=50, seed=3, d=8)
+    assert not report.passed and np.isnan(report.max_ratio)
+    assert report.worst["se"] == np.inf

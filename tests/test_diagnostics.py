@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dcopt import (
     GeometricSchedule,
     HyperParams,
     OneBit,
+    UnbiasedKBit,
     build_graph,
     compute_constants,
     lyapunov_components,
@@ -13,7 +16,13 @@ from dcopt import (
     run,
     write_csv,
 )
-from dcopt.diagnostics import lyapunov_sandwich_check, summary
+from dcopt.diagnostics import (
+    contraction_global_check,
+    contraction_local_check,
+    lyapunov_descent_check,
+    lyapunov_sandwich_check,
+    summary,
+)
 from dcopt.errors import DegenerateSeries
 
 
@@ -138,3 +147,63 @@ def test_summary_keys():
     assert s["iterations"] == 5
     assert set(s["final"]) == {"f_bar", "grad_sq", "consensus", "e5", "s_k", "bits_cum"}
     assert s["e4_mode"] == "exact"
+
+
+@pytest.fixture(scope="module")
+def checked_runs():
+    """A local run that meets all three of its checks, with the constants they
+    read, and two seeds of a global run that meet the aggregate check."""
+    prob, g, _ = _setup(n=3, d=2, seed=6)
+    ct = OneBit(4.0).contract(2)
+    probe = compute_constants(g, prob.ell, 1.0, 1.0, 1.0, 1e-9, ct, 2)
+    gamma, tau_1 = 1.05 * probe.kappa_2, 1.05 * probe.kappa_1
+    table = compute_constants(g, prob.ell, gamma, tau_1, 1.0, 1e-4, ct, 2, nu=prob.pl_nu)
+    hyper = HyperParams(alpha=1e-4, beta=tau_1 * gamma, gamma=gamma, omega=1.0,
+                        schedule=GeometricSchedule(3.0, 0.999), tau_1=tau_1)
+    local = run(prob, g, OneBit(4.0), hyper, T=20, x0_seed=7, contract=ct)
+    kbit = [run(prob, g, UnbiasedKBit(3, seed=seed), hyper, T=20, x0_seed=7)
+            for seed in (1, 2)]
+    return {"local": [local], "global": kbit, "contract": ct, "table": table, "hyper": hyper}
+
+
+# each check on the runs, and the trace edits that make one row NaN and give
+# another an infinite bound: (column, row, value); the global edits go to the
+# first seed's trace
+CHECKS = {
+    "lyapunov_sandwich": (lambda r, traces: lyapunov_sandwich_check(
+        traces[0], r["table"].eps_1, r["table"].eps_2, r["hyper"].gamma, r["hyper"].beta),
+        # 2 e2 overflows L1_hat
+        ("e1", 5, np.nan), ("e2", 9, 1e308)),
+    # the last row's L1 enters one step only; s_k^2 overflows at 1e200
+    "lyapunov_descent": (lambda r, traces: lyapunov_descent_check(
+        traces[0], r["hyper"].alpha, r["table"].eps_6, r["table"].eps_5, r["table"].psi_2,
+        r["contract"].C, r["contract"].d_tilde(2), 3), ("e1", 20, np.nan), ("s_k", 9, 1e200)),
+    # C s_k = 4 * 1e308 overflows
+    "contraction_local": (lambda r, traces: contraction_local_check(
+        traces[0], r["contract"], 1.0), ("surr_post_pmax", 5, np.nan), ("s_k", 9, 1e308)),
+    # two seeds 1e308 apart overflow the standard error
+    "contraction_global": (lambda r, traces: contraction_global_check(
+        traces, UnbiasedKBit(3).contract(2), 1.0, 3),
+        ("surr_post_l2sq", 5, np.nan), ("surr_post_l2sq", 9, 1e308)),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_a_nan_row_and_an_infinite_bound_are_violations(checked_runs, name):
+    check, *edits = CHECKS[name]
+    traces = checked_runs["global" if name == "contraction_global" else "local"]
+    clean = check(checked_runs, traces)
+    assert clean.name == name and clean.passed and clean.checked > 0
+    rows = traces[0].rows.copy()
+    for column, row, value in edits:
+        rows[column][row] = value
+    edited = check(checked_runs, [dataclasses.replace(traces[0], rows=rows), *traces[1:]])
+    assert (edited.checked, edited.violations) == (clean.checked, 2)
+
+
+def test_a_region_radius_whose_square_overflows_fails_every_descent_row(checked_runs):
+    # C^2 overflows a float, so every row's bound is infinite
+    r = checked_runs
+    report = lyapunov_descent_check(r["local"][0], r["hyper"].alpha, r["table"].eps_6,
+                                    r["table"].eps_5, r["table"].psi_2, 1e200, 1.0, 3)
+    assert report.violations == report.checked == 20
