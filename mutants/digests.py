@@ -17,7 +17,10 @@ x0 bytes, constant table, feasibility and extras, and each refusal's type
 and message, with the counts of selections and of refusals.  The line before
 it is the grammar fuzzer's: the configs ``tests/test_grammar_fuzz.py`` draws
 from ``FUZZ_SEED``, run through its commands in this process, and each
-command's histogram of exit codes.  Two checkouts
+command's histogram of exit codes.  The line before that digests, per
+topology, each graph's ``rho`` and ``rho2``, its dense ``laplacian`` and
+``F``, and its ``mix`` and ``apply_F`` of one fixed block, at each of
+``GRAPH_SIZES`` agents.  Two checkouts
 print the same lines exactly when their outputs are byte-identical: run it
 in each and diff the two listings.  The digests depend on the NumPy and BLAS
 builds, so this is no tier-1 test.
@@ -36,6 +39,7 @@ from unittest import mock
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "demos" / "configs"
 FUZZ_SEED = 0
+GRAPH_SIZES = (3, 10, 100)
 
 COMMANDS = (
     ("run", "one_bit_ring.ini"),
@@ -58,6 +62,8 @@ COMMANDS = (
     # the two dense topologies that no demo config builds
     ("run", "path.ini"),
     ("run", "erdos_renyi.ini"),
+    # the complete graph's closed-form F in the record, with channel noise
+    ("run", "complete.ini"),
     # each theoretical mode that no demo config selects, from the CLI
     *((command, f"{mode}.ini") for mode in ("T2", "T3", "T5", "T6")
       for command in ("params", "run")),
@@ -95,6 +101,10 @@ GENERATED.update({f"{name}.ini": RING.format(kind="unbiased_kbit", params="kbits
     "topology = ring", graph).replace("out/unbiased_kbit", f"out/{name}")
     for name, graph in (("path", "topology = path"),
                         ("erdos_renyi", "topology = erdos_renyi\nprob = 0.5"))})
+GENERATED["complete.ini"] = RING.format(
+    kind="unbiased_kbit", params="kbits = 3\nnoise = 0.3\n").replace(
+    "topology = ring\nn = 8", "topology = complete\nn = 6").replace(
+    "out/unbiased_kbit", "out/complete")
 
 THEORY = """
 [problem]
@@ -176,6 +186,27 @@ def param_grid() -> str:
             f"({selections} selections, {refusals} refusals)")
 
 
+def graph_views() -> str:
+    """The graph line: per topology, one digest over ``GRAPH_SIZES`` of each
+    graph's spectral bounds, dense views and products with a fixed block."""
+    sys.path.insert(0, str(REPO / "src"))
+    import numpy as np
+
+    from dcopt.graph import TOPOLOGIES, build_graph
+
+    parts = []
+    for topology in TOPOLOGIES:
+        digest = hashlib.sha256()
+        for n in GRAPH_SIZES:
+            g = build_graph(topology, n, prob=0.5, seed=1)
+            block = np.random.default_rng(n).standard_normal((n, 4))
+            for array in (np.array([g.rho, g.rho2]), g.laplacian, g.F, g.mix(block),
+                          g.apply_F(block)):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        parts.append(f"{topology} {digest.hexdigest()[:16]}")
+    return f"graph views at n in {GRAPH_SIZES}: " + ", ".join(parts)
+
+
 def fuzz_histogram() -> str:
     """The fuzzer's line: per command, how many configs exited with each code.
     A code carries " warned" when the command raised a warning, and an
@@ -226,6 +257,7 @@ def main() -> int:
                   f"(exit {proc.returncode})")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(root)}")
+    print(graph_views())
     print(fuzz_histogram())
     print(param_grid())
     return 0

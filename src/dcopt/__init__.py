@@ -54,7 +54,7 @@ from .diagnostics import (
     write_csv,
     write_summary,
 )
-from .graph import NetworkGraph, RingGraph, build_graph, from_adjacency
+from .graph import Graph, build_graph, from_adjacency
 from .problems import ProblemInstance, make_nonconvex, make_quadratic
 
 __version__ = "0.1.0"

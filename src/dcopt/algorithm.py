@@ -198,8 +198,9 @@ def step(state: AlgorithmState, problem, graph, compressor: Compressor,
         if not _finite(U):
             raise NonFiniteState(f"non-finite compressor input at iteration {k}", iteration=k)
         Q, bits = compressor.apply(U, k)
-        x_hat = state.x_hat + hyper.omega * s * Q
-        y = state.y + hyper.omega * s * graph.mix(Q)
+        D = hyper.omega * s * Q
+        x_hat = state.x_hat + D
+        y = state.y + graph.mix(D)
         G = problem.stacked_gradients(state.x)
         x = state.x - hyper.alpha * (hyper.beta * y + hyper.gamma * state.v + G)
         v = state.v + hyper.alpha * hyper.gamma * y

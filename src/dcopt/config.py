@@ -27,7 +27,7 @@ from .algorithm import (INIT_MODES, ConstantSchedule, GeometricSchedule, HyperPa
 from .compressors import LOCAL
 from .constants import REGIMES, theorem_params
 from .errors import ConfigError
-from .graph import TOPOLOGIES, NetworkGraph, RingGraph, build_graph
+from .graph import TOPOLOGIES, Graph, build_graph
 from .problems import ProblemInstance, make_nonconvex, make_quadratic
 
 # a class reads its positional fields and ``noise``; a composition reads kbits, step,
@@ -213,7 +213,7 @@ class RunPlan(NamedTuple):
     """A config resolved for one run; feasibility and extras are empty in empirical mode,
     and a theoretical mode's extras hold its selection's constant table as ``table``."""
     problem: ProblemInstance
-    graph: NetworkGraph | RingGraph
+    graph: Graph
     compressor: comp.Compressor
     hyper: HyperParams
     run_kwargs: dict

@@ -1,26 +1,30 @@
 """Communication graphs as the operators the algorithm applies.
 
-A graph gives the engine its size ``n``, its ``topology``, ``rho`` = lambda_n
-and ``rho2`` = lambda_2 of the Laplacian L = D - A (whose ascending spectrum,
-``eigenvalues``, the engine does not read), and two products on a stacked n x d block:
-``mix(Q) = L Q``, the neighbour exchange, and ``apply_F(W) = F W``, which
-also takes a (B, n, d) stack of blocks.  F is the positive definite matrix
-obtained from the eigendecomposition of L by replacing the zero eigenvalue
-with lambda_2 and inverting.  With the centering projector
-E = I - (1/n) 1 1^T, F satisfies F L = E and rho(L)^-1 I <= F <= rho_2(L)^-1 I.
+A ``Graph`` is what the engine and the analysis read: its size ``n``, its
+``topology``, ``rho`` = lambda_n and ``rho2`` = lambda_2 of the Laplacian
+L = D - A, and two products along axis -2 of an (..., n, d) stack of blocks:
+``mix(Q) = L Q``, the neighbour exchange, and ``apply_F(W) = F W``.  F is the
+positive definite matrix obtained from the eigendecomposition of L by
+replacing the zero eigenvalue with lambda_2 and inverting.  With the centering
+projector E = I - (1/n) 1 1^T, F satisfies F L = E and
+rho(L)^-1 I <= F <= rho_2(L)^-1 I.
 
-The ring is circulant, so it needs no n x n matrix.  Its spectrum is the
-closed form 2 - 2 cos(2 pi k / n), ``mix`` takes each agent's two neighbours
-from shifted slices, and ``apply_F`` divides the real FFT along the agent
-axis by the spectrum.  Every other topology holds its dense adjacency,
-Laplacian and F (by ``eigh``), mixes as ``L @ Q`` and applies ``F @ W``.
-Dense ``adjacency``, ``laplacian`` and ``F`` are readable on every graph;
-a ring builds them when they are read.  ``[graph] topology`` takes one of
-``TOPOLOGIES``, the topologies ``build_graph`` builds, checked as a config loads.
+The operators are built per topology.  The ring is circulant: its spectrum is
+the closed form 2 - 2 cos(2 pi k / n), ``mix`` takes each agent's two
+neighbours from shifted slices, and ``apply_F`` divides the real FFT along the
+agent axis by the spectrum, so it holds no n x n array.  The complete graph
+has L = n I - 1 1^T = n E, so rho = rho2 = n and F = I / n: it holds L alone
+and needs no eigendecomposition.  Every other graph comes from its adjacency
+through ``from_adjacency``, which finds the spectrum and F by ``eigh`` and
+applies L and F as dense products.  The dense ``laplacian``, ``adjacency`` and
+``F`` are views derived from the operators when read; nothing under ``src``
+reads them.  ``[graph] topology`` takes one of ``TOPOLOGIES``, the topologies
+``build_graph`` builds, checked as a config loads.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .errors import DisconnectedGraph, InvalidTopology, NumericalFailure
 
 _EIG_RESIDUAL_TOL = 1e-10
 _IDENTITY_TOL = 1e-10
-# rho / rho2 of the ring on 400 agents: the ring's F L = E probe keeps
+# rho / rho2 of the ring on 400 agents: the operator F L = E probe keeps
 # _IDENTITY_TOL up to this condition number and scales with it beyond,
 # because the FFT's error in F W grows with rho / rho2 (about n^2 / pi^2)
 _RING_COND_REF = 1.0 / np.sin(np.pi / 400) ** 2
@@ -40,73 +44,29 @@ TOPOLOGIES = {"ring": 3, "path": 2, "complete": 2, "erdos_renyi": 2}
 
 
 @dataclass(frozen=True)
-class NetworkGraph:
-    """Immutable graph bundle: adjacency, Laplacian, F and spectral data,
-    applied as dense products."""
+class Graph:
+    """A connected graph on n agents as its spectral bounds and its two
+    operators, each applied along axis -2 of an (..., n, d) stack."""
 
     n: int
-    adjacency: np.ndarray
-    laplacian: np.ndarray
-    eigenvalues: np.ndarray          # ascending, eigenvalues of L
+    topology: str
     rho: float                       # spectral radius of L
     rho2: float                      # smallest positive eigenvalue of L
-    F: np.ndarray
-    topology: str = field(default="custom", compare=False)
-
-    def mix(self, Q: np.ndarray) -> np.ndarray:
-        """L Q."""
-        return self.laplacian @ Q
-
-    def apply_F(self, W: np.ndarray) -> np.ndarray:
-        """F W, for each n x d block of W."""
-        return self.F @ W
-
-
-@dataclass(frozen=True)
-class RingGraph:
-    """The ring on n >= 3 agents as a circulant operator: it holds the
-    spectrum and the inverse spectrum of the real FFT's modes, and no n x n
-    array until ``adjacency``, ``laplacian`` or ``F`` is read."""
-
-    n: int
-    eigenvalues: np.ndarray          # ascending, eigenvalues of L
-    rho: float
-    rho2: float
-    mode_inverse: np.ndarray = field(repr=False)   # 1 / lambda_k for rfft mode k, 0 at k = 0
-    topology = "ring"
-
-    def mix(self, Q: np.ndarray) -> np.ndarray:
-        """L Q: row i is 2 q_i - q_{i-1} - q_{i+1} (indices mod n), rounded
-        as (2 q_i - q_{i-1}) - q_{i+1}."""
-        out = 2.0 * Q
-        out[1:] -= Q[:-1]
-        out[0] -= Q[-1]
-        out[:-1] -= Q[1:]
-        out[-1] -= Q[0]
-        return out
-
-    def apply_F(self, W: np.ndarray) -> np.ndarray:
-        """F W for each n x d block of W: the pseudo-inverse of L by real FFT
-        along the agent axis (axis -2), plus mean(W) / lambda_2 on the
-        consensus direction."""
-        return (np.fft.irfft(np.fft.rfft(W, axis=-2) * self.mode_inverse[:, None], n=self.n,
-                             axis=-2)
-                + W.mean(axis=-2, keepdims=True) / self.rho2)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        i, A = np.arange(self.n), np.zeros((self.n, self.n))
-        A[i, i - 1] = A[i - 1, i] = 1.0
-        return A
+    mix: Callable = field(repr=False)        # Q -> L Q
+    apply_F: Callable = field(repr=False)    # W -> F W
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        return 2.0 * np.eye(self.n) - self.adjacency
+        return self.mix(np.eye(self.n))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        L = self.laplacian
+        return np.diag(np.diag(L)) - L
 
     @cached_property
     def F(self) -> np.ndarray:
-        """The dense F by eigendecomposition, as for every other topology."""
-        return from_adjacency(self.adjacency, topology="ring").F
+        return self.apply_F(np.eye(self.n))
 
 
 def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -123,9 +83,9 @@ def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     return F
 
 
-def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
-    """Assemble a NetworkGraph from a symmetric nonnegative adjacency matrix
-    of a connected graph on at least two agents, holding its own copy of it."""
+def from_adjacency(A: np.ndarray, topology: str = "custom") -> Graph:
+    """The graph of a symmetric nonnegative adjacency matrix of a connected
+    graph on at least two agents, applying its own dense L and F."""
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
         raise InvalidTopology(f"adjacency must be a square matrix over at least 2 agents, "
@@ -143,26 +103,49 @@ def from_adjacency(A: np.ndarray, topology: str = "custom") -> NetworkGraph:
     # lambda_2 is zero exactly when the graph is disconnected
     if rho2 <= 1e-9 * max(rho, 1.0):
         raise DisconnectedGraph("graph is not connected: lambda_2 of L is numerically zero")
-    return NetworkGraph(n=len(A), adjacency=A, laplacian=L, eigenvalues=lam, rho=rho,
-                        rho2=rho2, F=_assemble_F(L, lam, V), topology=topology)
+    return Graph(len(A), topology, rho, rho2, partial(np.matmul, L),
+                 partial(np.matmul, _assemble_F(L, lam, V)))
 
 
-def _ring_graph(n: int) -> RingGraph:
-    """The ring on n >= 3 agents from its closed-form spectrum, checked
-    against F L = E in operator form on one fixed random block."""
+def _ring_mix(Q: np.ndarray) -> np.ndarray:
+    """L Q on the ring: row i is 2 q_i - q_{i-1} - q_{i+1} (indices mod n),
+    rounded as (2 q_i - q_{i-1}) - q_{i+1}."""
+    out = 2.0 * Q
+    out[..., 1:, :] -= Q[..., :-1, :]
+    out[..., 0, :] -= Q[..., -1, :]
+    out[..., :-1, :] -= Q[..., 1:, :]
+    out[..., -1, :] -= Q[..., 0, :]
+    return out
+
+
+def _ring(n: int) -> Graph:
+    """The ring on n >= 3 agents from its closed-form spectrum."""
     # lambda_k = 2 - 2 cos(2 pi k / n) for Fourier mode k, written as
     # 4 sin^2(pi k / n), which has no cancellation near k = 0
     lam = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    inverse = np.zeros(n // 2 + 1)
+    inverse = np.zeros(n // 2 + 1)               # 1 / lambda_k for rfft mode k, 0 at k = 0
     inverse[1:] = 1.0 / lam[1:n // 2 + 1]
-    eigenvalues = np.sort(lam)
-    g = RingGraph(n=n, eigenvalues=eigenvalues, rho=float(eigenvalues[-1]),
-                  rho2=float(eigenvalues[1]), mode_inverse=inverse)
-    _check_ring(g)
-    return g
+    rho, rho2 = float(lam.max()), float(lam[1:].min())
+
+    def apply_F(W: np.ndarray) -> np.ndarray:
+        """The pseudo-inverse of L by real FFT along the agent axis, plus
+        mean(W) / lambda_2 on the consensus direction."""
+        return (np.fft.irfft(np.fft.rfft(W, axis=-2) * inverse[:, None], n=n, axis=-2)
+                + W.mean(axis=-2, keepdims=True) / rho2)
+
+    return Graph(n, "ring", rho, rho2, _ring_mix, apply_F)
 
 
-def _check_ring(g: RingGraph) -> None:
+def _complete(n: int) -> Graph:
+    """The complete graph on n >= 2 agents: L = n I - 1 1^T = n E has
+    lambda_2 = lambda_n = n, and n in place of the zero eigenvalue gives F = I / n."""
+    L = np.full((n, n), -1.0)
+    np.fill_diagonal(L, n - 1.0)
+    return Graph(n, "complete", float(n), float(n), partial(np.matmul, L),
+                 partial(np.multiply, 1.0 / n))
+
+
+def _check_operators(g: Graph) -> None:
     """Check F L = E in operator form on one fixed random n x 2 block, at a
     tolerance that grows with rho / rho2 past the ring on 400 agents."""
     W = np.random.default_rng(0).standard_normal((g.n, 2))
@@ -171,9 +154,10 @@ def _check_ring(g: RingGraph) -> None:
         raise NumericalFailure("FL = E identity residual exceeds tolerance")
 
 
-def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0):
-    """Build a connected unit-weight graph of the requested topology: a
-    ``RingGraph`` for the ring, a dense ``NetworkGraph`` for any other.
+def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> Graph:
+    """Build a connected unit-weight graph of the requested topology: the ring
+    and the complete graph in closed form, checked in operator form, and any
+    other through ``from_adjacency``.
 
     It refuses a topology, or an n, that ``TOPOLOGIES`` does not allow.  The
     Erdos-Renyi adjacency is resampled (up to 100 times) until it is connected.
@@ -182,12 +166,12 @@ def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0):
         raise InvalidTopology(f"unknown topology {topology!r}")
     if n < TOPOLOGIES[topology]:
         raise InvalidTopology(f"{topology} needs n >= {TOPOLOGIES[topology]}, got {n}")
-    if topology == "ring":
-        return _ring_graph(n)
+    if topology in ("ring", "complete"):
+        g = _ring(n) if topology == "ring" else _complete(n)
+        _check_operators(g)
+        return g
     if topology == "path":
         return from_adjacency(np.eye(n, k=1) + np.eye(n, k=-1), topology=topology)
-    if topology == "complete":
-        return from_adjacency(np.ones((n, n)) - np.eye(n), topology=topology)
     if not 0.0 < prob <= 1.0:
         raise InvalidTopology(f"erdos_renyi edge probability must be in (0,1], got {prob}")
     last = None

@@ -20,7 +20,6 @@ from dcopt import rng as _rng
 from dcopt.algorithm import AlgorithmState, init_state
 from dcopt.compressors import LOCAL, Compose, Noisy, Scalarization
 from dcopt.diagnostics import TRACE_DTYPE
-from dcopt.graph import RingGraph
 
 
 # columns the engine evaluates by another formula, with the scale of their
@@ -141,7 +140,7 @@ def stacked_gradients(problem, X):
 def mix(graph, Q):
     """L Q: a ring one agent's row at a time, as (2 q_i - q_{i-1}) - q_{i+1};
     any other graph by its dense Laplacian."""
-    if isinstance(graph, RingGraph):
+    if graph.topology == "ring":
         n = graph.n
         return np.stack([(2.0 * Q[i] - Q[i - 1]) - Q[(i + 1) % n] for i in range(n)])
     return graph.laplacian @ Q
@@ -152,8 +151,9 @@ def step(state, problem, graph, compressor, hyper):
     s, k = state.s_k, state.k
     U = (state.x - state.x_hat) / s
     Q, bits = compress_round(compressor, U, k)
-    x_hat = state.x_hat + hyper.omega * s * Q
-    y = state.y + hyper.omega * s * mix(graph, Q)
+    D = hyper.omega * s * Q
+    x_hat = state.x_hat + D
+    y = state.y + mix(graph, D)
     G = stacked_gradients(problem, state.x)
     x = state.x - hyper.alpha * (hyper.beta * y + hyper.gamma * state.v + G)
     v = state.v + hyper.alpha * hyper.gamma * y

@@ -110,6 +110,9 @@ REPROS = [
         {"kind": "compose_kbit_of_uniform", "noise_inner": 1e200},
         {"kind": "uniform_quant", "step": 1e200})),
     (_ring({"kind": "one_bit", "level": 1e308}), {"verify": cli.EXIT_CONFIG}),
+    # an output near the float limit is scaled by s before it is mixed
+    *((_ring({"kind": "one_bit", "level": 1e308}, s0=s0), {"run": cli.EXIT_OK})
+      for s0 in (1e-12, 1e-200, 1e-300)),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dcopt import GeometricSchedule, HyperParams, UnbiasedKBit, build_graph, from_adjacency, run
 from dcopt.errors import DisconnectedGraph, InvalidTopology, NumericalFailure
-from dcopt.graph import _IDENTITY_TOL, RingGraph, _check_ring
+from dcopt.graph import _IDENTITY_TOL, TOPOLOGIES, _check_operators
 from dcopt.problems import make_quadratic
 
 EPS = np.finfo(float).eps
@@ -30,7 +30,7 @@ def test_ring4_spectrum_closed_form():
     g = build_graph("ring", 4)
     # ring spectrum: 2 - 2 cos(2 pi k / n)
     expected = np.sort([2.0 - 2.0 * np.cos(2.0 * np.pi * k / 4) for k in range(4)])
-    np.testing.assert_allclose(np.sort(g.eigenvalues), expected, atol=1e-9)
+    np.testing.assert_allclose(np.linalg.eigvalsh(g.laplacian), expected, atol=1e-9)
     assert abs(g.rho2 - 2.0) < 1e-9
     assert abs(g.rho - 4.0) < 1e-9
 
@@ -52,7 +52,7 @@ def test_matrix_identities(topology, n):
     assert np.abs(F @ L - E).max() <= 1e-10
     assert np.abs(E @ L - L).max() <= 1e-10
     assert np.abs(L @ np.ones(n)).max() <= 1e-12
-    lam = g.eigenvalues
+    lam = np.linalg.eigvalsh(L)
     assert abs(lam[0]) < 1e-9 and np.all(np.diff(lam) >= -1e-9)
     w = np.linalg.eigvalsh(F)
     assert w[0] >= 1.0 / g.rho - 1e-9 and w[-1] <= 1.0 / g.rho2 + 1e-9
@@ -101,45 +101,57 @@ def test_from_adjacency_keeps_its_own_copy():
     assert not np.shares_memory(g.adjacency, A)
 
 
-# Tolerances of the ring's operators against the dense eigh reference, with
-# the largest deviation measured over 150 random draws (n in [3, 400], d in
-# [1, 8], entries scaled by 1e-3 to 1e3):
-# - mix rounds each row as (2 q_i - q_{i-1}) - q_{i+1}, BLAS as it sums:
-#   16 eps of max|W| (measured 2.6 eps, 6x headroom);
-# - F W by FFT and by the dense F both carry an error of about eps times the
-#   condition number rho / rho_2 ~ n^2 / pi^2: 2e-11 of max|F W| (measured
-#   2.8e-12 at n near 400, 7x headroom);
+# Tolerances of the closed-form operators against the dense eigh reference of
+# their own adjacency, with the largest deviation measured over 150 random
+# draws (n in [3, 400], d in [1, 8], entries scaled by 1e-3 to 1e3):
+# - mix: the ring rounds each row as (2 q_i - q_{i-1}) - q_{i+1}, BLAS as it
+#   sums: 16 eps of max|W| (measured 2.7 eps, 6x headroom); the complete graph
+#   multiplies by the reference's own L (measured 0);
+# - F W, and the dense F view against the reference F: on the ring, FFT and
+#   dense F both carry an error of about eps times the condition number
+#   rho / rho_2 ~ n^2 / pi^2: 2e-11 of max|F W| (measured 2.4e-12 at n near
+#   400, 8x headroom); on the complete graph W / n against eigh's F: 2e-14
+#   (measured 3.9e-15, 5x headroom);
 # - F L = E in operator form: the build-time tolerance of max|W| (measured
-#   2.7e-13, 360x headroom);
-# - the closed-form spectrum: 1e-13 absolute, rho <= 4 (measured 4.9e-15).
+#   2.5e-13 on the ring, 1.8e-15 on the complete graph);
+# - the closed-form spectrum: 2.5e-14 of rho, so 1e-13 absolute on the ring,
+#   whose rho <= 4 (measured 1.6e-15 of rho on the ring, 4.2e-15 on the
+#   complete graph).
+F_TOL = {"ring": 2e-11, "complete": 2e-14}
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(3, 400), d=st.integers(1, 8), scale=st.floats(-3.0, 3.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_ring_operator_matches_dense_reference(n, d, scale, seed):
-    g = build_graph("ring", n)
-    i = np.arange(n)
-    A = np.zeros((n, n))
-    A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1.0
-    dense = from_adjacency(A)
     W = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** scale
     w_max = np.abs(W).max()
-    assert np.abs(g.mix(W) - dense.laplacian @ W).max() <= 16 * EPS * w_max
-    FW = dense.F @ W
-    assert np.abs(g.apply_F(W) - FW).max() <= 2e-11 * np.abs(FW).max()
-    assert np.abs(g.apply_F(g.mix(W)) - (W - W.mean(axis=0))).max() <= _IDENTITY_TOL * w_max
-    # a stack of blocks gives each block's F W, bit for bit
-    stack = np.stack([W, -W[::-1]])
-    for graph in (g, dense):
-        FWs = graph.apply_F(stack)
-        assert np.array_equal(FWs[0], graph.apply_F(W))
-        assert np.array_equal(FWs[1], graph.apply_F(-W[::-1]))
-    lam = np.linalg.eigvalsh(dense.laplacian)
-    assert np.abs(g.eigenvalues - lam).max() <= 1e-13
-    assert abs(g.rho - lam[-1]) <= 1e-13 and abs(g.rho2 - lam[1]) <= 1e-13
-    # the dense views of a ring are the ones every other topology holds
-    np.testing.assert_array_equal(g.adjacency, A)
-    np.testing.assert_array_equal(g.laplacian, dense.laplacian)
-    np.testing.assert_array_equal(g.F, dense.F)
+    for topology, tol in F_TOL.items():
+        g = build_graph(topology, n)
+        if topology == "ring":
+            i = np.arange(n)
+            A = np.zeros((n, n))
+            A[i, (i + 1) % n] = A[(i + 1) % n, i] = 1.0
+        else:
+            A = np.ones((n, n)) - np.eye(n)
+        dense = from_adjacency(A)
+        assert np.abs(g.mix(W) - dense.laplacian @ W).max() <= 16 * EPS * w_max
+        FW = dense.F @ W
+        assert np.abs(g.apply_F(W) - FW).max() <= tol * np.abs(FW).max()
+        assert (np.abs(g.apply_F(g.mix(W)) - (W - W.mean(axis=0))).max()
+                <= _IDENTITY_TOL * w_max)
+        # a stack of blocks gives each block's F W, bit for bit
+        stack = np.stack([W, -W[::-1]])
+        for graph in (g, dense):
+            FWs = graph.apply_F(stack)
+            assert np.array_equal(FWs[0], graph.apply_F(W))
+            assert np.array_equal(FWs[1], graph.apply_F(-W[::-1]))
+        lam = np.linalg.eigvalsh(dense.laplacian)
+        assert max(abs(g.rho - lam[-1]), abs(g.rho2 - lam[1])) <= 2.5e-14 * g.rho
+        # the dense views derived from the operators are the reference's
+        np.testing.assert_array_equal(g.adjacency, A)
+        np.testing.assert_array_equal(g.laplacian, dense.laplacian)
+        assert np.abs(g.F - dense.F).max() <= tol * np.abs(dense.F).max()
 
 
 def test_ring_run_holds_no_dense_matrix():
@@ -153,7 +165,7 @@ def test_ring_run_holds_no_dense_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(g, RingGraph) and trace.T == 3
+    assert g.topology == "ring" and trace.T == 3
     assert np.all(np.isfinite(trace.e2)) and np.all(np.isfinite(trace.final_state.y))
     # below one dense n x n float matrix, 32 MB
     assert peak < 8 * n * n
@@ -165,13 +177,45 @@ def test_large_rings_pass_the_operator_probe(n):
     # the probe's residual grows with rho / rho2 (1.0e-10 at n = 16,000,
     # 2.3e-10 at 20,000), and so does its tolerance past n = 400
     g = build_graph("ring", n)
-    assert isinstance(g, RingGraph) and g.n == n
+    assert g.topology == "ring" and g.n == n
 
 
 @pytest.mark.parametrize("n", [3, 400, 16_000, 20_000])
 def test_ring_probe_refuses_a_perturbed_inverse(n):
-    g = build_graph("ring", n)
-    _check_ring(g)
-    wrong = dataclasses.replace(g, mode_inverse=g.mode_inverse * (1.0 + 1e-6))
-    with pytest.raises(NumericalFailure):
-        _check_ring(wrong)
+    for topology in ("ring", "complete") if n <= 2000 else ("ring",):
+        g = build_graph(topology, n)
+        _check_operators(g)
+        wrong = dataclasses.replace(g, apply_F=lambda W, g=g: g.apply_F(W) * (1.0 + 1e-6))
+        with pytest.raises(NumericalFailure):
+            _check_operators(wrong)
+
+
+def test_complete_graph_needs_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    n = 2000
+    tracemalloc.start()
+    try:
+        g = build_graph("complete", n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # L, one n x n float matrix of 32 MB, and no second one even in passing
+    assert 8 * n * n <= held and peak < 2 * 8 * n * n
+    assert g.rho == g.rho2 == n
+    W = np.random.default_rng(4).standard_normal((n, 3))
+    np.testing.assert_array_equal(g.apply_F(W), W * (1.0 / n))
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_a_stack_of_blocks_gives_each_blocks_products(topology):
+    n, d = 12, 5
+    g = build_graph(topology, n, prob=0.5, seed=3)
+    stack = np.random.default_rng(7).standard_normal((3, n, d))
+    for op in (g.mix, g.apply_F):
+        out = op(stack)
+        assert out.shape == stack.shape
+        for block, expected in zip(stack, out):
+            assert np.array_equal(op(block), expected)
