@@ -59,6 +59,9 @@ COMMANDS = (
     # one generator per round: the shared direction, then the channel noise
     ("run", "scalarization.ini"),
     ("verify", "scalarization.ini", "--trials", "2000"),
+    # noise-free global kinds: a projection's change shows apart from the noise's
+    ("verify", "scalarization_noise_free.ini", "--trials", "2000"),
+    ("verify", "rand_k.ini", "--trials", "2000"),
     # the two dense topologies that no demo config builds
     ("run", "path.ini"),
     ("run", "erdos_renyi.ini"),
@@ -96,7 +99,10 @@ directory = out/{kind}
 COMPOSE = "kbits = 4\nstep = 0.5\nnoise_inner = 0.3\nnoise_outer = 0.2\n"
 GENERATED = {f"{kind}.ini": RING.format(kind=kind, params=params) for kind, params in (
     ("compose_kbit_of_uniform", COMPOSE), ("compose_uniform_of_kbit", COMPOSE),
-    ("uniform_quant", "step = 0.5\n"), ("scalarization", "noise = 0.3\n"))}
+    ("uniform_quant", "step = 0.5\n"), ("scalarization", "noise = 0.3\n"),
+    ("rand_k", "k = 2\n"))}
+GENERATED["scalarization_noise_free.ini"] = RING.format(kind="scalarization", params="").replace(
+    "out/scalarization", "out/scalarization_noise_free")
 GENERATED.update({f"{name}.ini": RING.format(kind="unbiased_kbit", params="kbits = 3\n").replace(
     "topology = ring", graph).replace("out/unbiased_kbit", f"out/{name}")
     for name, graph in (("path", "topology = path"),

@@ -175,7 +175,7 @@ class Compressor:
         gen = None
         if not self.deterministic:
             gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, iteration)
-        Q, charged = self._apply(U, gen)
+        Q, charged = self._apply(U, gen, U.shape)
         return Q, self.bits(charged)
 
     def compress(self, x, iteration: int = 0):
@@ -199,30 +199,30 @@ class Compressor:
 
     # -- internals ----------------------------------------------------------
     def _kernel(self, X: np.ndarray, zeta: np.ndarray | None) -> np.ndarray:
-        """Compress every row of X; ``zeta`` holds one uniform draw per entry
-        for stochastic kinds and is None for deterministic ones."""
+        """Compress every row of X along its last axis; ``zeta`` holds one
+        uniform draw per entry for stochastic kinds and is None for
+        deterministic ones."""
         raise NotImplementedError
 
-    def _apply(self, X: np.ndarray, gen: np.random.Generator | None, shape: tuple | None = None):
-        """Compress the rows of X with one block draw of ``shape`` (default
-        X.shape) from ``gen``; X's rows broadcast against it, so one input
-        row meets every row of draws and a deterministic kind returns X's rows.
+    def _apply(self, X: np.ndarray, gen: np.random.Generator | None, shape: tuple):
+        """Compress rounds: the (n, d) slices of an (..., n, d) stack along its
+        leading axes.  ``shape`` is the draw shape of those rounds, taken from
+        ``gen`` as blocks, and X broadcasts against it, so one input row meets
+        every round of draws and a deterministic kind returns X's rows.
 
         Returns the output and the block the ``bits`` formula is charged on
-        (X itself, except for a composition).  Without ``shape`` the rows are
-        one round's agents, with it independent draws; only scalarization,
-        which shares one direction across a round, tells the two apart.
+        (X itself, except for a composition).
         """
-        zeta = None if self.deterministic else gen.uniform(size=shape or X.shape)
+        zeta = None if self.deterministic else gen.uniform(size=shape)
         return self._kernel(X, zeta), X
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
-        """Monte-Carlo draws of ||C(x) - x||^2: the one input row x against
-        ``trials`` rows of draws (a deterministic kind's one error, broadcast)."""
+        """Monte-Carlo draws of ||C(x) - x||^2: ``trials`` one-agent rounds of
+        the one input x (a deterministic kind's one error, broadcast)."""
         x = _check_vector(x)
         gen = _rng.substream(seed, _rng.VERIFY, tag)
-        Q, _ = self._apply(x[None, :], gen, shape=(trials, x.size))
-        diff = Q - x
+        Q, _ = self._apply(x[None, None], gen, (trials, 1, x.size))
+        diff = Q[:, 0] - x
         return np.broadcast_to(np.sum(diff * diff, axis=1), (trials,))
 
 
@@ -250,8 +250,8 @@ class OneBit(Compressor):
     level: float
 
     def __post_init__(self):
-        if self.level <= 0:
-            raise OutOfRange(f"quantization level must be positive, got {self.level}")
+        if not 0 < self.level < math.inf:
+            raise OutOfRange(f"quantization level must be positive and finite, got {self.level}")
 
     def bits(self, X):
         return X.size
@@ -317,11 +317,11 @@ class _KeepK(Compressor):
             raise DimensionMismatch(f"k={self.k} exceeds dimension {d}")
 
     def _kernel(self, X, zeta):
-        self._check_k(X.shape[1])
-        keep = self._order(X, zeta)[:, :self.k]
-        # keep has the draws' rows, which X's rows broadcast against
-        Q = np.zeros((len(keep), X.shape[1]), dtype=X.dtype)
-        np.put_along_axis(Q, keep, np.take_along_axis(X, keep, axis=1), axis=1)
+        self._check_k(X.shape[-1])
+        keep = self._order(X, zeta)[..., :self.k]
+        # keep has the draws' shape, which X broadcasts against
+        Q = np.zeros(keep.shape[:-1] + X.shape[-1:], dtype=X.dtype)
+        np.put_along_axis(Q, keep, np.take_along_axis(X, keep, axis=-1), axis=-1)
         return Q
 
 
@@ -342,7 +342,7 @@ class TopK(_KeepK):
         return AssumptionContract(LOCAL, 2.0, 1.0, 1.0, 1.0 - math.sqrt(1.0 - self.k / d))
 
     def _order(self, X, zeta):
-        return np.argsort(-np.abs(X), axis=1, kind="stable")
+        return np.argsort(-np.abs(X), axis=-1, kind="stable")
 
 
 class NormSign(Compressor):
@@ -358,7 +358,7 @@ class NormSign(Compressor):
 
     def _kernel(self, X, zeta):
         # a zero row gives (0 / 2) * 1 = +0.0 everywhere
-        m = np.max(np.abs(X), axis=1, keepdims=True)
+        m = np.max(np.abs(X), axis=-1, keepdims=True)
         return (m / 2.0) * _sign_pos(X)
 
 
@@ -391,7 +391,7 @@ class UnbiasedKBit(Compressor):
 
     def _kernel(self, X, zeta):
         # a zero row gives floor(0 + zeta) = 0, so +0.0 everywhere
-        m = np.max(np.abs(X), axis=1, keepdims=True)
+        m = np.max(np.abs(X), axis=-1, keepdims=True)
         safe = np.where(m == 0.0, 1.0, m)
         scale = 2.0 ** (self.kbits - 1)
         return (safe / scale) * _sign_pos(X) * np.floor(scale * np.abs(X) / safe + zeta)
@@ -410,14 +410,15 @@ class RandK(_KeepK):
         return self.k / d
 
     def _order(self, X, zeta):
-        return np.argsort(zeta, axis=1, kind="stable")
+        return np.argsort(zeta, axis=-1, kind="stable")
 
 
 class Scalarization(Compressor):
     """Project onto a shared random unit direction and transmit one scalar.
 
     A round's direction is its generator's first draw, so every agent
-    reproduces it without transmission; independent draws take one each.
+    reproduces it without transmission; a stack of rounds draws one
+    direction per round.
     """
 
     kind = "scalarization"
@@ -431,14 +432,10 @@ class Scalarization(Compressor):
         # E[psi psi^T] = I/d gives E||psi psi^T x - x||^2 = (1 - 1/d) ||x||^2
         return 1.0 / d
 
-    def _apply(self, X, gen, shape=None):
-        if shape is None:
-            psi = _rng.sphere_point(gen, X.shape[1])
-            # vecdot matches the per-row psi @ x bit for bit; X @ psi does not
-            return psi * np.vecdot(X, psi)[:, None], X
-        G = gen.standard_normal(size=shape)
-        G /= np.linalg.norm(G, axis=1, keepdims=True)
-        return G * np.sum(G * X, axis=1, keepdims=True), X
+    def _apply(self, X, gen, shape):
+        psi = _rng.sphere_point(gen, (*shape[:-2], 1, shape[-1]))
+        # vecdot matches the per-row psi @ x bit for bit; X @ psi does not
+        return psi * np.vecdot(X, psi)[..., None], X
 
 
 @dataclass(eq=False)
@@ -450,8 +447,8 @@ class UniformQuantizer(Compressor):
     step: float
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise OutOfRange(f"step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise OutOfRange(f"step must be positive and finite, got {self.step}")
 
     def bits(self, X):
         # row j sends indices floor(x / step + 1/2) in [-q_j, q_j], where q_j is
@@ -472,14 +469,15 @@ class Noisy(Compressor):
     """Wrap a compressor with additive noise drawn uniformly from the
     Euclidean ball of radius noise_bound (so ||xi|| <= noise_bound a.s.).
 
-    A round's base draws and noise come from the wrapper's one generator.
+    A round's base draws and noise come from the wrapper's one generator:
+    one direction from ``rng.sphere_point`` and one radius per row.
     """
 
     kind = "noisy"
 
     def __init__(self, base: Compressor, noise_bound: float):
-        if noise_bound < 0:
-            raise OutOfRange(f"noise bound must be >= 0, got {noise_bound}")
+        if not 0 <= noise_bound < math.inf:
+            raise OutOfRange(f"noise bound must be >= 0 and finite, got {noise_bound}")
         super().__init__(seed=base.seed, tag=base.tag)
         self.base = base
         self.noise_bound = noise_bound
@@ -493,12 +491,10 @@ class Noisy(Compressor):
     def contract(self, d):
         return lemma1_contract(self, d)
 
-    def _apply(self, X, gen, shape=None):
+    def _apply(self, X, gen, shape):
         Q, charged = self.base._apply(X, gen, shape)
-        shape = shape or X.shape
-        G = gen.standard_normal(size=shape)
-        G /= np.linalg.norm(G, axis=1, keepdims=True)
-        radii = self.noise_bound * gen.uniform(size=(shape[0], 1)) ** (1.0 / shape[1])
+        G = _rng.sphere_point(gen, shape)
+        radii = self.noise_bound * gen.uniform(size=(*shape[:-1], 1)) ** (1.0 / shape[-1])
         return Q + G * radii, charged
 
     def __repr__(self):
@@ -540,7 +536,7 @@ class Compose(Compressor):
         # X is the outer stage's input, which _apply charges
         return self.outer.bits(X)
 
-    def _apply(self, X, gen, shape=None):
+    def _apply(self, X, gen, shape):
         # both stages draw from the one generator, inner first, so two noise
         # wrappers never inject the same realization
         mid, _ = self.inner._apply(X, gen, shape)

@@ -7,8 +7,9 @@ execution order.  A compression round draws from one generator, built from
 its (tag, iteration) coordinates, which fills every row in turn, so
 compressing one vector is a round of one row; scalarization's shared
 direction is the round's first draw, and every row projects on it.  A
-verification point is one input row broadcast against ``trials`` rows of
-independent draws.
+verification point's trials are one-agent rounds drawn as one stack, its one
+input broadcast against them.  Every unit direction (a scalarization round's,
+a noise draw's, a verification point's) comes from ``sphere_point``.
 """
 
 import numpy as np
@@ -28,7 +29,9 @@ def substream(seed: int, purpose: int, tag: int = 0, iteration: int = 0) -> np.r
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def sphere_point(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Uniform draw from the unit sphere."""
-    g = rng.standard_normal(d)
-    return g / np.linalg.norm(g)
+def sphere_point(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform draws from the unit sphere, one along the last axis of ``shape``
+    (an int for one point).  ``sqrt(vecdot)`` rounds like the 1-d norm."""
+    g = rng.standard_normal(shape)
+    g /= np.sqrt(np.vecdot(g, g))[..., None]
+    return g

@@ -4,14 +4,17 @@ It loops over agents the way the simulator first did: each agent's
 compression written out on its own input, and each agent's cost and gradient
 from its own slice of the problem data.  A stochastic round draws its random
 numbers as blocks from the round's one stream, in the library's order, and
-agent i then uses row i of each block; scalarization's direction is its
-block's one row, which every agent gets.  Sums over agents and norms use the
-library's NumPy reductions on each agent's row, and a ring mixes each
-agent's row from its two neighbours in the library's order.  The batched
-engine in ``dcopt`` must match it bit for bit.  The record keeps the dense
-definitions e1 = x^T E x / 2, e2 from the dense F w, and e3 = x^T E F w;
-the engine evaluates e1 and e3 with one product F w instead, and a ring
-applies F by FFT, so those three columns agree to rounding only.
+agent i then uses row i of each block; scalarization draws one direction per
+round, which every agent of the round gets.  A stack of rounds, such as a
+verification point's one-agent trials, draws each block over its leading
+axes.  Every agent scales its raw directions to unit length by the 1-d norm.
+Sums over agents and norms use the library's NumPy reductions on each
+agent's row, and a ring mixes each agent's row from its two neighbours in
+the library's order.  The batched engine in ``dcopt`` must match it bit
+for bit.  The record keeps the dense definitions e1 = x^T E x / 2, e2 from
+the dense F w, and e3 = x^T E F w; the engine evaluates e1 and e3 with one
+product F w instead, and a ring applies F by FFT, so those three columns
+agree to rounding only.
 """
 
 import numpy as np
@@ -54,14 +57,16 @@ def pnorm(x, p):
 
 
 def draw_round(c, shape, gen):
-    """The round's random blocks, drawn in the library's order."""
+    """The random blocks of the rounds of ``shape``, (..., n, d), drawn in the
+    library's order; scalarization's block holds one raw direction per round,
+    which every agent of the round gets."""
     if isinstance(c, Noisy):
         return draw_round(c.base, shape, gen) + [gen.standard_normal(size=shape),
-                                                 gen.uniform(size=(shape[0], 1))]
+                                                 gen.uniform(size=(*shape[:-1], 1))]
     if isinstance(c, Compose):
         return draw_round(c.inner, shape, gen) + draw_round(c.outer, shape, gen)
     if isinstance(c, Scalarization):
-        return [np.broadcast_to(_rng.sphere_point(gen, shape[1]), shape)]
+        return [np.broadcast_to(gen.standard_normal(size=(*shape[:-2], 1, shape[-1])), shape)]
     if c.deterministic:
         return []
     return [gen.uniform(size=shape)]
@@ -73,34 +78,37 @@ def compress(c, x, row):
     if isinstance(c, Noisy):
         q, bits = compress(c.base, x, row)
         g, u = next(row), next(row)
-        return q + g / np.sqrt(np.sum(g * g)) * (c.noise_bound * u ** (1.0 / q.size)), bits
+        return q + g / np.linalg.norm(g) * (c.noise_bound * u ** (1.0 / q.size)), bits
     if isinstance(c, Compose):
         mid, _ = compress(c.inner, x, row)
         return compress(c.outer, mid, row)
     if isinstance(c, Scalarization):
-        psi = next(row)
+        g = next(row)
+        psi = g / np.linalg.norm(g)
         return psi * float(psi @ x), c.bits(x[None])
     zeta = None if c.deterministic else next(row)[None, :]
     return c._kernel(x[None, :], zeta)[0], c.bits(x[None])
 
 
-def compress_round(c, U, k):
-    """(Q, bits per agent) for round k, one agent at a time; row j of U is
-    agent j's input."""
-    gen = None if c.deterministic else _rng.substream(c.seed, _rng.COMPRESSOR, c.tag, k)
+def compress_each(c, U, gen):
+    """{(round..., agent): (q, bits)} for a stack U of rounds, one agent at a
+    time, with the rounds' blocks drawn from ``gen``."""
     blocks = draw_round(c, U.shape, gen)
-    out = [compress(c, U[j], iter([b[j] for b in blocks])) for j in range(len(U))]
+    return {i: compress(c, U[i], iter([b[i] for b in blocks])) for i in np.ndindex(U.shape[:-1])}
+
+
+def compress_round(c, U, k):
+    """(Q, bits per agent) for round k; row j of U is agent j's input."""
+    gen = None if c.deterministic else _rng.substream(c.seed, _rng.COMPRESSOR, c.tag, k)
+    out = compress_each(c, U, gen).values()
     return np.stack([q for q, _ in out]), [bits for _, bits in out]
 
 
 def sample_errors(c, x, trials, seed, tag=0):
-    """||C(x) - x||^2 per trial with x copied into every one of ``trials``
-    rows and the block compressed as one round of independent draws."""
+    """||C(x) - x||^2 per trial, each trial a one-agent round of x."""
     gen = _rng.substream(seed, _rng.VERIFY, tag)
-    shape = (trials, x.size)
-    Q, _ = c._apply(np.broadcast_to(x, shape).copy(), gen, shape)
-    diff = Q - x[None, :]
-    return np.sum(diff * diff, axis=1)
+    out = compress_each(c, np.broadcast_to(x, (trials, 1, x.size)), gen).values()
+    return np.array([np.sum((q - x) * (q - x)) for q, _ in out])
 
 
 def cost(problem, i, x):

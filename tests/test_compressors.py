@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracle
 from dcopt import compressors as comp
-from dcopt import rng
+from dcopt import config, rng
 from dcopt.errors import DimensionMismatch, IncompatibleContracts, OutOfRange
 
 
@@ -67,7 +69,7 @@ def test_one_bit_error_bound():
     rng = np.random.default_rng(3)
     X = rng.uniform(-level, level, size=(10_000, 5))
     X = np.vstack([X, np.full((1, 5), level), np.full((1, 5), -level), np.zeros((1, 5))])
-    Q, _ = c._apply(X, rng)
+    Q, _ = c._apply(X, rng, X.shape)
     assert np.abs(Q - X).max() <= level / 2 + 1e-15
 
 
@@ -77,12 +79,12 @@ def test_sat_quant_region_and_range():
     rng = np.random.default_rng(4)
     lo, hi = math.floor(-2.5) * 1.0, math.floor(2.5) * 1.0
     X = rng.uniform(-8, 8, size=(5000, 3))
-    Q, _ = c._apply(X, rng)
+    Q, _ = c._apply(X, rng, X.shape)
     assert Q.min() >= lo - 1e-12 and Q.max() <= hi + 1e-12
     # inside the unsaturated region the rounding error is at most step/2
     region = math.floor(2.5 / 1.0) * 1.0 + 0.5
     Xin = rng.uniform(-region, region, size=(5000, 3))
-    Qin, _ = c._apply(Xin, rng)
+    Qin, _ = c._apply(Xin, rng, Xin.shape)
     assert np.abs(Qin - Xin).max() <= 0.5 + 1e-12
 
 
@@ -101,7 +103,7 @@ def test_unbiased_kbit_is_unbiased():
     c = comp.UnbiasedKBit(3, seed=7)
     x = np.array([0.7, -1.3, 0.2, 2.1, 0.0])
     gen = np.random.default_rng(0)
-    draws, _ = c._apply(np.broadcast_to(x, (100_000, 5)).copy(), gen)
+    draws, _ = c._apply(x[None], gen, (100_000, 5))
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     # absolute headroom covers summation rounding on zero-variance coordinates
@@ -247,6 +249,7 @@ def test_compose_keeps_callers_stages():
 def test_parameter_validation():
     with pytest.raises(OutOfRange):
         comp.OneBit(0.0)
+    assert comp.OneBit(1e308).compress(np.array([-1.0, 2.0]))[0].tolist() == [-5e307, 5e307]
     with pytest.raises(OutOfRange):
         comp.SaturatingQuantizer(1.0, 3.0)   # step must be < 2 * level
     with pytest.raises(OutOfRange):
@@ -268,3 +271,23 @@ def test_sign_table_matches_where(shape):
         got, want = comp._sign_pos(x), np.where(x >= 0, 1.0, -1.0)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["bare", "noisy"])
+@pytest.mark.parametrize("kind", config.KINDS)
+def test_a_stack_of_rounds_compresses_each_agent_of_each_round(kind, noise):
+    # an (..., n, d) stack is rounds along its leading axes: each agent of each
+    # round equals the oracle's one-agent result from the same draws
+    make = config.KINDS[kind]
+    if isinstance(make, type):
+        values = {"level": 1.5, "step": 0.4, "k": 2, "kbits": 3}
+        c = make(*(values[f.name] for f in dataclasses.fields(make) if not f.kw_only), seed=12)
+    else:
+        c = make(3, 0.4, seed=12)
+    c = comp.with_noise(c, noise)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, 3, 4, 5))
+    Q, _ = c._apply(X, rng.substream(12, rng.COMPRESSOR, 0, 7), X.shape)
+    ref = oracle.compress_each(c, X, rng.substream(12, rng.COMPRESSOR, 0, 7))
+    assert Q.shape == X.shape
+    for i, (q, _) in ref.items():
+        assert np.array_equal(Q[i], q), i

@@ -155,8 +155,8 @@ ORACLE_SPECS = GLOBAL_SPECS + [
 
 @pytest.mark.parametrize("name,make", ORACLE_SPECS)
 def test_sample_errors_match_the_materialised_block(name, make, monkeypatch):
-    # one input row against the trial draws equals, bit for bit, the row
-    # copied into (trials, d) and compressed as one block
+    # the trials as one stack of one-agent rounds equal, bit for bit, the
+    # oracle's trials compressed one at a time
     c = make()
     for d in (3, 8, 17):
         points = [np.zeros(d), np.linspace(-2.0, 3.0, d), 500.0 * np.ones(d)]
@@ -245,7 +245,7 @@ CONTRACT_REFUSALS = [
     (lambda: comp.lemma2_compose_params(REL, ABS, "sideways"), OutOfRange,
      "order must be rel_of_abs or abs_of_rel, got 'sideways'"),
     (lambda: comp.UnbiasedKBit(0), OutOfRange, "kbits must be >= 1, got 0"),
-    (lambda: comp.UniformQuantizer(0.0), OutOfRange, "step must be positive, got 0.0"),
+    (lambda: comp.UniformQuantizer(0.0), OutOfRange, "step must be positive and finite, got 0.0"),
     (lambda: ONE_BIT.compress([0.0, np.nan]), DimensionMismatch,
      "compressor input must be finite"),
     (lambda: comp.verify_local_assumption(ONE_BIT, ONE_BIT.contract(6), samples=0),
@@ -289,6 +289,17 @@ CONTRACT_REFUSALS = [
     # the local verifier draws from [-C, C]
     (lambda: comp.verify_local_assumption(comp.OneBit(1e308), comp.OneBit(1e308).contract(6)),
      OutOfRange, "cannot sample the region of radius C=1e+308: 2 C is not finite"),
+    # a level or step in (0, inf) and a noise bound in [0, inf): NaN and inf
+    # would construct and then compress to NaN or inf
+    *((lambda level=level: comp.OneBit(level), OutOfRange,
+       f"quantization level must be positive and finite, got {level}")
+      for level in (0.0, np.nan, np.inf)),
+    *((lambda step=step: comp.UniformQuantizer(step), OutOfRange,
+       f"step must be positive and finite, got {step}") for step in (-1.0, np.nan, np.inf)),
+    *((call, OutOfRange, f"noise bound must be >= 0 and finite, got {bound}")
+      for bound in (-0.5, np.nan, np.inf)
+      for call in (lambda bound=bound: comp.Noisy(KBIT, bound),
+                   lambda bound=bound: comp.with_noise(comp.UniformQuantizer(0.5), bound))),
 ]
 
 
