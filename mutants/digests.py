@@ -20,7 +20,9 @@ from ``FUZZ_SEED``, run through its commands in this process, and each
 command's histogram of exit codes.  The line before that digests, per
 topology, each graph's ``rho`` and ``rho2``, its dense ``laplacian`` and
 ``F``, and its ``mix`` and ``apply_F`` of one fixed block, at each of
-``GRAPH_SIZES`` agents.  Two checkouts
+``GRAPH_SIZES`` agents.  The line before that digests, per stream purpose,
+the first uniforms and normals its substream draws at each of
+``STREAM_KEYS``.  Two checkouts
 print the same lines exactly when their outputs are byte-identical: run it
 in each and diff the two listings.  The digests depend on the NumPy and BLAS
 builds, so this is no tier-1 test.
@@ -40,6 +42,8 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "demos" / "configs"
 FUZZ_SEED = 0
 GRAPH_SIZES = (3, 10, 100)
+# (seed, tag, iteration) of the streams line: the origin, a small key, the largest seed
+STREAM_KEYS = ((0, 0, 0), (11, 2, 5), (2 ** 64 - 1, 1, 2 ** 32 - 1))
 
 COMMANDS = (
     ("run", "one_bit_ring.ini"),
@@ -213,6 +217,23 @@ def graph_views() -> str:
     return f"graph views at n in {GRAPH_SIZES}: " + ", ".join(parts)
 
 
+def stream_draws() -> str:
+    """The streams line: per purpose, one digest over ``STREAM_KEYS`` of the
+    first uniforms and normals of each substream."""
+    sys.path.insert(0, str(REPO / "src"))
+    from dcopt import rng
+
+    parts = []
+    for name in ("GRAPH", "X0", "PROBLEM", "COMPRESSOR", "VERIFY"):
+        digest = hashlib.sha256()
+        for seed, tag, iteration in STREAM_KEYS:
+            gen = rng.substream(seed, getattr(rng, name), tag, iteration)
+            digest.update(gen.random(8).tobytes())
+            digest.update(gen.standard_normal(8).tobytes())
+        parts.append(f"{name} {digest.hexdigest()[:16]}")
+    return f"streams at (seed, tag, iteration) in {STREAM_KEYS}: " + ", ".join(parts)
+
+
 def fuzz_histogram() -> str:
     """The fuzzer's line: per command, how many configs exited with each code.
     A code carries " warned" when the command raised a warning, and an
@@ -263,6 +284,7 @@ def main() -> int:
                   f"(exit {proc.returncode})")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(root)}")
+    print(stream_draws())
     print(graph_views())
     print(fuzz_histogram())
     print(param_grid())

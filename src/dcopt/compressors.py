@@ -218,9 +218,10 @@ class Compressor:
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
         """Monte-Carlo draws of ||C(x) - x||^2: ``trials`` one-agent rounds of
-        the one input x (a deterministic kind's one error, broadcast)."""
+        the one input x (a deterministic kind's one error, broadcast), drawn
+        from the ``VERIFY`` stream at (tag, ``_TRIALS``)."""
         x = _check_vector(x)
-        gen = _rng.substream(seed, _rng.VERIFY, tag)
+        gen = _rng.substream(seed, _rng.VERIFY, tag, _TRIALS)
         Q, _ = self._apply(x[None, None], gen, (trials, 1, x.size))
         diff = Q[:, 0] - x
         return np.broadcast_to(np.sum(diff * diff, axis=1), (trials,))
@@ -581,6 +582,12 @@ def compose_uniform_of_kbit(kbits: int, step: float, noise_inner: float = 0.0,
 # contract verification
 # ---------------------------------------------------------------------------
 
+# The VERIFY stream's iteration coordinate: global point i's trials are
+# (tag i, _TRIALS), and the local and the global verifier draw their points
+# from (tag 0, _POINTS) and (tag 1, _POINTS), so no two draws share a stream.
+_TRIALS, _POINTS = 0, 1
+
+
 @dataclass
 class VerificationReport:
     kind: str
@@ -648,7 +655,7 @@ def verify_local_assumption(compressor: Compressor, contract: AssumptionContract
     # the points are drawn from [-C, C], whose width must be a finite float
     if not math.isfinite(2.0 * C):
         raise OutOfRange(f"cannot sample the region of radius C={C}: 2 C is not finite")
-    gen = _rng.substream(seed, _rng.VERIFY, 0)
+    gen = _rng.substream(seed, _rng.VERIFY, 0, _POINTS)
     P = np.vstack([_pball_samples(gen, p, d, C, samples), *_boundary_cases(gen, p, d, C)])
     bound = C * (1.0 - delta)
 
@@ -669,7 +676,7 @@ def verify_global_assumption(compressor: Compressor, contract: AssumptionContrac
         raise WrongClass("verify_global_assumption needs a global contract")
     if samples < 1 or trials_per_sample < 2:
         raise OutOfRange("need samples >= 1 and trials_per_sample >= 2")
-    gen = _rng.substream(seed, _rng.VERIFY, 1)
+    gen = _rng.substream(seed, _rng.VERIFY, 1, _POINTS)
     radii = np.concatenate([[0.0], np.logspace(-1, 3, samples - 1)])
     points = []
     for i, rad in enumerate(radii):

@@ -1,15 +1,30 @@
-"""Counter-based random substreams.
+"""Random substreams, one per (seed, purpose, tag, iteration).
 
 Every random draw in the library flows from a single 64-bit seed through a
-named Philox substream keyed by (seed, purpose) with the counter set from
-(tag, iteration).  A stream's draws depend only on its coordinates, never on
-execution order.  A compression round draws from one generator, built from
-its (tag, iteration) coordinates, which fills every row in turn, so
-compressing one vector is a round of one row; scalarization's shared
-direction is the round's first draw, and every row projects on it.  A
-verification point's trials are one-agent rounds drawn as one stack, its one
-input broadcast against them.  Every unit direction (a scalarization round's,
-a noise draw's, a verification point's) comes from ``sphere_point``.
+named substream, built fresh from its four coordinates by ``substream``, the
+one place that builds a generator.  A stream's draws depend only on its
+coordinates, never on execution order.  Two generators serve:
+
+- the set-up purposes (``GRAPH``, ``X0``, ``PROBLEM``) are Philox, keyed by
+  (seed, purpose) with the counter set from (tag, iteration).  They draw
+  once per run, and keeping them keeps every graph, problem instance and
+  initial point of a seed as it was; a faster generator there would shorten
+  a large run's set-up but change every instance;
+- the per-round purposes (``COMPRESSOR``, ``VERIFY``) are SFC64, seeded by
+  ``SeedSequence([seed, purpose, tag, iteration])``.  They draw every round
+  of a run and every trial of a verification, and SFC64 fills a block of
+  uniforms in about half of Philox's time and of normals in about three
+  quarters.  ``SeedSequence`` hashes the coordinates' 32-bit words in
+  order, so distinct coordinates give distinct streams while tag and
+  iteration stay below 2**32.
+
+A compression round draws from one generator, built from its
+(tag, iteration) coordinates, which fills every row in turn, so compressing
+one vector is a round of one row; scalarization's shared direction is the
+round's first draw, and every row projects on it.  A verification point's
+trials are one-agent rounds drawn as one stack, its one input broadcast
+against them.  Every unit direction (a scalarization round's, a noise
+draw's, a verification point's) comes from ``sphere_point``.
 """
 
 import numpy as np
@@ -21,10 +36,15 @@ COMPRESSOR = 3
 PROBLEM = 6
 VERIFY = 7
 
+_MASK = 0xFFFFFFFFFFFFFFFF
+
 
 def substream(seed: int, purpose: int, tag: int = 0, iteration: int = 0) -> np.random.Generator:
     """Return a fresh generator for the given stream coordinates."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, purpose], dtype=np.uint64)
+    if purpose in (COMPRESSOR, VERIFY):
+        entropy = [seed & _MASK, purpose, tag, iteration]
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
+    key = np.array([seed & _MASK, purpose], dtype=np.uint64)
     counter = np.array([0, tag, 0, iteration], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 

@@ -6,6 +6,7 @@ import pytest
 import oracle
 from dcopt import build_graph, compute_constants, make_quadratic, theorem_params
 from dcopt import compressors as comp
+from dcopt import rng
 from dcopt.errors import DimensionMismatch, IncompatibleContracts, OutOfRange, WrongClass
 
 
@@ -172,6 +173,26 @@ def test_sample_errors_match_the_materialised_block(name, make, monkeypatch):
             ref = comp.verify_global_assumption(c, c.contract(d), samples=5,
                                                 trials_per_sample=64, seed=2, d=d)
         assert vars(report) == vars(ref), (name, d)
+
+
+def test_verification_streams_do_not_overlap(monkeypatch):
+    # the local points, the global points and each global point's trials
+    # each draw from their own VERIFY coordinates
+    built = []
+    substream = rng.substream
+
+    def recording(seed, purpose, tag=0, iteration=0):
+        built.append((seed, purpose, tag, iteration))
+        return substream(seed, purpose, tag, iteration)
+
+    monkeypatch.setattr(rng, "substream", recording)
+    one_bit, kbit = comp.OneBit(1.0), comp.Noisy(comp.UnbiasedKBit(3, seed=5), 0.5)
+    comp.verify_local_assumption(one_bit, one_bit.contract(6), samples=50, seed=3)
+    comp.verify_global_assumption(kbit, kbit.contract(8), samples=4,
+                                  trials_per_sample=50, seed=3, d=8)
+    assert len(built) == 1 + 1 + 4
+    assert {key[:2] for key in built} == {(3, rng.VERIFY)}
+    assert len(set(built)) == len(built), built
 
 
 def test_unbiased_kbit_needs_enough_levels():

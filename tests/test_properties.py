@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from dcopt import algorithm, config
+from dcopt import algorithm, config, rng
 from dcopt.algorithm import (
     INIT_MODES,
     GeometricSchedule,
@@ -216,3 +216,37 @@ def test_certified_selection_shrinks_the_scale_inside_the_region(regime, kind, t
     assert trace.region_ok.all()
     report = contraction_local_check(trace, contract, sel.hyper.omega)
     assert report.passed, report
+
+
+SETUP_PURPOSES = (rng.GRAPH, rng.X0, rng.PROBLEM)
+PURPOSES = (*SETUP_PURPOSES, rng.COMPRESSOR, rng.VERIFY)
+
+
+def _first_block(key):
+    return rng.substream(*key).bit_generator.random_raw(8)
+
+
+@pytest.mark.parametrize("purpose", PURPOSES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), tag=st.integers(0, 2 ** 32 - 1),
+       iteration=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_substream_depends_on_its_coordinates_alone(purpose, seed, tag, iteration, data):
+    key = (seed, purpose, tag, iteration)
+    block = _first_block(key)
+    np.testing.assert_array_equal(_first_block(key), block)
+    # changing any one coordinate changes the block
+    moved = list(key)
+    axis = data.draw(st.integers(0, 3))
+    moved[axis] = data.draw(
+        st.sampled_from([p for p in PURPOSES if p != purpose]) if axis == 1
+        else st.integers(0, 2 ** 64 - 1 if axis == 0 else 2 ** 32 - 1).filter(
+            lambda v: v != key[axis]))
+    assert not np.array_equal(_first_block(moved), block), (key, moved)
+    # the set-up streams are Philox keyed by (seed, purpose), counting from
+    # (tag, iteration), so every graph, problem and x0 keeps its draws
+    if purpose in SETUP_PURPOSES:
+        philox = np.random.Philox(key=seed + (purpose << 64),
+                                  counter=(tag << 64) + (iteration << 192))
+        np.testing.assert_array_equal(philox.random_raw(8), block)
+    else:
+        assert isinstance(rng.substream(*key).bit_generator, np.random.SFC64)
