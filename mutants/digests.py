@@ -189,7 +189,7 @@ def param_grid() -> str:
                 digest.update(f"{type(exc).__name__}: {exc}\n".encode())
                 continue
             selections += 1
-            digest.update(repr((sel.hyper, sel.init_mode, sel.table.as_dict(),
+            digest.update(repr((sel.hyper, sel.init_mode, dict(sel.table),
                                 sel.feasibility, sel.extras)).encode())
             digest.update(sel.x0.tobytes())
     return (f"{digest.hexdigest()}  theorem_params grid "

@@ -229,7 +229,7 @@ def cmd_params(config: str) -> int:
     payload = {
         "hyper": {"alpha": hyper.alpha, "beta": hyper.beta, "gamma": hyper.gamma,
                   "omega": hyper.omega, "tau_1": hyper.tau_1, "schedule": plan.echo["schedule"]},
-        "constants": table.as_dict(),
+        "constants": table,
         "feasibility": {k: {"ok": ok, "value": v, "bound": b}
                         for k, (ok, v, b) in plan.feasibility.items()},
     }

@@ -54,6 +54,9 @@ class AssumptionContract:
     def __post_init__(self):
         if self.cls not in (LOCAL, GLOBAL):
             raise OutOfRange(f"contract class must be local/global, got {self.cls!r}")
+        # p is a norm index: below 1 it is no norm, and d_hat divides by it
+        if not 1 <= self.p <= math.inf:
+            raise OutOfRange(f"contract norm index p must be in [1, inf], got {self.p}")
         if not 0 < self.r < math.inf or not 0 < self.delta <= 1 or not 0 <= self.C < math.inf:
             raise OutOfRange(f"contract constants out of range: r={self.r}, "
                              f"C={self.C}, delta={self.delta}")
@@ -74,15 +77,6 @@ def pnorms(X: np.ndarray, p: float) -> np.ndarray:
     """p-norms along the last axis: one per row of an n x d block."""
     with np.errstate(over="ignore"):
         return np.linalg.norm(X, ord=p, axis=-1)
-
-
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _sign_pos(x: np.ndarray) -> np.ndarray:
-    # ties at zero take the nonnegative branch and NaN the negative one, as
-    # np.where(x >= 0, 1.0, -1.0) gives them, value and sign bit
-    return _SIGNS.take((x >= 0).view(np.uint8))
 
 
 def _check_vector(x) -> np.ndarray:
@@ -262,7 +256,7 @@ class OneBit(Compressor):
         return AssumptionContract(LOCAL, np.inf, 1.0, self.level, 0.5)
 
     def _kernel(self, X, zeta):
-        return _sign_pos(X) * (self.level / 2.0)
+        return np.where(X >= 0, 1.0, -1.0) * (self.level / 2.0)
 
 
 @dataclass(eq=False)
@@ -360,7 +354,7 @@ class NormSign(Compressor):
     def _kernel(self, X, zeta):
         # a zero row gives (0 / 2) * 1 = +0.0 everywhere
         m = np.max(np.abs(X), axis=-1, keepdims=True)
-        return (m / 2.0) * _sign_pos(X)
+        return (m / 2.0) * np.where(X >= 0, 1.0, -1.0)
 
 
 @dataclass(eq=False)
@@ -395,7 +389,8 @@ class UnbiasedKBit(Compressor):
         m = np.max(np.abs(X), axis=-1, keepdims=True)
         safe = np.where(m == 0.0, 1.0, m)
         scale = 2.0 ** (self.kbits - 1)
-        return (safe / scale) * _sign_pos(X) * np.floor(scale * np.abs(X) / safe + zeta)
+        return ((safe / scale) * np.where(X >= 0, 1.0, -1.0)
+                * np.floor(scale * np.abs(X) / safe + zeta))
 
 
 class RandK(_KeepK):

@@ -41,9 +41,6 @@ class ConstantTable(dict):
         except KeyError as exc:
             raise AttributeError(name) from exc
 
-    def as_dict(self):
-        return {k: (None if v is None else float(v)) for k, v in self.items()}
-
 
 def _evaluable(formulas):
     """The layer's one range rule: no cap or floor can be read at a point where
@@ -120,10 +117,8 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
         * max(beta ** 2 * rho ** 2 + ell ** 2, gamma ** 2 * rho) / t["eps_1"] \
         if t["eps_1"] > 0 else math.inf
 
-    # gradient-dominated (local) family; a cap over 1 - 2 eps_5 = 0 is +inf, as kappa_6 is
+    # gradient-dominated (local) family; a cap over 1 - 2 eps_5 = 0 is +inf
     one_minus = 1.0 - 2.0 * t["eps_5"]
-    t["kappa_6"] = math.sqrt((t["eps_5"] + 2.0 * t["eps_5"] ** 2) / (one_minus * t["psi_3"])) \
-        if one_minus > 0 else math.inf
     if nu is not None:
         t["eps_6"] = min(nu / 2.0, t["eps_3"]) / t["eps_2"]
         t["psi_5"] = 2.0 * one_minus * t["psi_2"] / t["eps_6"] if t["eps_6"] > 0 else math.inf

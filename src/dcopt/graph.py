@@ -4,9 +4,9 @@ A ``Graph`` is what the engine and the analysis read: its size ``n``, its
 ``topology``, ``rho`` = lambda_n and ``rho2`` = lambda_2 of the Laplacian
 L = D - A, and two products along axis -2 of an (..., n, d) stack of blocks:
 ``mix(Q) = L Q``, the neighbour exchange, and ``apply_F(W) = F W``.  F is the
-positive definite matrix obtained from the eigendecomposition of L by
-replacing the zero eigenvalue with lambda_2 and inverting.  With the centering
-projector E = I - (1/n) 1 1^T, F satisfies F L = E and
+positive definite V diag(1 / lambda') V^T, where L = V diag(lambda) V^T and
+lambda' is lambda with lambda_2 in place of the zero eigenvalue.  With the
+centering projector E = I - (1/n) 1 1^T, F satisfies F L = E and
 rho(L)^-1 I <= F <= rho_2(L)^-1 I.
 
 The operators are built per topology.  The ring is circulant: its spectrum is
@@ -15,10 +15,11 @@ neighbours from shifted slices, and ``apply_F`` divides the real FFT along the
 agent axis by the spectrum, so it holds no n x n array.  The complete graph
 has L = n I - 1 1^T = n E, so rho = rho2 = n and F = I / n: it holds L alone
 and needs no eigendecomposition.  Every other graph comes from its adjacency
-through ``from_adjacency``, which finds the spectrum and F by ``eigh`` and
-applies L and F as dense products.  The dense ``laplacian``, ``adjacency`` and
-``F`` are views derived from the operators when read; nothing under ``src``
-reads them.  ``[graph] topology`` takes one of ``TOPOLOGIES``, the topologies
+through ``from_adjacency``, which builds F in one product from the whole
+eigendecomposition that ``eigh`` returns and applies L and F as dense
+products.  The dense ``laplacian``, ``adjacency`` and ``F`` are views derived
+from the operators when read; nothing under ``src`` reads them.
+``[graph] topology`` takes one of ``TOPOLOGIES``, the topologies
 ``build_graph`` builds, checked as a config loads.
 """
 
@@ -69,23 +70,10 @@ class Graph:
         return self.apply_F(np.eye(self.n))
 
 
-def _assemble_F(L: np.ndarray, lam: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """F from the eigendecomposition L = V diag(lam) V^T, with lam[1] in place
-    of the zero eigenvalue (any value in [lambda_2, lambda_n] works; lambda_2
-    is deterministic), checked against F L = E."""
-    n = L.shape[0]
-    q = np.ones(n) / np.sqrt(n)
-    Q = V[:, 1:]
-    F = np.outer(q, q) / lam[1] + (Q * (1.0 / lam[1:])) @ Q.T
-    F = 0.5 * (F + F.T)
-    if np.max(np.abs(F @ L - (np.eye(n) - 1.0 / n))) > _IDENTITY_TOL:
-        raise NumericalFailure("FL = E identity residual exceeds tolerance")
-    return F
-
-
 def from_adjacency(A: np.ndarray, topology: str = "custom") -> Graph:
     """The graph of a symmetric nonnegative adjacency matrix of a connected
-    graph on at least two agents, applying its own dense L and F."""
+    graph on at least two agents, applying its own dense L and F, built from
+    the whole eigendecomposition of L and checked against F L = E."""
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
         raise InvalidTopology(f"adjacency must be a square matrix over at least 2 agents, "
@@ -103,8 +91,12 @@ def from_adjacency(A: np.ndarray, topology: str = "custom") -> Graph:
     # lambda_2 is zero exactly when the graph is disconnected
     if rho2 <= 1e-9 * max(rho, 1.0):
         raise DisconnectedGraph("graph is not connected: lambda_2 of L is numerically zero")
-    return Graph(len(A), topology, rho, rho2, partial(np.matmul, L),
-                 partial(np.matmul, _assemble_F(L, lam, V)))
+    # any value in [lambda_2, lambda_n] would do in place of the zero eigenvalue
+    F = (V / np.concatenate([[rho2], lam[1:]])) @ V.T
+    F = 0.5 * (F + F.T)
+    if np.max(np.abs(F @ L - (np.eye(len(A)) - 1.0 / len(A)))) > _IDENTITY_TOL:
+        raise NumericalFailure("FL = E identity residual exceeds tolerance")
+    return Graph(len(A), topology, rho, rho2, partial(np.matmul, L), partial(np.matmul, F))
 
 
 def _ring_mix(Q: np.ndarray) -> np.ndarray:

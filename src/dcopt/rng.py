@@ -24,7 +24,8 @@ one vector is a round of one row; scalarization's shared direction is the
 round's first draw, and every row projects on it.  A verification point's
 trials are one-agent rounds drawn as one stack, its one input broadcast
 against them.  Every unit direction (a scalarization round's, a noise
-draw's, a verification point's) comes from ``sphere_point``.
+draw's, a global verification point's) comes from ``sphere_point``; a local
+verification point with finite p takes its direction from the gamma method.
 """
 
 import numpy as np

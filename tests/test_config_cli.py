@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,49 @@ def test_run_refuses_to_overwrite_a_plot(tmp_path, capsys, plot):
     assert cli.cmd_run(path) == cli.EXIT_CONFIG
     assert plot in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == [plot]
+
+
+def test_run_writes_both_plots(tmp_path, capsys, monkeypatch):
+    # a stub matplotlib with only the calls the plots make, so that any other
+    # call, or any error in the plot body, prints the "note:" line it is caught as
+    curves = []
+
+    class Axes:
+        def semilogy(self, xs, ys, label, lw):
+            assert len(xs) == len(ys) and np.all(ys > 0)
+            curves.append(label)
+
+        def set_xlabel(self, label):
+            pass
+
+        def legend(self, loc, fontsize):
+            pass
+
+        def grid(self, alpha):
+            pass
+
+    class Figure:
+        def tight_layout(self):
+            pass
+
+        def savefig(self, path, metadata):
+            Path(path).write_text("<svg/>")
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda figsize: (Figure(), Axes())
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+    out = tmp_path / "out"
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace("svg = false", "svg = true"))
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    assert all((out / fname).read_text() == "<svg/>" for _, _, fname in cli.PLOTS)
+    assert not any(line.startswith("note:") for line in capsys.readouterr().err.splitlines())
+    assert curves.count("f_bar") == len(cli.PLOTS)
 
 
 SCHEDULES = {"constant": ConstantSchedule, "geometric": GeometricSchedule,
@@ -697,7 +742,7 @@ def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
         # the table at the config's own point, where no horizon family is evaluated
         table = compute_constants(graph, problem.ell, 1.0, 2.0, 1.0, 0.05,
                                   compressor.contract(problem.d), problem.d, nu=problem.pl_nu)
-        assert constants == diagnostics.json_safe(table.as_dict())
+        assert constants == diagnostics.json_safe(table)
         assert all(constants[k] is None for k in ("kappa_8", "kappa_tilde_0_prime",
                                                   "kappa_tilde_4", "kappa_tilde_3",
                                                   "kappa_0", "kappa_3", "kappa_4"))
@@ -705,7 +750,7 @@ def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
         return
     sel = theorem_params(cfg["algorithm"]["mode"], problem, graph, compressor.contract(problem.d),
                          T=20, x0_seed=9, **config.regime_options(cfg))
-    assert constants == diagnostics.json_safe(sel.table.as_dict())
+    assert constants == diagnostics.json_safe(sel.table)
     # a bound named after a table entry is that entry
     matched = 0
     for name, flag in payload["feasibility"].items():

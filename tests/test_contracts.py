@@ -321,6 +321,10 @@ CONTRACT_REFUSALS = [
       for bound in (-0.5, np.nan, np.inf)
       for call in (lambda bound=bound: comp.Noisy(KBIT, bound),
                    lambda bound=bound: comp.with_noise(comp.UniformQuantizer(0.5), bound))),
+    # p is a norm index in [1, inf]: at 0 d_hat divides by zero, at -1 the local
+    # verifier asks for a negative shape, 0.5 is no norm and NaN gives NaN ratios
+    *((lambda p=p: comp.AssumptionContract(comp.LOCAL, p, 1.0, 1.0, 0.5), OutOfRange,
+       f"contract norm index p must be in [1, inf], got {p}") for p in (0.0, -1.0, 0.5, np.nan)),
 ]
 
 

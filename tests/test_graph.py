@@ -190,6 +190,22 @@ def test_ring_probe_refuses_a_perturbed_inverse(n):
             _check_operators(wrong)
 
 
+@pytest.mark.parametrize("topology", ["path", "erdos_renyi"])
+@pytest.mark.parametrize("perturb,message", [
+    # the largest eigenvalue off by 1e-8 leaves L V - V lambda about 1e-8
+    (lambda lam, V: (lam + 1e-8 * (np.arange(len(lam)) == len(lam) - 1), V),
+     r"eigendecomposition residual \d\.\d{3}e-0[89] exceeds tolerance"),
+    # eigenvectors of norm 1.001 still solve L v = lambda v, but F L = 1.002 E
+    (lambda lam, V: (lam, 1.001 * V), r"FL = E identity residual exceeds tolerance"),
+], ids=["eigenvalue", "eigenvectors"])
+def test_from_adjacency_refuses_a_perturbed_eigendecomposition(monkeypatch, topology,
+                                                               perturb, message):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda L: perturb(*eigh(L)))
+    with pytest.raises(NumericalFailure, match=f"^{message}$"):
+        build_graph(topology, 8, prob=0.5, seed=3)
+
+
 def test_complete_graph_needs_no_eigendecomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigh called")
