@@ -22,13 +22,16 @@ topology, each graph's ``rho`` and ``rho2``, its dense ``laplacian`` and
 ``F``, and its ``mix`` and ``apply_F`` of one fixed block, at each of
 ``GRAPH_SIZES`` agents.  The line before that digests, per stream purpose,
 the first uniforms and normals its substream draws at each of
-``STREAM_KEYS``.  Two checkouts
+``STREAM_KEYS``.  The line before that digests, per compressor kind of
+``config.KINDS``, bare and with channel noise, ``apply`` on one
+``ROUND_SHAPE`` round and ``sample_errors`` at two points.  Two checkouts
 print the same lines exactly when their outputs are byte-identical: run it
 in each and diff the two listings.  The digests depend on the NumPy and BLAS
 builds, so this is no tier-1 test.
 """
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -44,6 +47,8 @@ FUZZ_SEED = 0
 GRAPH_SIZES = (3, 10, 100)
 # (seed, tag, iteration) of the streams line: the origin, a small key, the largest seed
 STREAM_KEYS = ((0, 0, 0), (11, 2, 5), (2 ** 64 - 1, 1, 2 ** 32 - 1))
+# the (n, d) of the compressors line's round, the size of the benchmark's largest run
+ROUND_SHAPE = (400, 200)
 
 COMMANDS = (
     ("run", "one_bit_ring.ini"),
@@ -234,6 +239,37 @@ def stream_draws() -> str:
     return f"streams at (seed, tag, iteration) in {STREAM_KEYS}: " + ", ".join(parts)
 
 
+def compression_rounds() -> str:
+    """The compressors line: one digest over every kind, bare and noisy, of
+    its ``apply`` output and bits on one ``ROUND_SHAPE`` round, and of its
+    ``sample_errors`` at two points, the second with signed zeros and the
+    least subnormals."""
+    sys.path.insert(0, str(REPO / "src"))
+    import numpy as np
+
+    from dcopt import compressors as comp
+    from dcopt.config import KINDS
+
+    U = np.random.default_rng(5).standard_normal(ROUND_SHAPE)
+    points = (np.linspace(-2.0, 3.0, 8), np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.0]))
+    values = {"level": 1.5, "step": 0.4, "k": 2, "kbits": 8}
+    digest, count = hashlib.sha256(), 0
+    for kind, make in KINDS.items():
+        for noise in (0.0, 0.3):
+            if isinstance(make, type):
+                c = make(*(values[f.name] for f in dataclasses.fields(make) if not f.kw_only),
+                         seed=12, tag=1)
+            else:
+                c = make(8, 0.4, seed=12)
+            c = comp.with_noise(c, noise)
+            Q, bits = c.apply(U, 3)
+            digest.update(Q.tobytes() + repr(bits).encode())
+            for tag, x in enumerate(points):
+                digest.update(c.sample_errors(x, 500, 7, tag).tobytes())
+            count += 1
+    return f"{digest.hexdigest()}  compressors ({count} kinds at {ROUND_SHAPE})"
+
+
 def fuzz_histogram() -> str:
     """The fuzzer's line: per command, how many configs exited with each code.
     A code carries " warned" when the command raised a warning, and an
@@ -284,6 +320,7 @@ def main() -> int:
                   f"(exit {proc.returncode})")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(root)}")
+    print(compression_rounds())
     print(stream_draws())
     print(graph_views())
     print(fuzz_histogram())

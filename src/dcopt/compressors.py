@@ -207,7 +207,7 @@ class Compressor:
         Returns the output and the block the ``bits`` formula is charged on
         (X itself, except for a composition).
         """
-        zeta = None if self.deterministic else gen.uniform(size=shape)
+        zeta = None if self.deterministic else gen.random(shape)
         return self._kernel(X, zeta), X
 
     def sample_errors(self, x, trials: int, seed: int, tag: int = 0) -> np.ndarray:
@@ -218,7 +218,8 @@ class Compressor:
         gen = _rng.substream(seed, _rng.VERIFY, tag, _TRIALS)
         Q, _ = self._apply(x[None, None], gen, (trials, 1, x.size))
         diff = Q[:, 0] - x
-        return np.broadcast_to(np.sum(diff * diff, axis=1), (trials,))
+        diff *= diff
+        return np.broadcast_to(np.sum(diff, axis=1), (trials,))
 
 
 class Identity(Compressor):
@@ -256,7 +257,7 @@ class OneBit(Compressor):
         return AssumptionContract(LOCAL, np.inf, 1.0, self.level, 0.5)
 
     def _kernel(self, X, zeta):
-        return np.where(X >= 0, 1.0, -1.0) * (self.level / 2.0)
+        return ((X >= 0) * 2.0 - 1.0) * (self.level / 2.0)
 
 
 @dataclass(eq=False)
@@ -354,7 +355,7 @@ class NormSign(Compressor):
     def _kernel(self, X, zeta):
         # a zero row gives (0 / 2) * 1 = +0.0 everywhere
         m = np.max(np.abs(X), axis=-1, keepdims=True)
-        return (m / 2.0) * np.where(X >= 0, 1.0, -1.0)
+        return (m / 2.0) * ((X >= 0) * 2.0 - 1.0)
 
 
 @dataclass(eq=False)
@@ -385,12 +386,18 @@ class UnbiasedKBit(Compressor):
         return delta
 
     def _kernel(self, X, zeta):
-        # a zero row gives floor(0 + zeta) = 0, so +0.0 everywhere
+        # a zero row gives floor(0 + zeta) = 0, so +0.0 everywhere; the sign's
+        # product is exact, so each value is one rounding of safe/scale * floor
         m = np.max(np.abs(X), axis=-1, keepdims=True)
         safe = np.where(m == 0.0, 1.0, m)
         scale = 2.0 ** (self.kbits - 1)
-        return ((safe / scale) * np.where(X >= 0, 1.0, -1.0)
-                * np.floor(scale * np.abs(X) / safe + zeta))
+        Q = np.abs(X) * scale
+        Q /= safe
+        Q = Q + zeta        # the draws' shape, which X broadcasts against
+        np.floor(Q, out=Q)
+        Q *= (X >= 0) * 2.0 - 1.0
+        Q *= safe / scale
+        return Q
 
 
 class RandK(_KeepK):
@@ -490,8 +497,10 @@ class Noisy(Compressor):
     def _apply(self, X, gen, shape):
         Q, charged = self.base._apply(X, gen, shape)
         G = _rng.sphere_point(gen, shape)
-        radii = self.noise_bound * gen.uniform(size=(*shape[:-1], 1)) ** (1.0 / shape[-1])
-        return Q + G * radii, charged
+        radii = self.noise_bound * gen.random((*shape[:-1], 1)) ** (1.0 / shape[-1])
+        G *= radii
+        G += Q
+        return G, charged
 
     def __repr__(self):
         return f"Noisy({self.base!r}, noise={self.noise_bound})"
@@ -599,10 +608,10 @@ def _pball_samples(gen: np.random.Generator, p: float, d: int, C: float,
         return gen.uniform(-C, C, size=(count, d))
     # gamma method: uniform on the p-ball for finite p
     g = gen.gamma(1.0 / p, size=(count, d)) ** (1.0 / p)
-    signs = np.where(gen.uniform(size=(count, d)) < 0.5, -1.0, 1.0)
+    signs = (gen.random((count, d)) >= 0.5) * 2.0 - 1.0
     y = signs * g
     norms = np.sum(np.abs(y) ** p, axis=1, keepdims=True) ** (1.0 / p)
-    radii = C * gen.uniform(size=(count, 1)) ** (1.0 / d)
+    radii = C * gen.random((count, 1)) ** (1.0 / d)
     return y / norms * radii
 
 
@@ -620,7 +629,7 @@ def _boundary_cases(gen: np.random.Generator, p: float, d: int, C: float) -> lis
         cases.extend([x, -x, 0.5 * x])
     if p == np.inf:
         for _ in range(8):
-            sigma = np.where(gen.uniform(size=d) < 0.5, -1.0, 1.0)
+            sigma = (gen.random(d) >= 0.5) * 2.0 - 1.0
             cases.append(C * sigma)
     return cases
 

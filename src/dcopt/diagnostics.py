@@ -67,7 +67,7 @@ def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
              gamma: float, beta: float, f_ref: float | None = None) -> tuple:
     """The objective, stationarity, consensus and Lyapunov columns of states
     stacked along the leading axis of X, V and Xhat (shape (B, n, d)), and
-    the X - Xhat they read e5 from.
+    the X - Xhat and its entries' squares they read e5 from.
 
     e4 uses the problem's exact optimal value when available, else the known
     lower bound, unless the caller passes ``f_ref``.  E is the symmetric
@@ -84,12 +84,15 @@ def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
     e1 = 0.5 * _total(dev * dev)
     W = V + G0 / gamma
     FW = graph.apply_F(W)
-    diff = X - Xhat
     # consensus ||x - xbar||^2 / n is 2 e1 / n
-    return {"f_bar": f_bar, "grad_sq": np.vecdot(gbar, gbar), "consensus": 2.0 * e1 / graph.n,
+    cols = {"f_bar": f_bar, "grad_sq": np.vecdot(gbar, gbar), "consensus": 2.0 * e1 / graph.n,
             "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * _total(W * FW),
-            "e3": _total(dev * FW), "e4": graph.n * (f_bar - f_ref),
-            "e5": _total(diff * diff)}, diff
+            "e3": _total(dev * FW), "e4": graph.n * (f_bar - f_ref)}
+    # made last, so that the products above are freed before these two arrays exist
+    diff = X - Xhat
+    sq = diff * diff
+    cols["e5"] = _total(sq)
+    return cols, diff, sq
 
 
 def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
@@ -101,13 +104,16 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     e4 uses the problem's exact optimal value when available, else the known
     lower bound, unless the caller passes ``f_ref``.
     """
-    cols, _ = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
+    cols, *_ = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
     return tuple(float(cols[name][0]) for name in ("e1", "e2", "e3", "e4", "e5"))
 
 
-def _pmax(D: np.ndarray, p: float) -> np.ndarray:
-    """Each state's largest p-norm over agents; at p = inf one exact max."""
-    return np.max(np.abs(D), axis=(-2, -1)) if p == np.inf else pnorms(D, p).max(axis=-1)
+def _pmax(D: np.ndarray, sq: np.ndarray, p: float) -> np.ndarray:
+    """Each state's largest p-norm over agents, given sq = D * D: at p = inf
+    one exact max, at p = 2 sqrt(add.reduce(sq)), as ``np.linalg.norm`` does."""
+    if p == np.inf:
+        return np.max(np.abs(D), axis=(-2, -1))
+    return (np.sqrt(np.sum(sq, axis=-1)) if p == 2 else pnorms(D, p)).max(axis=-1)
 
 
 def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
@@ -124,16 +130,18 @@ def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     """
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
-    cols, diff = _columns(X, V, Xhat, problem, graph, hyper.gamma, hyper.beta)
+    cols, diff, sq = _columns(X, V, Xhat, problem, graph, hyper.gamma, hyper.beta)
     for name, column in cols.items():
         rows[name] = column
-    pre = _pmax(diff, p)
+    pre = _pmax(diff, sq, p)
     rows["surr_pre_pmax"] = pre
     rows["region_ok"] = meets(pre, contract.C * rows["s_k"] * (1.0 + 1e-12)) if local else True
     m = len(Xhat_next)
-    post = X[:m] - Xhat_next
-    rows["surr_post_pmax"][:m] = _pmax(post, p)
-    rows["surr_post_l2sq"][:m] = _total(post * post)
+    # the distances after the exchange overwrite those before it
+    post = np.subtract(X[:m], Xhat_next, out=diff[:m])
+    sq = np.multiply(post, post, out=sq[:m])
+    rows["surr_post_pmax"][:m] = _pmax(post, sq, p)
+    rows["surr_post_l2sq"][:m] = _total(sq)
     rows["surr_post_pmax"][m:] = rows["surr_post_l2sq"][m:] = np.nan
 
 

@@ -169,7 +169,7 @@ def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> Grap
     last = None
     for attempt in range(_ER_MAX_RESAMPLE):
         gen = _rng.substream(seed, _rng.GRAPH, tag=attempt)
-        A = np.triu(gen.uniform(size=(n, n)) < prob, k=1).astype(float)
+        A = np.triu(gen.random((n, n)) < prob, k=1).astype(float)
         try:
             return from_adjacency(A + A.T, topology=topology)
         except DisconnectedGraph as exc:

@@ -8,6 +8,10 @@ agent i then uses row i of each block; scalarization draws one direction per
 round, which every agent of the round gets.  A stack of rounds, such as a
 verification point's one-agent trials, draws each block over its leading
 axes.  Every agent scales its raw directions to unit length by the 1-d norm.
+Its [0, 1) blocks come from ``gen.uniform``, where the library calls
+``gen.random``, and ``kernel`` writes the one-bit, norm-sign and k-bit
+kernels out with ``np.where`` signs and out-of-place products, so those
+draws and that arithmetic are checked against a second expression.
 Sums over agents and norms use the library's NumPy reductions on each
 agent's row, and a ring mixes each agent's row from its two neighbours in
 the library's order.  The batched engine in ``dcopt`` must match it bit
@@ -21,7 +25,8 @@ import numpy as np
 
 from dcopt import rng as _rng
 from dcopt.algorithm import AlgorithmState, init_state
-from dcopt.compressors import LOCAL, Compose, Noisy, Scalarization
+from dcopt.compressors import (LOCAL, Compose, NormSign, Noisy, OneBit, Scalarization,
+                               UnbiasedKBit)
 from dcopt.diagnostics import TRACE_DTYPE
 
 
@@ -72,6 +77,24 @@ def draw_round(c, shape, gen):
     return [gen.uniform(size=shape)]
 
 
+def kernel(c, x, zeta):
+    """One agent's compressed row.  One-bit, norm-sign and k-bit are written
+    out with the np.where sign and one out-of-place product, apart from the
+    library's in-place kernels; every other kind runs its own kernel on a
+    round of one row."""
+    sign = np.where(x >= 0, 1.0, -1.0)
+    if isinstance(c, OneBit):
+        return sign * (c.level / 2.0)
+    if isinstance(c, NormSign):
+        return (np.max(np.abs(x)) / 2.0) * sign
+    if isinstance(c, UnbiasedKBit):
+        m = np.max(np.abs(x))
+        safe = 1.0 if m == 0.0 else m
+        scale = 2.0 ** (c.kbits - 1)
+        return (safe / scale) * sign * np.floor(scale * np.abs(x) / safe + zeta)
+    return c._kernel(x[None, :], None if zeta is None else zeta[None, :])[0]
+
+
 def compress(c, x, row):
     """(q, bits) for one agent's input x; ``row`` yields that agent's row of
     each block its round drew, in draw order."""
@@ -86,8 +109,7 @@ def compress(c, x, row):
         g = next(row)
         psi = g / np.linalg.norm(g)
         return psi * float(psi @ x), c.bits(x[None])
-    zeta = None if c.deterministic else next(row)[None, :]
-    return c._kernel(x[None, :], zeta)[0], c.bits(x[None])
+    return kernel(c, x, None if c.deterministic else next(row)), c.bits(x[None])
 
 
 def compress_each(c, U, gen):

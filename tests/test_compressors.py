@@ -272,21 +272,58 @@ def test_parameter_validation():
         comp.OneBit(1.0).compress(np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["bare", "noisy"])
-@pytest.mark.parametrize("kind", config.KINDS)
-def test_a_stack_of_rounds_compresses_each_agent_of_each_round(kind, noise):
-    # an (..., n, d) stack is rounds along its leading axes: each agent of each
-    # round equals the oracle's one-agent result from the same draws
+def _make(kind, noise):
+    """A compressor of ``config.KINDS`` kind, wrapped in channel noise when
+    ``noise`` is positive."""
     make = config.KINDS[kind]
     if isinstance(make, type):
         values = {"level": 1.5, "step": 0.4, "k": 2, "kbits": 3}
         c = make(*(values[f.name] for f in dataclasses.fields(make) if not f.kw_only), seed=12)
     else:
         c = make(3, 0.4, seed=12)
-    c = comp.with_noise(c, noise)
+    return comp.with_noise(c, noise)
+
+
+def _same_bits(a, b):
+    """Equal values and sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["bare", "noisy"])
+@pytest.mark.parametrize("kind", config.KINDS)
+def test_a_stack_of_rounds_compresses_each_agent_of_each_round(kind, noise):
+    # an (..., n, d) stack is rounds along its leading axes: each agent of each
+    # round equals the oracle's one-agent result from the same draws, value and
+    # sign bit, on rows with signed zeros, the least subnormals and all zeros
+    c = _make(kind, noise)
     X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, 3, 4, 5))
+    X[0, 0, 0] = [0.0, -0.0, 5e-324, -5e-324, 1.0]
+    X[0, 1, 2] = 0.0
+    X[1, 0, 3] = -0.0
+    X[1, 2, 1] = [5e-324, -5e-324, -0.0, 0.0, -5e-324]
     Q, _ = c._apply(X, rng.substream(12, rng.COMPRESSOR, 0, 7), X.shape)
     ref = oracle.compress_each(c, X, rng.substream(12, rng.COMPRESSOR, 0, 7))
     assert Q.shape == X.shape
     for i, (q, _) in ref.items():
-        assert np.array_equal(Q[i], q), i
+        assert _same_bits(Q[i], q), i
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["bare", "noisy"])
+@pytest.mark.parametrize("kind", config.KINDS)
+def test_compression_leaves_its_input_alone(kind, noise):
+    # kernels work in place only on arrays they allocate: an int64 round and a
+    # read-only float round compress as their float copies do, and no input,
+    # nor sample_errors' point, changes
+    c = _make(kind, noise)
+    ints = np.random.default_rng(4).integers(-3, 4, size=(4, 6))
+    floats = np.random.default_rng(4).uniform(-2.0, 2.0, size=(4, 6))
+    floats.flags.writeable = False
+    for U in (ints, floats):
+        before = U.copy()
+        Q, bits = c.apply(U, 5)
+        ref, ref_bits = c.apply(U.astype(float), 5)
+        assert _same_bits(Q, ref) and bits == ref_bits
+        assert U.dtype == before.dtype and np.array_equal(U, before)
+    x = np.linspace(-2.0, 3.0, 6)
+    c.sample_errors(x, 50, seed=1)
+    assert np.array_equal(x, np.linspace(-2.0, 3.0, 6))
