@@ -22,12 +22,14 @@ topology, each graph's ``rho`` and ``rho2``, its dense ``laplacian`` and
 ``F``, and its ``mix`` and ``apply_F`` of one fixed block, at each of
 ``GRAPH_SIZES`` agents.  The line before that digests, per stream purpose,
 the first uniforms and normals its substream draws at each of
-``STREAM_KEYS``.  The line before that digests, per compressor kind of
-``config.KINDS``, bare and with channel noise, ``apply`` on one
-``ROUND_SHAPE`` round and ``sample_errors`` at two points.  Two checkouts
-print the same lines exactly when their outputs are byte-identical: run it
-in each and diff the two listings.  The digests depend on the NumPy and BLAS
-builds, so this is no tier-1 test.
+``STREAM_KEYS``.  The line before that digests the ``trace_rows`` rows of
+each ``RECORD_BLOCKS`` block of fixed states.  The line before that
+digests, per compressor kind of ``config.KINDS``, bare and with channel
+noise, ``apply`` on one ``ROUND_SHAPE`` round and ``sample_errors`` at two
+points.  Two checkouts print the same lines exactly when their outputs are
+byte-identical: run it in each and diff the two listings.  The digests
+depend on the NumPy and BLAS builds, and a record total over more than
+10,000 entries on the BLAS thread count, so this is no tier-1 test.
 """
 
 import collections
@@ -49,6 +51,9 @@ GRAPH_SIZES = (3, 10, 100)
 STREAM_KEYS = ((0, 0, 0), (11, 2, 5), (2 ** 64 - 1, 1, 2 ** 32 - 1))
 # the (n, d) of the compressors line's round, the size of the benchmark's largest run
 ROUND_SHAPE = (400, 200)
+# the record line's (topology, (B, n, d)) blocks: one row of the benchmark's largest
+# run, and a block of the size that ``run`` records on a complete graph of 10 agents
+RECORD_BLOCKS = (("ring", (1, 400, 200)), ("complete", (81, 10, 5)))
 
 COMMANDS = (
     ("run", "one_bit_ring.ini"),
@@ -201,6 +206,33 @@ def param_grid() -> str:
             f"({selections} selections, {refusals} refusals)")
 
 
+def record_rows() -> str:
+    """The record line: one digest of the ``trace_rows`` rows of each
+    ``RECORD_BLOCKS`` block, (B, n, d) states drawn once, under no contract,
+    one-bit's local contract (p = inf) and top-k's sound one (p = 2); each
+    block ends at the final row, which has no state after its exchange."""
+    sys.path.insert(0, str(REPO / "src"))
+    import types
+
+    import numpy as np
+
+    from dcopt import build_graph, compressors as comp, make_nonconvex
+    from dcopt.diagnostics import TRACE_DTYPE, trace_rows
+
+    hyper = types.SimpleNamespace(gamma=0.6, beta=1.5)
+    digest = hashlib.sha256()
+    for topology, (B, n, d) in RECORD_BLOCKS:
+        graph, problem = build_graph(topology, n), make_nonconvex(n, d, seed=1)
+        gen = np.random.default_rng(n)
+        X, V, Xhat, Xhat_next = (gen.standard_normal((B, n, d)) for _ in range(4))
+        for contract in (None, comp.OneBit(1.0).contract(d), comp.TopK(1).sound_contract(d)):
+            rows = np.zeros(B, TRACE_DTYPE)
+            rows["k"], rows["s_k"] = np.arange(B), 2.0
+            trace_rows(rows, X, V, Xhat, Xhat_next[:B - 1], problem, graph, hyper, contract)
+            digest.update(rows.tobytes())
+    return f"{digest.hexdigest()}  record {RECORD_BLOCKS}"
+
+
 def graph_views() -> str:
     """The graph line: per topology, one digest over ``GRAPH_SIZES`` of each
     graph's spectral bounds, dense views and products with a fixed block."""
@@ -321,6 +353,7 @@ def main() -> int:
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             print(f"{sha256(path.read_bytes())}  {path.relative_to(root)}")
     print(compression_rounds())
+    print(record_rows())
     print(stream_draws())
     print(graph_views())
     print(fuzz_histogram())

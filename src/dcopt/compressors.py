@@ -604,15 +604,11 @@ class VerificationReport:
 
 def _pball_samples(gen: np.random.Generator, p: float, d: int, C: float,
                    count: int) -> np.ndarray:
+    """``count`` uniform draws from the p-ball of radius C, p = inf or 2: for
+    p = 2 a unit direction times the radius C U^(1/d)."""
     if p == np.inf:
         return gen.uniform(-C, C, size=(count, d))
-    # gamma method: uniform on the p-ball for finite p
-    g = gen.gamma(1.0 / p, size=(count, d)) ** (1.0 / p)
-    signs = (gen.random((count, d)) >= 0.5) * 2.0 - 1.0
-    y = signs * g
-    norms = np.sum(np.abs(y) ** p, axis=1, keepdims=True) ** (1.0 / p)
-    radii = C * gen.random((count, 1)) ** (1.0 / d)
-    return y / norms * radii
+    return _rng.sphere_point(gen, (count, d)) * (C * gen.random((count, 1)) ** (1.0 / d))
 
 
 def _boundary_cases(gen: np.random.Generator, p: float, d: int, C: float) -> list:
@@ -649,13 +645,15 @@ def _report(compressor: Compressor, cls: str, ratios: np.ndarray, worst) -> Veri
 def verify_local_assumption(compressor: Compressor, contract: AssumptionContract,
                             samples: int = 10_000, seed: int = 0,
                             d: int = 6) -> VerificationReport:
-    """Check the local contract on random points of the p-ball of radius C
-    plus deterministic boundary and corner cases."""
+    """Check the local contract on uniform random points of the p-ball of
+    radius C, p = 2 or inf, plus deterministic boundary and corner cases."""
     if contract.cls != LOCAL:
         raise WrongClass("verify_local_assumption needs a local contract")
     if samples < 1:
         raise OutOfRange("samples must be >= 1")
     p, C, r, delta = contract.p, contract.C, contract.r, contract.delta
+    if p not in (2.0, np.inf):
+        raise OutOfRange(f"local verification samples the 2- or inf-ball, got p={p}")
     # the points are drawn from [-C, C], whose width must be a finite float
     if not math.isfinite(2.0 * C):
         raise OutOfRange(f"cannot sample the region of radius C={C}: 2 C is not finite")

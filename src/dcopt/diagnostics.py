@@ -4,7 +4,10 @@ The per-iteration record pairs the iterate x_k with the surrogate from the
 previous exchange (so e5 at row k is ||x_k - xhat_{k-1}||^2, the distance the
 round-k compressor actually sees, and equals ||x_0||^2 at k = 0 under zero
 initialization).  The distances after the round-k exchange are kept in
-separate columns (surr_post_*) for the contraction checks.
+separate columns (surr_post_*) for the contraction checks.  Every total is
+one BLAS dot, ``np.vecdot``: e1, e2 and e3 of a state's flattened n d block,
+and each agent's squared distance, which e5 and surr_post_l2sq sum over
+agents and whose root is the p = 2 distance.
 """
 
 import csv
@@ -58,16 +61,11 @@ class RunTrace:
         return self.e1 + self.e2 + self.e3 + self.e4
 
 
-def _total(A: np.ndarray) -> np.ndarray:
-    """Sum over the agent and coordinate axes: one value per state."""
-    return np.sum(A, axis=(-2, -1))
-
-
 def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
              gamma: float, beta: float, f_ref: float | None = None) -> tuple:
     """The objective, stationarity, consensus and Lyapunov columns of states
     stacked along the leading axis of X, V and Xhat (shape (B, n, d)), and
-    the X - Xhat and its entries' squares they read e5 from.
+    the X - Xhat and each agent's squared distance they read e5 from.
 
     e4 uses the problem's exact optimal value when available, else the known
     lower bound, unless the caller passes ``f_ref``.  E is the symmetric
@@ -80,18 +78,20 @@ def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
     costs, G0 = problem.at_shared(xbar)
     f_bar = np.sum(costs, axis=-1) / problem.n
     gbar = G0.mean(axis=-2)
-    dev = X - xbar[..., None, :]
-    e1 = 0.5 * _total(dev * dev)
-    W = V + G0 / gamma
-    FW = graph.apply_F(W)
+    W = G0 / gamma
+    del G0                      # W = V + G0 / gamma, with G0's block freed before F W
+    W += V
+    flat = (len(X), -1)
+    dev = (X - xbar[..., None, :]).reshape(flat)
+    e1 = 0.5 * np.vecdot(dev, dev)
+    FW = graph.apply_F(W).reshape(flat)
     # consensus ||x - xbar||^2 / n is 2 e1 / n
     cols = {"f_bar": f_bar, "grad_sq": np.vecdot(gbar, gbar), "consensus": 2.0 * e1 / graph.n,
-            "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * _total(W * FW),
-            "e3": _total(dev * FW), "e4": graph.n * (f_bar - f_ref)}
-    # made last, so that the products above are freed before these two arrays exist
+            "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * np.vecdot(W.reshape(flat), FW),
+            "e3": np.vecdot(dev, FW), "e4": graph.n * (f_bar - f_ref)}
     diff = X - Xhat
-    sq = diff * diff
-    cols["e5"] = _total(sq)
+    sq = np.vecdot(diff, diff)
+    cols["e5"] = np.sum(sq, axis=-1)
     return cols, diff, sq
 
 
@@ -109,11 +109,11 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
 
 
 def _pmax(D: np.ndarray, sq: np.ndarray, p: float) -> np.ndarray:
-    """Each state's largest p-norm over agents, given sq = D * D: at p = inf
-    one exact max, at p = 2 sqrt(add.reduce(sq)), as ``np.linalg.norm`` does."""
+    """Each state's largest p-norm over agents, given each agent's squared
+    distance sq: at p = inf one exact max, at p = 2 the root of sq."""
     if p == np.inf:
         return np.max(np.abs(D), axis=(-2, -1))
-    return (np.sqrt(np.sum(sq, axis=-1)) if p == 2 else pnorms(D, p)).max(axis=-1)
+    return (np.sqrt(sq) if p == 2 else pnorms(D, p)).max(axis=-1)
 
 
 def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
@@ -139,9 +139,9 @@ def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     m = len(Xhat_next)
     # the distances after the exchange overwrite those before it
     post = np.subtract(X[:m], Xhat_next, out=diff[:m])
-    sq = np.multiply(post, post, out=sq[:m])
+    sq = np.vecdot(post, post, out=sq[:m])
     rows["surr_post_pmax"][:m] = _pmax(post, sq, p)
-    rows["surr_post_l2sq"][:m] = _total(sq)
+    rows["surr_post_l2sq"][:m] = np.sum(sq, axis=-1)
     rows["surr_post_pmax"][m:] = rows["surr_post_l2sq"][m:] = np.nan
 
 

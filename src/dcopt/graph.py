@@ -12,7 +12,8 @@ rho(L)^-1 I <= F <= rho_2(L)^-1 I.
 The operators are built per topology.  The ring is circulant: its spectrum is
 the closed form 2 - 2 cos(2 pi k / n), ``mix`` takes each agent's two
 neighbours from shifted slices, and ``apply_F`` divides the real FFT along the
-agent axis by the spectrum, so it holds no n x n array.  The complete graph
+agent axis by the spectrum, lambda_2 standing in at mode 0, so it holds no
+n x n array and F's consensus direction is one more mode.  The complete graph
 has L = n I - 1 1^T = n E, so rho = rho2 = n and F = I / n: it holds L alone
 and needs no eigendecomposition.  Every other graph comes from its adjacency
 through ``from_adjacency``, which builds F in one product from the whole
@@ -115,15 +116,13 @@ def _ring(n: int) -> Graph:
     # lambda_k = 2 - 2 cos(2 pi k / n) for Fourier mode k, written as
     # 4 sin^2(pi k / n), which has no cancellation near k = 0
     lam = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
-    inverse = np.zeros(n // 2 + 1)               # 1 / lambda_k for rfft mode k, 0 at k = 0
-    inverse[1:] = 1.0 / lam[1:n // 2 + 1]
     rho, rho2 = float(lam.max()), float(lam[1:].min())
+    # 1 / lambda_k for rfft mode k, with lambda_2 in place of the zero eigenvalue
+    inverse = 1.0 / np.concatenate([[rho2], lam[1:n // 2 + 1]])
 
     def apply_F(W: np.ndarray) -> np.ndarray:
-        """The pseudo-inverse of L by real FFT along the agent axis, plus
-        mean(W) / lambda_2 on the consensus direction."""
-        return (np.fft.irfft(np.fft.rfft(W, axis=-2) * inverse[:, None], n=n, axis=-2)
-                + W.mean(axis=-2, keepdims=True) / rho2)
+        """F W by real FFT along the agent axis: each mode divided by its eigenvalue."""
+        return np.fft.irfft(np.fft.rfft(W, axis=-2) * inverse[:, None], n=n, axis=-2)
 
     return Graph(n, "ring", rho, rho2, _ring_mix, apply_F)
 

@@ -24,10 +24,9 @@ one vector is a round of one row; scalarization's shared direction is the
 round's first draw, and every row projects on it.  A verification point's
 trials are one-agent rounds drawn as one stack, its one input broadcast
 against them.  Every unit direction (a scalarization round's, a noise
-draw's, a global verification point's) comes from ``sphere_point``; a local
-verification point with finite p takes its direction from the gamma method.
-Every [0, 1) block is ``gen.random(shape)``, the doubles of ``gen.uniform``
-in fewer passes.  A kernel works in place only on arrays it allocates.
+draw's, a Euclidean verification point's, local or global) comes from
+``sphere_point``.  Every [0, 1) block is ``gen.random(shape)``, the doubles
+of ``gen.uniform`` in fewer passes.  A kernel works in place only on arrays it allocates.
 """
 
 import numpy as np

@@ -15,10 +15,12 @@ draws and that arithmetic are checked against a second expression.
 Sums over agents and norms use the library's NumPy reductions on each
 agent's row, and a ring mixes each agent's row from its two neighbours in
 the library's order.  The batched engine in ``dcopt`` must match it bit
-for bit.  The record keeps the dense definitions e1 = x^T E x / 2, e2 from
-the dense F w, and e3 = x^T E F w; the engine evaluates e1 and e3 with one
-product F w instead, and a ring applies F by FFT, so those three columns
-agree to rounding only.
+for bit.  The record takes each agent's squared distance as the
+``np.vecdot`` of its row, and consensus as that of the flattened
+deviation, as the engine does.  It keeps the dense definitions
+e1 = x^T E x / 2, e2 from the dense F w, and e3 = x^T E F w; the engine
+evaluates e1 and e3 with one product F w instead, each as one dot, and a
+ring applies F by FFT, so those three columns agree to rounding only.
 """
 
 import numpy as np
@@ -59,6 +61,16 @@ def pnorm(x, p):
             return float(np.sqrt(np.sum(x * x)))
         # the power ufunc, as in np.linalg.norm; a scalar ** rounds differently
         return float(np.power(np.sum(np.abs(x) ** p), 1.0 / p))
+
+
+def distances(D, p):
+    """(sum over agents of each agent's squared distance, the largest p-norm
+    over agents) of one state's n x d block D, one agent's row at a time: a
+    squared distance is the row's ``np.vecdot`` with itself, and its root is
+    the p = 2 norm."""
+    sq = np.array([np.vecdot(row, row) for row in D])
+    norms = np.sqrt(sq) if p == 2 else [pnorm(row, p) for row in D]
+    return float(np.sum(sq)), max(float(norm) for norm in norms)
 
 
 def draw_round(c, shape, gen):
@@ -211,13 +223,12 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         G0 = np.stack([gradient(problem, i, xbar) for i in range(n)])
         gbar = G0.mean(axis=0)
         W = st.v + G0 / hyper.gamma
-        diff = st.x - st.x_hat
-        pre = max(pnorm(diff[i], p) for i in range(n))
+        e5, pre = distances(st.x - st.x_hat, p)
         f_bar = f(problem, xbar)
         tr["k"][row] = st.k
         tr["f_bar"][row] = f_bar
         tr["grad_sq"][row] = float(gbar @ gbar)
-        tr["consensus"][row] = float(np.sum(dev * dev)) / n
+        tr["consensus"][row] = float(np.vecdot(dev.ravel(), dev.ravel())) / n
         FW = F @ W
         tr["e1"][row] = 0.5 * float(np.sum(st.x * (E @ st.x)))
         e2_factor = 0.5 * (hyper.beta + hyper.gamma) / hyper.gamma
@@ -229,7 +240,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         tr["e2_scale"][row] = e2_factor * np.sqrt(float(np.sum(W * W)) * fw_sq)
         tr["e3_scale"][row] = np.sqrt(x_sq * fw_sq)
         tr["e4"][row] = n * (f_bar - f_ref)
-        tr["e5"][row] = float(np.sum(diff * diff))
+        tr["e5"][row] = e5
         tr["s_k"][row] = st.s_k
         tr["surr_pre_pmax"][row] = pre
         tr["bits_cum"][row] = st.bits_cum
@@ -239,9 +250,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         for it in range(T):
             record(it, state)
             new, _ = step(state, problem, graph, compressor, hyper)
-            post = state.x - new.x_hat
-            tr["surr_post_pmax"][it] = max(pnorm(post[i], p) for i in range(n))
-            tr["surr_post_l2sq"][it] = float(np.sum(post * post))
+            tr["surr_post_l2sq"][it], tr["surr_post_pmax"][it] = distances(state.x - new.x_hat, p)
             state = new
         record(T, state)
     tr["surr_post_pmax"][T] = np.nan

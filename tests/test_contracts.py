@@ -325,6 +325,10 @@ CONTRACT_REFUSALS = [
     # verifier asks for a negative shape, 0.5 is no norm and NaN gives NaN ratios
     *((lambda p=p: comp.AssumptionContract(comp.LOCAL, p, 1.0, 1.0, 0.5), OutOfRange,
        f"contract norm index p must be in [1, inf], got {p}") for p in (0.0, -1.0, 0.5, np.nan)),
+    # the local verifier draws its uniform points from the 2- and the inf-ball only
+    *((lambda p=p: comp.verify_local_assumption(
+        comp.OneBit(1.0), comp.AssumptionContract(comp.LOCAL, p, 1.0, 1.0, 0.5)), OutOfRange,
+       f"local verification samples the 2- or inf-ball, got p={p}") for p in (1.0, 1.5, 3.0)),
 ]
 
 

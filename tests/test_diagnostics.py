@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from dcopt import (
     write_csv,
 )
 from dcopt.diagnostics import (
+    TRACE_DTYPE,
     contraction_global_check,
     contraction_local_check,
     lyapunov_descent_check,
     lyapunov_sandwich_check,
     summary,
+    trace_rows,
 )
 from dcopt.errors import DegenerateSeries
 
@@ -98,6 +101,77 @@ def test_sandwich_check_on_trace():
     tr = run(prob, g, OneBit(4.0), hyper, T=50, x0_seed=7, contract=ct)
     rep = lyapunov_sandwich_check(tr, table.eps_1, table.eps_2, gamma, hyper.beta)
     assert rep.passed, rep
+
+
+def _two_product(a, b):
+    """(p, e) with a * b = p + e exactly, elementwise (Dekker's product on
+    Veltkamp's split); exact while no product under- or overflows."""
+    def split(x):
+        c = 134217729.0 * x                   # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+    (a1, a2), (b1, b2) = split(a), split(b)
+    p = a * b
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _exact_dot(a, b):
+    """(sum of a_i b_i rounded once, sum of |a_i b_i|) by ``math.fsum`` over
+    the exact products, with no NumPy reduction or BLAS call."""
+    p, e = _two_product(np.ravel(a), np.ravel(b))
+    return math.fsum([*p, *e]), math.fsum([*np.abs(p), *np.abs(e)])
+
+
+class _FixedGradients:
+    """A problem whose costs are zero and whose gradients at the shared point
+    are a fixed (B, n, d) block, so that W = V + G0 / gamma is any block."""
+
+    def __init__(self, G0):
+        self.G0, self.n, self.f_star = G0, G0.shape[1], 0.0
+
+    def at_shared(self, xbar):
+        return np.zeros(self.G0.shape[:2]), self.G0
+
+
+@pytest.mark.parametrize("topology", ["ring", "complete", "path"])
+@pytest.mark.parametrize("B", [1, 7])
+def test_record_totals_match_exact_sums(topology, B):
+    """Each total the record takes (one BLAS dot of a state's block, or of an
+    agent's row, and a sum of the rows' dots) is within 1e-12 of the exactly
+    rounded sum of the exact products, relative to the sum of their
+    magnitudes, on blocks whose magnitudes reach 1e-150 and 1e150 and whose
+    rows include zeros."""
+    n, d = 10, 5
+    g = build_graph(topology, n)
+    rng = np.random.default_rng(17 + B)
+    scale = 10.0 ** rng.uniform(-150, 150, size=(B, 1, 1)) * 10.0 ** rng.uniform(-2, 2, (B, n, 1))
+    X, V, Xhat, Xhat_next, G0 = (rng.standard_normal((B, n, d)) * scale for _ in range(5))
+    X[:, 3] = 0.0
+    Xhat[:, :2] = X[:, :2]                    # agents at zero distance before the exchange
+    Xhat_next[:, -1] = X[:, -1]               # and one after it
+    if B > 1:
+        X[1], V[1], Xhat[1], Xhat_next[1], G0[1] = 0.0, 0.0, 0.0, 0.0, 0.0
+    hyper = HyperParams(alpha=0.05, beta=2.1, gamma=0.7, omega=1.0,
+                        schedule=GeometricSchedule(1.0, 0.99))
+    rows = np.zeros(B, TRACE_DTYPE)
+    trace_rows(rows, X, V, Xhat, Xhat_next, _FixedGradients(G0), g, hyper, None)
+
+    factor = 0.5 * (hyper.beta + hyper.gamma) / hyper.gamma
+    for j in range(B):
+        dev = X[j] - X[j].mean(axis=0)
+        W = V[j] + G0[j] / hyper.gamma
+        FW = g.apply_F(W[None])[0]
+        pre, post = X[j] - Xhat[j], X[j] - Xhat_next[j]
+        e1, e1_scale = _exact_dot(dev, dev)
+        e2, e2_scale = _exact_dot(W, FW)
+        e3, e3_scale = _exact_dot(dev, FW)
+        e5, _ = _exact_dot(pre, pre)
+        l2sq, _ = _exact_dot(post, post)
+        for name, exact, magnitude in (
+                ("e1", 0.5 * e1, 0.5 * e1_scale), ("e2", factor * e2, factor * e2_scale),
+                ("e3", e3, e3_scale), ("e5", e5, e5), ("surr_post_l2sq", l2sq, l2sq),
+                ("consensus", e1 / n, e1 / n)):
+            assert abs(rows[name][j] - exact) <= 1e-12 * magnitude, (name, j)
 
 
 def test_rate_fit_exact_and_noisy():
