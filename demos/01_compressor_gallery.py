@@ -28,7 +28,7 @@ catalogue = [
 ]
 
 for name, c in catalogue:
-    q, bits = c.compress(x, iteration=0)
+    (q,), bits = c.apply(x[None], iteration=0)
     err = np.linalg.norm(q - x)
     print(f"{name:24s} bits={bits:4d}  l2 err={err:6.3f}  q={np.round(q, 3)}")
 

@@ -28,8 +28,10 @@ digests, per compressor kind of ``config.KINDS``, bare and with channel
 noise, ``apply`` on one ``ROUND_SHAPE`` round and ``sample_errors`` at two
 points.  Two checkouts print the same lines exactly when their outputs are
 byte-identical: run it in each and diff the two listings.  The digests
-depend on the NumPy and BLAS builds, and a record total over more than
-10,000 entries on the BLAS thread count, so this is no tier-1 test.
+depend on the NumPy and BLAS builds, so this is no tier-1 test.  They do
+not depend on the BLAS thread count: every record total sums one dot per
+agent's row, and no row here reaches the 10,000 entries at which OpenBLAS
+splits a dot.
 """
 
 import collections

@@ -79,15 +79,6 @@ def pnorms(X: np.ndarray, p: float) -> np.ndarray:
         return np.linalg.norm(X, ord=p, axis=-1)
 
 
-def _check_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DimensionMismatch("compressor input must be finite")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # lemma rules: noise wrapping and composition of global contracts
 # ---------------------------------------------------------------------------
@@ -161,21 +152,20 @@ class Compressor:
     tag: int = field(default=0, kw_only=True, repr=False)
 
     def apply(self, U: np.ndarray, iteration: int = 0):
-        """Return (Q, bits) for one round: Q row-wise, bits the round's total.
+        """Return (Q, bits) for one round, the n x d block U: Q row-wise, bits
+        the round's total.  One vector x is the round ``x[None]``; any other
+        shape is refused, since ``bits`` charges a round's rows.
 
         Stochastic kinds build one generator per round, from the iteration's
         substream, and take every draw of the round from it.
         """
+        if U.ndim != 2:
+            raise DimensionMismatch(f"a round is an n x d block, got shape {U.shape}")
         gen = None
         if not self.deterministic:
             gen = _rng.substream(self.seed, _rng.COMPRESSOR, self.tag, iteration)
         Q, charged = self._apply(U, gen, U.shape)
         return Q, self.bits(charged)
-
-    def compress(self, x, iteration: int = 0):
-        """Return (q, bits) for one vector: a round of one row."""
-        Q, bits = self.apply(_check_vector(x)[None, :], iteration)
-        return Q[0], bits
 
     def bits(self, X: np.ndarray) -> int:
         """Total bits to transmit every row of the 2-d block X."""
@@ -214,7 +204,11 @@ class Compressor:
         """Monte-Carlo draws of ||C(x) - x||^2: ``trials`` one-agent rounds of
         the one input x (a deterministic kind's one error, broadcast), drawn
         from the ``VERIFY`` stream at (tag, ``_TRIALS``)."""
-        x = _check_vector(x)
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise DimensionMismatch(f"expected a 1-d vector, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise DimensionMismatch("compressor input must be finite")
         gen = _rng.substream(seed, _rng.VERIFY, tag, _TRIALS)
         Q, _ = self._apply(x[None, None], gen, (trials, 1, x.size))
         diff = Q[:, 0] - x
@@ -461,8 +455,13 @@ class UniformQuantizer(Compressor):
         return X.size + X.shape[1] * int(np.frexp(q)[1].sum())
 
     def absolute_error(self, d):
-        # per-coordinate rounding error <= step/2
-        return d * (self.step * self.step) / 4.0
+        # per-coordinate rounding error <= step/2; a bound below the least
+        # normal float would certify a lossy kind as (nearly) exact
+        C = d * (self.step * self.step) / 4.0
+        if C < np.finfo(float).tiny:
+            raise OutOfRange(f"uniform quantizer bound d step^2 / 4 = {C} is below the least "
+                             f"normal float at step={self.step}, d={d}")
+        return C
 
     def _kernel(self, X, zeta):
         return self.step * np.floor(X / self.step + 0.5)

@@ -5,9 +5,11 @@ previous exchange (so e5 at row k is ||x_k - xhat_{k-1}||^2, the distance the
 round-k compressor actually sees, and equals ||x_0||^2 at k = 0 under zero
 initialization).  The distances after the round-k exchange are kept in
 separate columns (surr_post_*) for the contraction checks.  Every total is
-one BLAS dot, ``np.vecdot``: e1, e2 and e3 of a state's flattened n d block,
-and each agent's squared distance, which e5 and surr_post_l2sq sum over
-agents and whose root is the p = 2 distance.
+a sum over agents of one BLAS dot per agent's row, ``np.vecdot``: e1, e2,
+e3, e5 and surr_post_l2sq, the last two of each agent's squared distance,
+whose root is the p = 2 distance.  OpenBLAS splits only a dot of more than
+10,000 entries across its threads, so while d <= 10,000 the record does not
+depend on their count.
 """
 
 import csv
@@ -81,14 +83,13 @@ def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
     W = G0 / gamma
     del G0                      # W = V + G0 / gamma, with G0's block freed before F W
     W += V
-    flat = (len(X), -1)
-    dev = (X - xbar[..., None, :]).reshape(flat)
-    e1 = 0.5 * np.vecdot(dev, dev)
-    FW = graph.apply_F(W).reshape(flat)
+    dev = X - xbar[..., None, :]
+    e1 = 0.5 * np.sum(np.vecdot(dev, dev), axis=-1)
+    FW = graph.apply_F(W)
     # consensus ||x - xbar||^2 / n is 2 e1 / n
     cols = {"f_bar": f_bar, "grad_sq": np.vecdot(gbar, gbar), "consensus": 2.0 * e1 / graph.n,
-            "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * np.vecdot(W.reshape(flat), FW),
-            "e3": np.vecdot(dev, FW), "e4": graph.n * (f_bar - f_ref)}
+            "e1": e1, "e2": 0.5 * (beta + gamma) / gamma * np.sum(np.vecdot(W, FW), axis=-1),
+            "e3": np.sum(np.vecdot(dev, FW), axis=-1), "e4": graph.n * (f_bar - f_ref)}
     diff = X - Xhat
     sq = np.vecdot(diff, diff)
     cols["e5"] = np.sum(sq, axis=-1)
@@ -99,11 +100,8 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
                         problem, graph, gamma: float, beta: float,
                         f_ref: float | None = None):
     """Evaluate (e1, ..., e5) at one state snapshot: the block evaluation of
-    ``trace_rows`` on a block of one state.
-
-    e4 uses the problem's exact optimal value when available, else the known
-    lower bound, unless the caller passes ``f_ref``.
-    """
+    ``trace_rows`` on a block of one state.  e4 is taken against f_star when
+    known, else the known lower bound, unless the caller passes ``f_ref``."""
     cols, *_ = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
     return tuple(float(cols[name][0]) for name in ("e1", "e2", "e3", "e4", "e5"))
 

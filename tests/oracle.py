@@ -15,12 +15,13 @@ draws and that arithmetic are checked against a second expression.
 Sums over agents and norms use the library's NumPy reductions on each
 agent's row, and a ring mixes each agent's row from its two neighbours in
 the library's order.  The batched engine in ``dcopt`` must match it bit
-for bit.  The record takes each agent's squared distance as the
-``np.vecdot`` of its row, and consensus as that of the flattened
-deviation, as the engine does.  It keeps the dense definitions
-e1 = x^T E x / 2, e2 from the dense F w, and e3 = x^T E F w; the engine
-evaluates e1 and e3 with one product F w instead, each as one dot, and a
-ring applies F by FFT, so those three columns agree to rounding only.
+for bit.  The record takes each agent's squared distance, of its surrogate
+gap or of its deviation from the mean, as the ``np.vecdot`` of its row, and
+sums them over agents for e5, surr_post_l2sq and consensus, as the engine
+does.  It keeps the dense definitions e1 = x^T E x / 2, e2 from the dense
+F w, and e3 = x^T E F w; the engine evaluates e1 and e3 with one product
+F w instead, each as a sum over agents of row dots, and a ring applies F
+by FFT, so those three columns agree to rounding only.
 """
 
 import numpy as np
@@ -228,7 +229,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
         tr["k"][row] = st.k
         tr["f_bar"][row] = f_bar
         tr["grad_sq"][row] = float(gbar @ gbar)
-        tr["consensus"][row] = float(np.vecdot(dev.ravel(), dev.ravel())) / n
+        tr["consensus"][row] = distances(dev, 2)[0] / n
         FW = F @ W
         tr["e1"][row] = 0.5 * float(np.sum(st.x * (E @ st.x)))
         e2_factor = 0.5 * (hyper.beta + hyper.gamma) / hyper.gamma

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,26 +12,26 @@ from dcopt.errors import DimensionMismatch, IncompatibleContracts, OutOfRange
 
 
 def test_one_bit_example():
-    q, bits = comp.OneBit(1.0).compress(np.array([0.3, -0.2, 0.0]))
+    (q,), bits = comp.OneBit(1.0).apply(np.array([[0.3, -0.2, 0.0]]))
     np.testing.assert_allclose(q, [0.5, -0.5, 0.5])   # tie at 0 takes + branch
     assert bits == 3
 
 
 def test_sat_quant_example():
-    q, bits = comp.SaturatingQuantizer(2.0, 1.0).compress(np.array([0.6, 5.0]))
+    (q,), bits = comp.SaturatingQuantizer(2.0, 1.0).apply(np.array([[0.6, 5.0]]))
     np.testing.assert_allclose(q, [1.0, 2.0])
     assert bits == 2 * math.ceil(math.log2(2 + 2 + 1))
     assert bits == 6
 
 
 def test_top_k_example():
-    q, bits = comp.TopK(1).compress(np.array([3.0, -1.0, 2.0]))
+    (q,), bits = comp.TopK(1).apply(np.array([[3.0, -1.0, 2.0]]))
     np.testing.assert_allclose(q, [3.0, 0.0, 0.0])
     assert bits == 32
 
 
 def test_norm_sign_example():
-    q, bits = comp.NormSign().compress(np.array([2.0, -1.0]))
+    (q,), bits = comp.NormSign().apply(np.array([[2.0, -1.0]]))
     np.testing.assert_allclose(q, [1.0, -1.0])
     assert bits == 2 + 32
 
@@ -40,22 +41,22 @@ def test_zero_input():
     for c in (comp.SaturatingQuantizer(2.0, 0.5), comp.TopK(2), comp.NormSign(),
               comp.UnbiasedKBit(3), comp.Scalarization(), comp.UniformQuantizer(0.5),
               comp.Identity()):
-        q, bits = c.compress(z)
+        (q,), bits = c.apply(z[None])
         np.testing.assert_allclose(q, 0.0)
         assert bits >= 1
     # one-bit still emits the + level on zeros
-    q, bits = comp.OneBit(2.0).compress(z)
+    (q,), bits = comp.OneBit(2.0).apply(z[None])
     np.testing.assert_allclose(q, 1.0)
     assert bits == 4
     # uniform quantizer charges the 1-bit floor on tiny inputs
-    assert comp.UniformQuantizer(1.0).compress(np.array([0.2, -0.3]))[1] == 2
+    assert comp.UniformQuantizer(1.0).apply(np.array([[0.2, -0.3]]))[1] == 2
     # signed zeros and the least subnormals take the sign np.where(x >= 0, 1, -1)
     # gives them: ties at +-0.0 go to +1, value and sign bit
     edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0])
     for c, want in ((comp.OneBit(2.0), [1.0, 1.0, 1.0, -1.0, 1.0]),
                     (comp.NormSign(), [0.5, 0.5, 0.5, -0.5, 0.5]),
                     (comp.UnbiasedKBit(3, seed=4), [0.0, 0.0, 0.0, -0.0, 1.0])):
-        q, _ = c.compress(edge)
+        (q,), _ = c.apply(edge[None])
         assert np.array_equal(q, want) and np.array_equal(np.signbit(q), np.signbit(want))
 
 
@@ -65,7 +66,7 @@ def test_zero_row_compresses_to_positive_zero(c):
     z = np.array([0.0, -0.0, 0.0, -0.0])
     U = np.stack([np.linspace(-1.0, 2.0, 4), z, -np.zeros(4)])
     Q, _ = c.apply(U, 5)
-    q, _ = c.compress(z, 5)
+    (q,), _ = c.apply(z[None], 5)
     for row in (Q[1], Q[2], q):
         assert np.all(row == 0.0) and not np.any(np.signbit(row))
     assert np.any(Q[0] != 0.0)
@@ -101,7 +102,7 @@ def test_top_k_squared_inequality():
     rng = np.random.default_rng(5)
     for _ in range(500):
         x = rng.standard_normal(6) * rng.uniform(0.1, 10)
-        q, _ = c.compress(x)
+        (q,), _ = c.apply(x[None])
         assert q @ q <= x @ x + 1e-12
         err = q - x
         assert err @ err <= (1 - 2 / 6) * (x @ x) + 1e-12
@@ -174,7 +175,7 @@ def _sent_index(x, step):
 def test_uniform_quant_bits_depend_on_input():
     c = comp.UniformQuantizer(0.5)
     x = np.array([3.3, -0.2, 1.0])
-    _, bits = c.compress(x)
+    _, bits = c.apply(x[None])
     levels = 2 * _sent_index(x, 0.5) + 1
     assert bits == 3 * max(1, math.ceil(math.log2(levels)))
     # a block is charged row by row, in integers: ceil(log2(2q + 1)) is the
@@ -193,15 +194,15 @@ def test_uniform_quant_bits_depend_on_input():
 ])
 def test_uniform_quant_charges_the_index_it_sends(x, sent, per_coordinate):
     x = np.array(x)
-    q, bits = comp.UniformQuantizer(1.0).compress(x)
+    (q,), bits = comp.UniformQuantizer(1.0).apply(x[None])
     assert q[np.argmax(np.abs(q))] == sent
     assert bits == per_coordinate * x.size
 
 
 def test_unbiased_kbit_bits():
-    assert comp.UnbiasedKBit(4).compress(np.ones(6))[1] == (4 + 1) * 6 + 32
-    assert comp.RandK(2, seed=0).compress(np.ones(6))[1] == 2 * 32
-    assert comp.Scalarization(seed=0).compress(np.ones(6))[1] == 32
+    assert comp.UnbiasedKBit(4).apply(np.ones((1, 6)))[1] == (4 + 1) * 6 + 32
+    assert comp.RandK(2, seed=0).apply(np.ones((1, 6)))[1] == 2 * 32
+    assert comp.Scalarization(seed=0).apply(np.ones((1, 6)))[1] == 32
 
 
 def test_determinism_and_stream_separation():
@@ -209,11 +210,11 @@ def test_determinism_and_stream_separation():
     # every coordinate but the largest is dithered: 0.3 scales to 0.6, which
     # rounds up with probability 0.6, so two rounds agree w.p. 0.52 ** 32
     x = np.r_[1.0, np.tile([0.3, -0.3], 16)]
-    q1, b1 = c.compress(x, iteration=5)
-    q2, b2 = c.compress(x, iteration=5)
+    (q1,), b1 = c.apply(x[None], 5)
+    (q2,), b2 = c.apply(x[None], 5)
     np.testing.assert_array_equal(q1, q2)
     assert b1 == b2
-    q3, _ = c.compress(x, iteration=6)
+    (q3,), _ = c.apply(x[None], 6)
     assert not np.array_equal(q1, q3)
 
 
@@ -222,8 +223,8 @@ def test_noisy_wrapper_bounded():
     c = comp.Noisy(base, 0.25)
     x = np.array([1.1, -0.4])
     for it in range(200):
-        q, bits = c.compress(x, iteration=it)
-        qb, bb = base.compress(x, iteration=it)
+        (q,), bits = c.apply(x[None], it)
+        (qb,), bb = base.apply(x[None], it)
         assert np.linalg.norm(q - qb) <= 0.25 + 1e-12
         assert bits == bb
 
@@ -235,7 +236,7 @@ def test_compose_orders():
     assert c10.order == "abs_of_rel"
     x = np.array([0.8, -1.7, 2.2])
     for c in (c9, c10):
-        q, bits = c.compress(x, iteration=1)
+        (q,), bits = c.apply(x[None], 1)
         assert np.all(np.isfinite(q)) and bits > 0
     with pytest.raises(IncompatibleContracts):
         comp.Compose(comp.UniformQuantizer(0.5), comp.UniformQuantizer(0.2))
@@ -250,26 +251,26 @@ def test_compose_keeps_callers_stages():
     # the two noise stages draw different realizations: the outer stage goes
     # on drawing from the round's generator where the inner stage stopped
     x = np.array([0.8, -1.7, 2.2])
-    mid, _ = inner.compress(x, iteration=3)
-    q, _ = c.compress(x, iteration=3)
-    q_same_stream, _ = outer.compress(mid, iteration=3)
+    mid, _ = inner.apply(x[None], 3)
+    q, _ = c.apply(x[None], 3)
+    q_same_stream, _ = outer.apply(mid, 3)
     assert not np.array_equal(q, q_same_stream)
 
 
 def test_parameter_validation():
     with pytest.raises(OutOfRange):
         comp.OneBit(0.0)
-    assert comp.OneBit(1e308).compress(np.array([-1.0, 2.0]))[0].tolist() == [-5e307, 5e307]
+    assert comp.OneBit(1e308).apply(np.array([[-1.0, 2.0]]))[0].tolist() == [[-5e307, 5e307]]
     with pytest.raises(OutOfRange):
         comp.SaturatingQuantizer(1.0, 3.0)   # step must be < 2 * level
     with pytest.raises(OutOfRange):
         comp.TopK(0)
     with pytest.raises(DimensionMismatch):
-        comp.TopK(5).compress(np.ones(3))
+        comp.TopK(5).apply(np.ones((1, 3)))
     with pytest.raises(DimensionMismatch):
-        comp.RandK(5, seed=0).compress(np.ones(3))
+        comp.RandK(5, seed=0).apply(np.ones((1, 3)))
     with pytest.raises(DimensionMismatch):
-        comp.OneBit(1.0).compress(np.ones((2, 2)))
+        comp.OneBit(1.0).apply(np.ones((2, 2, 2)))
 
 
 def _make(kind, noise):
@@ -327,3 +328,14 @@ def test_compression_leaves_its_input_alone(kind, noise):
     x = np.linspace(-2.0, 3.0, 6)
     c.sample_errors(x, 50, seed=1)
     assert np.array_equal(x, np.linspace(-2.0, 3.0, 6))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3], ids=["bare", "noisy"])
+@pytest.mark.parametrize("kind", config.KINDS)
+def test_apply_refuses_anything_but_a_round(kind, noise):
+    # bits charge a round's rows: a bare vector or a stack of rounds would be
+    # charged for the wrong rows, or fail inside a kernel
+    c = _make(kind, noise)
+    for U in (np.ones(4), np.ones((2, 3, 4))):
+        with pytest.raises(DimensionMismatch, match=f"got shape {re.escape(str(U.shape))}"):
+            c.apply(U, 1)

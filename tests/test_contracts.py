@@ -267,7 +267,7 @@ CONTRACT_REFUSALS = [
      "order must be rel_of_abs or abs_of_rel, got 'sideways'"),
     (lambda: comp.UnbiasedKBit(0), OutOfRange, "kbits must be >= 1, got 0"),
     (lambda: comp.UniformQuantizer(0.0), OutOfRange, "step must be positive and finite, got 0.0"),
-    (lambda: ONE_BIT.compress([0.0, np.nan]), DimensionMismatch,
+    (lambda: ONE_BIT.sample_errors([0.0, np.nan], 10, seed=0), DimensionMismatch,
      "compressor input must be finite"),
     (lambda: comp.verify_local_assumption(ONE_BIT, ONE_BIT.contract(6), samples=0),
      OutOfRange, "samples must be >= 1"),
@@ -329,6 +329,10 @@ CONTRACT_REFUSALS = [
     *((lambda p=p: comp.verify_local_assumption(
         comp.OneBit(1.0), comp.AssumptionContract(comp.LOCAL, p, 1.0, 1.0, 0.5)), OutOfRange,
        f"local verification samples the 2- or inf-ball, got p={p}") for p in (1.0, 1.5, 3.0)),
+    # a bound below the least normal float would certify a lossy quantizer as exact
+    *((lambda step=step: comp.UniformQuantizer(step).contract(6), OutOfRange,
+       f"uniform quantizer bound d step^2 / 4 = {C} is below the least normal float "
+       f"at step={step}, d=6") for step, C in ((5e-324, 0.0), (1e-154, 1.5e-308))),
 ]
 
 

@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcopt
 from dcopt import (
     GeometricSchedule,
     HyperParams,
@@ -281,3 +286,36 @@ def test_a_region_radius_whose_square_overflows_fails_every_descent_row(checked_
     report = lyapunov_descent_check(r["local"][0], r["hyper"].alpha, r["table"].eps_6,
                                     r["table"].eps_5, r["table"].psi_2, 1e200, 1.0, 3)
     assert report.violations == report.checked == 20
+
+
+# a noisy 8-bit ring run and a T2 one-bit selection whose states have
+# n d = 12,000 entries; prints the trace's column bytes' digest, l1_0 and s0
+THREADS_SCRIPT = """
+import hashlib
+from dcopt import (GeometricSchedule, HyperParams, Noisy, OneBit, UnbiasedKBit, build_graph,
+                   make_nonconvex, run, theorem_params)
+from dcopt.diagnostics import TRACE_DTYPE
+problem, graph = make_nonconvex(120, 100, seed=2), build_graph("ring", 120)
+hyper = HyperParams(alpha=0.2, beta=0.9, gamma=0.6, omega=1.0,
+                    schedule=GeometricSchedule(1.0, 0.99))
+trace = run(problem, graph, Noisy(UnbiasedKBit(8, seed=7), 0.5), hyper, 5, x0_seed=7)
+sel = theorem_params("T2_local_exact_first", problem, graph, OneBit(1.0).contract(100),
+                     T=1000, x0_seed=4)
+print(hashlib.sha256(b"".join(trace.rows[name].tobytes() for name in TRACE_DTYPE.names))
+      .hexdigest(), repr(sel.extras["l1_0"]), repr(sel.hyper.schedule.s0))
+"""
+
+
+def test_record_and_selection_do_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a dot of more than 10,000 entries across its threads,
+    and the split moves its rounding.  A record total is a sum over agents of
+    one dot per agent's row, so a run and a selection at n d = 12,000 print
+    the same bytes under one and two BLAS threads.  On a host with one CPU
+    OpenBLAS runs one thread either way, and this test cannot fail there."""
+    src = str(Path(dcopt.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        outs.append(subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                                   check=True, capture_output=True).stdout)
+    assert outs[0] and outs[0] == outs[1]
