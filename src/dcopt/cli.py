@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     DcoptError,
     InfeasibleParams,
-    InvalidScale,
     NonFiniteState,
 )
 
@@ -40,7 +39,6 @@ EXIT_VERIFY_FAILED = 5
 # the first matching row decides a library error's exit code and label
 EXIT_CODES = (
     (InfeasibleParams, EXIT_INFEASIBLE, "infeasible"),
-    (InvalidScale, EXIT_INFEASIBLE, "infeasible"),
     (NonFiniteState, EXIT_DIVERGED, "divergence"),
     (DcoptError, EXIT_CONFIG, "config"),
 )

@@ -73,6 +73,12 @@ class AssumptionContract:
         return 1.0 if self.p <= 2 else d ** (0.5 - 1.0 / self.p)
 
 
+def meets(value, bound) -> np.ndarray:
+    """The verdict rule of every check row, region flag and verifier point: a
+    finite bound that the value meets, so a NaN, overflow or infinite bound fails."""
+    return np.isfinite(bound) & (value <= bound)
+
+
 def pnorms(X: np.ndarray, p: float) -> np.ndarray:
     """p-norms along the last axis: one per row of an n x d block."""
     with np.errstate(over="ignore"):
@@ -272,8 +278,8 @@ class SaturatingQuantizer(Compressor):
         self._hi = math.floor(level / step)
 
     def bits(self, X):
-        levels = math.floor(self.level / self.step) + math.ceil(self.level / self.step) + 1
-        return X.size * math.ceil(math.log2(levels))
+        # one index in [_lo, _hi], the range the kernel clips to
+        return X.size * math.ceil(math.log2(self._hi - self._lo + 1))
 
     def contract(self, d):
         # on [-level, level] the rounding error is at most step/2, except
@@ -637,7 +643,7 @@ def _report(compressor: Compressor, cls: str, ratios: np.ndarray, worst) -> Veri
     i = int(np.argmax(ratios))
     max_ratio = max(float(ratios[i]), 0.0)
     return VerificationReport(kind=compressor.kind, cls=cls, max_ratio=max_ratio,
-                              passed=bool(max_ratio <= 1.0 + 1e-12), samples=len(ratios),
+                              passed=bool(meets(max_ratio, 1.0 + 1e-12)), samples=len(ratios),
                               worst=worst(i) if max_ratio != 0 else {})
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .algorithm import (GeometricSchedule, HyperParams, RecursiveSchedule, draw_x0,
                         resolve_omega, s0_floor)
 from .compressors import GLOBAL, LOCAL, AssumptionContract, pnorms
-from .diagnostics import _columns
+from .diagnostics import lyapunov_components
 from .errors import InfeasibleParams, OutOfRange
 
 SAFETY = 0.9         # selected stepsizes sit at this fraction of their caps
@@ -244,17 +244,6 @@ class ParamSelection:
     extras: dict = field(default_factory=dict)
 
 
-def _initial_lyapunov(x0: np.ndarray, problem, graph, gamma: float,
-                      beta: float) -> tuple:
-    """(bound on L1, e1 + e2 + e3, ||gbar_0||^2) at the initial state (x0, v = 0,
-    xhat = x0), with the known lower bound in place of the (possibly unknown)
-    optimal value in e4."""
-    cols, *_ = _columns(x0[None], np.zeros_like(x0)[None], x0[None], problem, graph,
-                        gamma, beta, f_ref=problem.f_low)
-    e1, e2, e3, e4, grad_sq = (float(cols[k][0]) for k in ("e1", "e2", "e3", "e4", "grad_sq"))
-    return max(e1 + e2 + e3 + e4, 1e-12), e1 + e2 + e3, grad_sq
-
-
 def _descend(table, cap: str, alpha: float, steps: int = DESCENT_STEPS) -> tuple:
     """Set alpha = SAFETY * table(alpha)[cap] while that lowers it, at most
     ``steps`` times; returns the stepsize and the table at it."""
@@ -308,7 +297,10 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
 
     tau_1, gamma = (MARGIN * kappa for kappa in kappa_12(graph.rho2, problem.ell))
     beta = tau_1 * gamma
-    l1_0, e123_0, grad_sq_0 = _initial_lyapunov(x0, problem, graph, gamma, beta)
+    # the initial state (x0, v = 0, xhat = x0), e4 against the known lower bound
+    c0 = lyapunov_components(x0, np.zeros_like(x0), x0, problem, graph, gamma, beta,
+                             f_ref=problem.f_low)
+    l1_0 = max(c0["e1"] + c0["e2"] + c0["e3"] + c0["e4"], 1e-12)
     at = functools.partial(compute_constants, graph, problem.ell, gamma, tau_1, omega,
                            contract=contract, d=d, T=T, l1_0=l1_0, nu=problem.pl_nu, tau_0=tau_0)
 
@@ -357,7 +349,7 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
         eps = 0.5 * (1.0 + eps_lo)
         # computable bound on the initial Lyapunov value under gradient
         # domination: e1 + e2 + e3 plus n ||gbar_0||^2 / (2 nu)
-        kappa_nu = e123_0 + n * grad_sq_0 / (2.0 * problem.pl_nu)
+        kappa_nu = c0["e1"] + c0["e2"] + c0["e3"] + n * c0["grad_sq"] / (2.0 * problem.pl_nu)
         try:
             s0 = max(math.sqrt(kappa_nu / (n * dt ** 2 * tab.psi_5 * contract.C ** 2)),
                      s0_floor(x0, contract))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import LOCAL, pnorms
+from .compressors import LOCAL, meets, pnorms
 from .errors import DegenerateSeries
 
 # one trace row: the CSV columns, then the distances around the round-k
@@ -98,12 +98,13 @@ def _columns(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray, problem, graph,
 
 def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
                         problem, graph, gamma: float, beta: float,
-                        f_ref: float | None = None):
-    """Evaluate (e1, ..., e5) at one state snapshot: the block evaluation of
+                        f_ref: float | None = None) -> dict:
+    """Every record column of one state snapshot by name, as floats: f_bar,
+    grad_sq, consensus and e1, ..., e5, the block evaluation of
     ``trace_rows`` on a block of one state.  e4 is taken against f_star when
     known, else the known lower bound, unless the caller passes ``f_ref``."""
     cols, *_ = _columns(X[None], V[None], Xhat[None], problem, graph, gamma, beta, f_ref)
-    return tuple(float(cols[name][0]) for name in ("e1", "e2", "e3", "e4", "e5"))
+    return {name: float(column[0]) for name, column in cols.items()}
 
 
 def _pmax(D: np.ndarray, sq: np.ndarray, p: float) -> np.ndarray:
@@ -152,12 +153,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-def meets(value, bound) -> np.ndarray:
-    """The verdict rule of every row: its bound is a finite float and its value
-    meets it, so that a NaN, an overflow or an infinite bound fails."""
-    return np.isfinite(bound) & (value <= bound)
 
 
 def _report(name: str, value: np.ndarray, bound: np.ndarray) -> CheckReport:

@@ -41,10 +41,6 @@ class SingularSystem(DcoptError):
     """Aggregate normal matrix is rank deficient."""
 
 
-class InvalidScale(DcoptError):
-    """Initial scaling s0 violates the local-class lower bound."""
-
-
 class NonFiniteState(DcoptError):
     """State became non-finite; parameters are outside the stable range."""
 
@@ -55,6 +51,10 @@ class NonFiniteState(DcoptError):
 
 class InfeasibleParams(DcoptError):
     """A theoretical-mode parameter constraint is violated."""
+
+
+class InvalidScale(InfeasibleParams):
+    """Initial scaling s0 violates the local-class lower bound."""
 
 
 class DegenerateSeries(DcoptError):

@@ -18,7 +18,8 @@ has L = n I - 1 1^T = n E, so rho = rho2 = n and F = I / n: it holds L alone
 and needs no eigendecomposition.  Every other graph comes from its adjacency
 through ``from_adjacency``, which builds F in one product from the whole
 eigendecomposition that ``eigh`` returns and applies L and F as dense
-products.  The dense ``laplacian``, ``adjacency`` and ``F`` are views derived
+products.  Every graph is checked against F L = E in operator form as it is
+built.  The dense ``laplacian``, ``adjacency`` and ``F`` are views derived
 from the operators when read; nothing under ``src`` reads them.
 ``[graph] topology`` takes one of ``TOPOLOGIES``, the topologies
 ``build_graph`` builds, checked as a config loads.
@@ -37,7 +38,7 @@ _EIG_RESIDUAL_TOL = 1e-10
 _IDENTITY_TOL = 1e-10
 # rho / rho2 of the ring on 400 agents: the operator F L = E probe keeps
 # _IDENTITY_TOL up to this condition number and scales with it beyond,
-# because the FFT's error in F W grows with rho / rho2 (about n^2 / pi^2)
+# because the error in F W grows with rho / rho2 (about n^2 / pi^2 on the ring)
 _RING_COND_REF = 1.0 / np.sin(np.pi / 400) ** 2
 _ER_MAX_RESAMPLE = 100
 
@@ -74,7 +75,7 @@ class Graph:
 def from_adjacency(A: np.ndarray, topology: str = "custom") -> Graph:
     """The graph of a symmetric nonnegative adjacency matrix of a connected
     graph on at least two agents, applying its own dense L and F, built from
-    the whole eigendecomposition of L and checked against F L = E."""
+    the whole eigendecomposition of L and checked by ``_check_operators``."""
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
         raise InvalidTopology(f"adjacency must be a square matrix over at least 2 agents, "
@@ -95,9 +96,8 @@ def from_adjacency(A: np.ndarray, topology: str = "custom") -> Graph:
     # any value in [lambda_2, lambda_n] would do in place of the zero eigenvalue
     F = (V / np.concatenate([[rho2], lam[1:]])) @ V.T
     F = 0.5 * (F + F.T)
-    if np.max(np.abs(F @ L - (np.eye(len(A)) - 1.0 / len(A)))) > _IDENTITY_TOL:
-        raise NumericalFailure("FL = E identity residual exceeds tolerance")
-    return Graph(len(A), topology, rho, rho2, partial(np.matmul, L), partial(np.matmul, F))
+    return _check_operators(Graph(len(A), topology, rho, rho2, partial(np.matmul, L),
+                                  partial(np.matmul, F)))
 
 
 def _ring_mix(Q: np.ndarray) -> np.ndarray:
@@ -136,19 +136,20 @@ def _complete(n: int) -> Graph:
                  partial(np.multiply, 1.0 / n))
 
 
-def _check_operators(g: Graph) -> None:
-    """Check F L = E in operator form on one fixed random n x 2 block, at a
-    tolerance that grows with rho / rho2 past the ring on 400 agents."""
+def _check_operators(g: Graph) -> Graph:
+    """Return g once F L = E holds in operator form on one fixed random n x 2
+    block, at a tolerance that grows with rho / rho2 past the ring on 400 agents."""
     W = np.random.default_rng(0).standard_normal((g.n, 2))
     tol = _IDENTITY_TOL * max(1.0, g.rho / g.rho2 / _RING_COND_REF)
     if np.max(np.abs(g.apply_F(g.mix(W)) - (W - W.mean(axis=0)))) > tol:
         raise NumericalFailure("FL = E identity residual exceeds tolerance")
+    return g
 
 
 def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> Graph:
     """Build a connected unit-weight graph of the requested topology: the ring
-    and the complete graph in closed form, checked in operator form, and any
-    other through ``from_adjacency``.
+    and the complete graph in closed form, and any other through
+    ``from_adjacency``, each checked in operator form.
 
     It refuses a topology, or an n, that ``TOPOLOGIES`` does not allow.  The
     Erdos-Renyi adjacency is resampled (up to 100 times) until it is connected.
@@ -158,9 +159,7 @@ def build_graph(topology: str, n: int, prob: float = 0.4, seed: int = 0) -> Grap
     if n < TOPOLOGIES[topology]:
         raise InvalidTopology(f"{topology} needs n >= {TOPOLOGIES[topology]}, got {n}")
     if topology in ("ring", "complete"):
-        g = _ring(n) if topology == "ring" else _complete(n)
-        _check_operators(g)
-        return g
+        return _check_operators(_ring(n) if topology == "ring" else _complete(n))
     if topology == "path":
         return from_adjacency(np.eye(n, k=1) + np.eye(n, k=-1), topology=topology)
     if not 0.0 < prob <= 1.0:

@@ -15,8 +15,8 @@ coordinates, never on execution order.  Two generators serve:
   of a run and every trial of a verification, and SFC64 fills a block of
   uniforms in about half of Philox's time and of normals in about three
   quarters.  ``SeedSequence`` hashes the coordinates' 32-bit words in
-  order, so distinct coordinates give distinct streams while tag and
-  iteration stay below 2**32.
+  order with no length marker, so ``substream`` refuses a tag or an
+  iteration outside [0, 2**32), where distinct coordinates could alias.
 
 A compression round draws from one generator, built from its
 (tag, iteration) coordinates, which fills every row in turn, so compressing
@@ -31,6 +31,8 @@ of ``gen.uniform`` in fewer passes.  A kernel works in place only on arrays it a
 
 import numpy as np
 
+from .errors import OutOfRange
+
 # purpose ids for the named substreams
 GRAPH = 1
 X0 = 2
@@ -44,6 +46,9 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 def substream(seed: int, purpose: int, tag: int = 0, iteration: int = 0) -> np.random.Generator:
     """Return a fresh generator for the given stream coordinates."""
     if purpose in (COMPRESSOR, VERIFY):
+        if not (0 <= tag < 2 ** 32 and 0 <= iteration < 2 ** 32):
+            raise OutOfRange(f"stream tag and iteration must be in [0, 2**32), "
+                             f"got {tag}, {iteration}")
         entropy = [seed & _MASK, purpose, tag, iteration]
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
     key = np.array([seed & _MASK, purpose], dtype=np.uint64)

@@ -705,9 +705,9 @@ def test_cmd_params(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["T1_local_nonconvex", "T2_local_exact_first"])
 def test_cmd_params_takes_l1_0_from_the_selection(tmp_path, capsys, monkeypatch, mode):
     calls = []
-    real = constants._initial_lyapunov
-    monkeypatch.setattr(constants, "_initial_lyapunov",
-                        lambda *args: calls.append(args) or real(*args))
+    real = constants.lyapunov_components
+    monkeypatch.setattr(constants, "lyapunov_components",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     path = _write(tmp_path, BASE_CONFIG.format(out="o").replace("mode = empirical",
                                                                  f"mode = {mode}"))
     assert cli.main(["params", path]) == cli.EXIT_OK

@@ -38,6 +38,8 @@ def test_eps5_eps8_values():
     t, _, _ = _table(g)   # omega = 1, r = 1, delta = 1/2
     assert t.eps_5 == pytest.approx(0.375, abs=1e-15)
     assert t.eps_8 == pytest.approx(0.328125, abs=1e-15)
+    # the paper's kappa_5 is +inf on every connected graph, so the table has none
+    assert not hasattr(t, "kappa_5")
 
 
 def test_positivity_under_stated_margins():

@@ -333,6 +333,15 @@ CONTRACT_REFUSALS = [
     *((lambda step=step: comp.UniformQuantizer(step).contract(6), OutOfRange,
        f"uniform quantizer bound d step^2 / 4 = {C} is below the least normal float "
        f"at step={step}, d=6") for step, C in ((5e-324, 0.0), (1e-154, 1.5e-308))),
+    (lambda: ONE_BIT.sample_errors(np.zeros((2, 3)), 10, seed=0), DimensionMismatch,
+     "expected a 1-d vector, got shape (2, 3)"),
+    # a per-round stream coordinate of two 32-bit words could alias another key:
+    # (5, COMPRESSOR, VERIFY, 2**32) hashes the words of (5 + 3 * 2**32, VERIFY, 0, 1)
+    *((call, OutOfRange, f"stream tag and iteration must be in [0, 2**32), got {got}")
+      for call, got in ((lambda: rng.substream(5, rng.COMPRESSOR, rng.VERIFY, 2 ** 32),
+                         "7, 4294967296"),
+                        (lambda: rng.substream(5, rng.VERIFY, 2 ** 32, 0), "4294967296, 0"),
+                        (lambda: rng.substream(0, rng.COMPRESSOR, -1, 0), "-1, 0"))),
 ]
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -48,24 +49,45 @@ def test_components_trivial_cases():
     xbar = np.ones(d)
     X = np.tile(xbar, (n, 1))
     # consensus state: e1 = 0
-    e1, e2, e3, e4, e5 = lyapunov_components(X, np.zeros((n, d)), X, prob, g,
-                                             hyper.gamma, hyper.beta)
-    assert e1 == pytest.approx(0.0, abs=1e-12)
-    assert e5 == pytest.approx(0.0, abs=1e-12)
+    c = lyapunov_components(X, np.zeros((n, d)), X, prob, g, hyper.gamma, hyper.beta)
+    # every record column of the state, by name
+    assert list(c) == list(TRACE_DTYPE.names[1:9])
+    assert c["e1"] == pytest.approx(0.0, abs=1e-12)
+    assert c["e5"] == pytest.approx(0.0, abs=1e-12)
     # zero dual residual: v = -g0/gamma kills e2 and e3
     rng = np.random.default_rng(0)
     X = rng.standard_normal((n, d))
     xbar = X.mean(axis=0)
     V = -prob.at_shared(xbar)[1] / hyper.gamma
-    _, e2, e3, _, _ = lyapunov_components(X, V, X, prob, g, hyper.gamma, hyper.beta)
-    assert e2 == pytest.approx(0.0, abs=1e-12)
-    assert e3 == pytest.approx(0.0, abs=1e-12)
+    c = lyapunov_components(X, V, X, prob, g, hyper.gamma, hyper.beta)
+    assert c["e2"] == pytest.approx(0.0, abs=1e-12)
+    assert c["e3"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A private name has one home: no module of the package imports another
+    module's underscore name, or reads one off a sibling module it imports."""
+    found = []
+    for path in sorted(Path(dcopt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [(path.name, node.module, alias.name) for alias in node.names
+                          if node.module and alias.name.startswith("_")]
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+        found += [(path.name, node.value.id, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and node.attr.startswith("_")]
+    assert found == []
 
 
 def test_e1_consensus_identity_on_trace():
     prob, g, hyper = _setup()
     tr = run(prob, g, OneBit(2.0), hyper, T=40, x0_seed=2)
     np.testing.assert_allclose(tr.e1, 3 * tr.consensus / 2.0, rtol=0, atol=1e-12)
+    assert not hasattr(tr, "e6")
 
 
 def test_sandwich_holds_on_random_states():
@@ -84,11 +106,11 @@ def test_sandwich_holds_on_random_states():
         X = rng.standard_normal((3, 2)) * rng.uniform(0.1, 20)
         V = rng.standard_normal((3, 2)) * rng.uniform(0.1, 20)
         V -= V.mean(axis=0)     # dual mean is an algorithm invariant
-        e1, e2, e3, e4, _ = lyapunov_components(X, V, X, prob, g, gamma, beta)
-        l1 = e1 + e2 + e3 + e4
+        c = lyapunov_components(X, V, X, prob, g, gamma, beta)
+        l1 = c["e1"] + c["e2"] + c["e3"] + c["e4"]
         xbar = X.mean(axis=0)
         W = V + prob.at_shared(xbar)[1] / gamma
-        hat = float(np.sum(X * (E @ X))) + float(np.sum(W * (g.F @ W))) + e4
+        hat = float(np.sum(X * (E @ X))) + float(np.sum(W * (g.F @ W))) + c["e4"]
         scale = max(abs(hat), 1.0)
         assert l1 >= table.eps_1 * hat - 1e-9 * scale
         assert l1 <= table.eps_2 * hat + 1e-9 * scale
