@@ -237,7 +237,7 @@ def record_rows() -> str:
 
 def graph_views() -> str:
     """The graph line: per topology, one digest over ``GRAPH_SIZES`` of each
-    graph's spectral bounds, dense views and products with a fixed block."""
+    graph's spectral bounds, dense L and F, and products with a fixed block."""
     sys.path.insert(0, str(REPO / "src"))
     import numpy as np
 
@@ -249,8 +249,8 @@ def graph_views() -> str:
         for n in GRAPH_SIZES:
             g = build_graph(topology, n, prob=0.5, seed=1)
             block = np.random.default_rng(n).standard_normal((n, 4))
-            for array in (np.array([g.rho, g.rho2]), g.laplacian, g.F, g.mix(block),
-                          g.apply_F(block)):
+            for array in (np.array([g.rho, g.rho2]), g.laplacian, g.apply_F(np.eye(n)),
+                          g.mix(block), g.apply_F(block)):
                 digest.update(np.ascontiguousarray(array).tobytes())
         parts.append(f"{topology} {digest.hexdigest()[:16]}")
     return f"graph views at n in {GRAPH_SIZES}: " + ", ".join(parts)

@@ -59,6 +59,9 @@ def _exit_codes(cmd):
     return wrapped
 
 
+# how ``run`` warns of, and ``sweep`` refuses, a record that is not finite
+OVERFLOW = "record overflowed at k={k} ({column})"
+
 # (x label, trace column, file name) of each plot ``svg = true`` writes
 PLOTS = (("iteration", "k", "metrics_vs_iterations.svg"),
          ("cumulative bits", "bits_cum", "metrics_vs_bits.svg"))
@@ -129,8 +132,8 @@ def cmd_run(config: str, force: bool = False) -> int:
         except DcoptError:
             pass
     checks = {}
-    contract = plan.run_kwargs.get("contract")
-    if contract is not None and contract.cls == LOCAL:
+    contract = plan.run_kwargs["contract"]
+    if contract.cls == LOCAL:
         rep = diagnostics.contraction_local_check(trace, contract, plan.hyper.omega)
         checks[rep.name] = {"checked": rep.checked, "violations": rep.violations}
 
@@ -141,6 +144,9 @@ def cmd_run(config: str, force: bool = False) -> int:
         "rate_fits": fits,
         "checks": checks,
     })
+    first = diagnostics.status(trace)["first_nonfinite"]
+    if first:
+        print("warning: " + OVERFLOW.format(**first), file=sys.stderr)
     if out["svg"]:
         _plot(trace, path)
     print(f"run finished: T={trace.T}, f_bar={trace.f_bar[-1]:.6g}, "
@@ -167,6 +173,9 @@ def cmd_sweep(config: str, horizons, force: bool = False) -> int:
         try:
             trace = algorithm.run(problem, graph, compressor, plan.hyper,
                                   config_echo=plan.echo, **plan.run_kwargs)
+            first = diagnostics.status(trace)["first_nonfinite"]
+            if first:
+                raise NonFiniteState(OVERFLOW.format(**first), first["k"])
         except NonFiniteState as exc:
             raise NonFiniteState(f"T={T}: {exc}", exc.iteration) from exc
         metric = float(np.mean(trace.grad_sq[:-1] + trace.consensus[:-1]))

@@ -203,12 +203,6 @@ EMPIRICAL_ONLY = ("alpha", "gamma", "tau_1", "schedule", "rate", "s0", "s0_margi
 THEORETICAL_ONLY = ("tau_0", "epsilon", "clamp_alpha", "strict")
 
 
-def regime_options(cfg: dict) -> dict:
-    """The [algorithm] keys a theoretical mode passes to theorem_params."""
-    alg = section(cfg, "algorithm")
-    return {key: alg[key] for key in ("omega", *THEORETICAL_ONLY)}
-
-
 class RunPlan(NamedTuple):
     """A config resolved for one run; feasibility and extras are empty in empirical mode,
     and a theoretical mode's extras hold its selection's constant table as ``table``."""
@@ -262,7 +256,7 @@ def plan_at(cfg: dict, problem, graph, compressor, T: int | None) -> RunPlan:
         if "init_mode" in cfg["algorithm"] and init_mode != own:
             raise ConfigError(f"{mode} runs init_mode {own!r}, not {init_mode!r}")
         sel = theorem_params(mode, problem, graph, contract, T=T, x0_seed=seed,
-                             **regime_options(cfg))
+                             **{key: alg[key] for key in ("omega", *THEORETICAL_ONLY)})
         hyper, x0, init_mode = sel.hyper, sel.x0, sel.init_mode
         feasibility, extras = sel.feasibility, {**sel.extras, "table": sel.table}
     unread = THEORETICAL_ONLY if mode == "empirical" else EMPIRICAL_ONLY

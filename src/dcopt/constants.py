@@ -235,7 +235,6 @@ keyed in the order in which ``config.GRAMMAR`` lists the theoretical modes."""
 
 @dataclass
 class ParamSelection:
-    regime: str
     hyper: HyperParams
     init_mode: str
     x0: np.ndarray
@@ -380,5 +379,5 @@ def theorem_params(regime: str, problem, graph, contract: AssumptionContract,
 
     hyper = HyperParams(alpha=alpha, beta=beta, gamma=gamma, omega=omega,
                         schedule=schedule, tau_1=tau_1)
-    return ParamSelection(regime=regime, hyper=hyper, init_mode=init_mode, x0=x0,
+    return ParamSelection(hyper=hyper, init_mode=init_mode, x0=x0,
                           table=tab, feasibility=feas, extras=extras)

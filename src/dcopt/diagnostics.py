@@ -9,7 +9,7 @@ a sum over agents of one BLAS dot per agent's row, ``np.vecdot``: e1, e2,
 e3, e5 and surr_post_l2sq, the last two of each agent's squared distance,
 whose root is the p = 2 distance.  OpenBLAS splits only a dot of more than
 10,000 entries across its threads, so while d <= 10,000 the record does not
-depend on their count.
+depend on their count.  ``status`` tells a finished run from an overflowed one.
 """
 
 import csv
@@ -276,9 +276,22 @@ def write_csv(trace: RunTrace, path) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else int(v) for v in row])
 
 
+def status(trace: RunTrace) -> dict:
+    """The run's status: "finished" when every CSV column is finite at every
+    row, else "overflowed" at the first row that is not, given by its k and
+    its first non-finite CSV column."""
+    finite = np.stack([np.isfinite(trace.rows[name]) for name in CSV_COLUMNS])
+    rows = np.flatnonzero(~finite.all(axis=0))
+    if not len(rows):
+        return {"status": "finished", "first_nonfinite": None}
+    first = {"k": int(trace.k[rows[0]]), "column": CSV_COLUMNS[np.argmin(finite[:, rows[0]])]}
+    return {"status": "overflowed", "first_nonfinite": first}
+
+
 def summary(trace: RunTrace) -> dict:
     last = -1
     return {
+        **status(trace),
         "iterations": int(trace.T),
         "final": {
             "f_bar": float(trace.f_bar[last]),

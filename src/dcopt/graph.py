@@ -19,8 +19,8 @@ and needs no eigendecomposition.  Every other graph comes from its adjacency
 through ``from_adjacency``, which builds F in one product from the whole
 eigendecomposition that ``eigh`` returns and applies L and F as dense
 products.  Every graph is checked against F L = E in operator form as it is
-built.  The dense ``laplacian``, ``adjacency`` and ``F`` are views derived
-from the operators when read; nothing under ``src`` reads them.
+built.  The dense ``laplacian`` is the one view derived from the operators,
+``mix`` applied to the identity; nothing under ``src`` reads it.
 ``[graph] topology`` takes one of ``TOPOLOGIES``, the topologies
 ``build_graph`` builds, checked as a config loads.
 """
@@ -58,18 +58,10 @@ class Graph:
     mix: Callable = field(repr=False)        # Q -> L Q
     apply_F: Callable = field(repr=False)    # W -> F W
 
+    # perfbench/workloads.py is its last reader; ROADMAP item 1 removes it
     @cached_property
     def laplacian(self) -> np.ndarray:
         return self.mix(np.eye(self.n))
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        L = self.laplacian
-        return np.diag(np.diag(L)) - L
-
-    @cached_property
-    def F(self) -> np.ndarray:
-        return self.apply_F(np.eye(self.n))
 
 
 def from_adjacency(A: np.ndarray, topology: str = "custom") -> Graph:

@@ -12,7 +12,8 @@ Two families cover the assumptions needed by the simulator:
   — smooth and nonnegative but not gradient dominated.
 
 Per-agent data are drawn independently, so local gradients disagree at the
-optimum (a genuinely heterogeneous instance).
+optimum (a genuinely heterogeneous instance).  Two oracles: the step reads
+``stacked_gradients``, the record ``at_shared``.  A known f* is set when built.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +34,7 @@ class ProblemInstance:
     row i of X is agent i's point.  X may carry leading batch axes, shape
     (..., n, d).  A point shared by every agent reaches the family as one
     (..., 1, d) row, which the agents' data and residuals must broadcast
-    against, so that work on the point alone is done once.  The step reads
-    ``stacked_gradients``, the record ``at_shared`` and the optimal value ``f``.
+    against, so that work on the point alone is done once.
     """
 
     n: int
@@ -51,9 +51,6 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)   # stacked per-agent arrays
 
-    def _shared(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[..., None, :]
-
     def stacked_gradients(self, X: np.ndarray) -> np.ndarray:
         """Agent i's gradient at X[..., i, :], for every agent."""
         return self.grad_from(X, self.residual(X))
@@ -61,14 +58,9 @@ class ProblemInstance:
     def at_shared(self, x: np.ndarray) -> tuple:
         """(costs, gradients) of every agent at a shared point x of shape
         (..., d): shapes (..., n) and (..., n, d), from one residual."""
-        X = self._shared(x)
+        X = np.asarray(x, dtype=float)[..., None, :]
         R = self.residual(X)
         return self.cost_from(X, R), self.grad_from(X, R)
-
-    def f(self, x: np.ndarray) -> float:
-        """Global objective (1/n) sum_i f_i(x); costs only."""
-        X = self._shared(x)
-        return float(np.sum(self.cost_from(X, self.residual(X)))) / self.n
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -115,13 +107,12 @@ def make_quadratic(n: int, d: int, seed: int = 0,
     def grads(X, R):
         return _matvec(A.transpose(0, 2, 1), R)
 
-    prob = ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, residual=residual, cost_from=costs,
-                           grad_from=grads, pl_nu=nu, family="quadratic",
+    X = x_star[None]
+    return ProblemInstance(n=n, d=d, ell=ell, f_low=0.0, residual=residual, cost_from=costs,
+                           grad_from=grads, pl_nu=nu, x_star=x_star,
+                           f_star=float(np.sum(costs(X, residual(X)))) / n, family="quadratic",
                            meta={"condition_number": condition_number, "seed": seed},
                            data={"A": A, "b": b})
-    prob.x_star = x_star
-    prob.f_star = prob.f(x_star)
-    return prob
 
 
 def make_nonconvex(n: int, d: int, seed: int = 0, lam: float = 0.1,

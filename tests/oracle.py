@@ -213,7 +213,7 @@ def run(problem, graph, compressor, hyper, T, init_mode="standard", x0_seed=0, x
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0
     f_ref = problem.f_star if problem.f_star is not None else problem.f_low
-    E, F = np.eye(n) - 1.0 / n, graph.F
+    E, F = np.eye(n) - 1.0 / n, graph.apply_F(np.eye(n))
     EF = E @ F
     tr = {name: np.zeros(T + 1, TRACE_DTYPE[name]) for name in TRACE_DTYPE.names}
     tr.update({name: np.zeros(T + 1) for name in ROUNDED.values()})

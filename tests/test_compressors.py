@@ -229,6 +229,20 @@ def test_noisy_wrapper_bounded():
         assert bits == bb
 
 
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_noisy_noise_is_uniform_in_the_ball(d):
+    # uniform in the ball of radius b: ||xi|| <= b, E||xi||^2 = b^2 d / (d + 2)
+    # and a zero mean; a radius of b u in place of b u^(1/d) fails at d = 2 and 6
+    b, rows = 0.5, 20_000
+    xi, _ = comp.Noisy(comp.Identity(), b).apply(np.zeros((rows, d)))
+    sq = np.sum(xi * xi, axis=1)
+    assert np.all(np.sqrt(sq) <= b * (1.0 + 1e-12))
+    se = sq.std(ddof=1) / math.sqrt(rows)
+    assert abs(sq.mean() - b * b * d / (d + 2)) <= 5.0 * se
+    se = xi.std(axis=0, ddof=1) / math.sqrt(rows)
+    assert np.all(np.abs(xi.mean(axis=0)) <= 5.0 * se)
+
+
 def test_compose_orders():
     c9 = comp.compose_kbit_of_uniform(3, 0.5, seed=1)
     assert c9.order == "rel_of_abs"

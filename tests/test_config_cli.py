@@ -47,6 +47,35 @@ svg = false
 """
 
 
+# a run whose record first reads inf at k = 498, in consensus, while its state stays finite
+OVERFLOW_CONFIG = """
+[problem]
+family = nonconvex
+d = 6
+seed = 4
+
+[graph]
+topology = ring
+n = 10
+
+[compressor]
+kind = scalarization
+
+[algorithm]
+T = 800
+seed = 11
+alpha = 1.0
+gamma = 0.6
+tau_1 = 1.5
+omega = 1
+schedule = constant
+s0 = 1
+
+[output]
+directory = {out}
+"""
+
+
 def _write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
@@ -294,10 +323,13 @@ def test_cmd_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "out1"
     path = _write(tmp_path, BASE_CONFIG.format(out=out))
     assert cli.cmd_run(path) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
     csv_text = (out / "trace.csv").read_text()
     lines = csv_text.strip().split("\n")
     assert len(lines) == 1 + 21      # header + T+1 rows
-    assert json.loads((out / "summary.json").read_text())["iterations"] == 20
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 20
+    assert (summary["status"], summary["first_nonfinite"]) == ("finished", None)
     # write-once: rerun refuses without force
     assert cli.cmd_run(path) == cli.EXIT_CONFIG
     assert cli.cmd_run(path, force=True) == cli.EXIT_OK
@@ -419,6 +451,20 @@ def test_cmd_run_divergence_exit(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_an_overflowed_record_warns_and_exits_0(tmp_path, capsys):
+    out = tmp_path / "o15"
+    path = _write(tmp_path, OVERFLOW_CONFIG.format(out=out), "overflow.ini")
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "warning: record overflowed at k=498 (consensus)\n"
+    assert captured.out.startswith("run finished: T=800, ")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "overflowed"
+    assert summary["first_nonfinite"] == {"k": 498, "column": "consensus"}
+    rows = (out / "trace.csv").read_text().split("\n")
+    assert "inf" not in "".join(rows[:499]) and rows[499].split(",")[3] == "inf"
+
+
 def test_cmd_verify_pass_and_fail(tmp_path, capsys):
     path = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "o4"))
     assert cli.cmd_verify(path, samples=2000, trials=500) == cli.EXIT_OK
@@ -525,6 +571,15 @@ def test_cmd_sweep_divergence_names_the_horizon(tmp_path, capsys):
     path = _write(tmp_path, text, "diverge.ini")
     assert cli.cmd_sweep(path, [300, 310, 320]) == cli.EXIT_DIVERGED
     assert capsys.readouterr().err.startswith("error: divergence: T=300: ")
+
+
+def test_cmd_sweep_over_an_overflowed_horizon_is_a_divergence(tmp_path, capsys):
+    out = tmp_path / "o16"
+    path = _write(tmp_path, OVERFLOW_CONFIG.format(out=out), "overflow.ini")
+    assert cli.cmd_sweep(path, [300, 600, 800]) == cli.EXIT_DIVERGED
+    assert capsys.readouterr().err == ("error: divergence: T=600: "
+                                       "record overflowed at k=498 (consensus)\n")
+    assert not (out / "sweep.json").exists()
 
 
 def _count_calls(monkeypatch, module, name):
@@ -748,8 +803,10 @@ def test_cmd_params_prints_the_selection(tmp_path, capsys, edits):
                                                   "kappa_0", "kappa_3", "kappa_4"))
         assert payload["feasibility"] == {}
         return
-    sel = theorem_params(cfg["algorithm"]["mode"], problem, graph, compressor.contract(problem.d),
-                         T=20, x0_seed=9, **config.regime_options(cfg))
+    alg = config.section(cfg, "algorithm")
+    sel = theorem_params(alg["mode"], problem, graph, compressor.contract(problem.d), T=20,
+                         x0_seed=9, **{key: alg[key] for key in ("omega", "tau_0", "epsilon",
+                                                                 "clamp_alpha", "strict")})
     assert constants == diagnostics.json_safe(sel.table)
     # a bound named after a table entry is that entry
     matched = 0

@@ -100,7 +100,7 @@ def test_sandwich_holds_on_random_states():
     tau_1 = 1.05 * probe.kappa_1
     table = compute_constants(g, prob.ell, gamma, tau_1, 1.0, 1e-4, ct, 2)
     beta = tau_1 * gamma
-    E = np.eye(3) - 1.0 / 3
+    E, F = np.eye(3) - 1.0 / 3, g.apply_F(np.eye(3))
     rng = np.random.default_rng(5)
     for _ in range(300):
         X = rng.standard_normal((3, 2)) * rng.uniform(0.1, 20)
@@ -110,7 +110,7 @@ def test_sandwich_holds_on_random_states():
         l1 = c["e1"] + c["e2"] + c["e3"] + c["e4"]
         xbar = X.mean(axis=0)
         W = V + prob.at_shared(xbar)[1] / gamma
-        hat = float(np.sum(X * (E @ X))) + float(np.sum(W * (g.F @ W))) + c["e4"]
+        hat = float(np.sum(X * (E @ X))) + float(np.sum(W * (F @ W))) + c["e4"]
         scale = max(abs(hat), 1.0)
         assert l1 >= table.eps_1 * hat - 1e-9 * scale
         assert l1 <= table.eps_2 * hat + 1e-9 * scale

@@ -1,13 +1,15 @@
 """The grammar fuzzer: configs drawn from ``config.GRAMMAR``, each key at a
 boundary or an ordinary value, run through ``params``, ``run`` and ``verify``
 in process.  Every config exits with a documented code, raises no exception
-and no warning, and a command that exits 0 reports finite numbers.
+and no warning, and a command that exits 0 reports finite numbers; a ``run``
+that exits 0 states the status its ``trace.csv`` shows.
 
 ``mutants/digests.py`` draws configs from the same strategy at a fixed seed
 and prints the exit codes' histogram per command.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -92,6 +94,17 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+def _status(path: Path) -> tuple:
+    """The status of a written trace.csv: "overflowed" at its first row with a
+    value that is not finite, and that row's first such column, else "finished"."""
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            bad = [column for column, value in row.items() if not math.isfinite(float(value))]
+            if bad:
+                return "overflowed", {"k": int(row["k"]), "column": bad[0]}
+    return "finished", None
+
+
 def _ring(compressor: dict, **algorithm) -> dict:
     """BASE on the nonconvex family and the ring."""
     return {"problem": {**BASE["problem"], "family": "nonconvex"},
@@ -133,8 +146,11 @@ def test_every_config_exits_as_documented_without_a_warning(tmp_path, drawn):
         code, out, _ = results["run"]
         if code == cli.EXIT_OK:
             summary, = Path(root).rglob("summary.json")
-            final = json.loads(summary.read_text())["final"]
+            data = json.loads(summary.read_text())
+            final = data["final"]
             assert _finite(final["f_bar"]) and _finite(final["grad_sq"]), final
+            for trace in summary.parent.glob("trace.csv"):
+                assert (data["status"], data["first_nonfinite"]) == _status(trace)
         code, out, _ = results["verify"]
         if code == cli.EXIT_OK:
             assert _finite(json.loads(out)["max_ratio"]), out

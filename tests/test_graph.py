@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcopt
 from dcopt import GeometricSchedule, HyperParams, UnbiasedKBit, build_graph, from_adjacency, run
 from dcopt.errors import DisconnectedGraph, InvalidTopology, NumericalFailure
 from dcopt.graph import _IDENTITY_TOL, TOPOLOGIES, _check_operators
@@ -40,14 +43,14 @@ def test_complete2():
     np.testing.assert_allclose(g.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
     assert abs(g.rho2 - 2.0) < 1e-12 and abs(g.rho - 2.0) < 1e-12
     # hand eigendecomposition: q = 1/sqrt(2), lambda_2 = 2 gives F = I/2
-    np.testing.assert_allclose(g.F, 0.5 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(g.apply_F(np.eye(2)), 0.5 * np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("topology,n", [("path", 3), ("ring", 5), ("complete", 4),
                                         ("erdos_renyi", 9)])
 def test_matrix_identities(topology, n):
     g = build_graph(topology, n, prob=0.5, seed=11)
-    L, F = g.laplacian, g.F
+    L, F = g.laplacian, g.apply_F(np.eye(n))
     E = np.eye(n) - 1.0 / n
     assert np.abs(F @ L - E).max() <= 1e-10
     assert np.abs(E @ L - L).max() <= 1e-10
@@ -71,7 +74,7 @@ def test_matrix_identities(topology, n):
 def test_erdos_renyi_deterministic_and_connected():
     g1 = build_graph("erdos_renyi", 12, prob=0.3, seed=5)
     g2 = build_graph("erdos_renyi", 12, prob=0.3, seed=5)
-    np.testing.assert_array_equal(g1.adjacency, g2.adjacency)
+    np.testing.assert_array_equal(g1.laplacian, g2.laplacian)
     assert g1.rho2 > 0
 
 
@@ -94,11 +97,12 @@ def test_rejections():
 
 
 def test_from_adjacency_keeps_its_own_copy():
-    A = build_graph("path", 3).adjacency.copy()
+    A = np.eye(3, k=1) + np.eye(3, k=-1)
     g = from_adjacency(A)
+    F = g.apply_F(np.eye(3))
     A[0, 1] = 5.0
-    assert g.adjacency[0, 1] == 1.0 and g.laplacian[0, 1] == -1.0
-    assert not np.shares_memory(g.adjacency, A)
+    assert g.laplacian[0, 1] == -1.0
+    assert np.array_equal(g.apply_F(np.eye(3)), F)
 
 
 # Tolerances of the closed-form operators against the dense eigh reference of
@@ -107,8 +111,8 @@ def test_from_adjacency_keeps_its_own_copy():
 # - mix: the ring rounds each row as (2 q_i - q_{i-1}) - q_{i+1}, BLAS as it
 #   sums: 16 eps of max|W| (measured 2.7 eps, 6x headroom); the complete graph
 #   multiplies by the reference's own L (measured 0);
-# - F W, and the dense F view against the reference F: on the ring, FFT and
-#   dense F both carry an error of about eps times the condition number
+# - F W, and F applied to the identity against the reference F: on the ring,
+#   FFT and dense F both carry an error of about eps times the condition number
 #   rho / rho_2 ~ n^2 / pi^2: 2e-11 of max|F W| (measured 2.4e-12 at n near
 #   400, 8x headroom); on the complete graph W / n against eigh's F: 2e-14
 #   (measured 3.9e-15, 5x headroom);
@@ -136,7 +140,7 @@ def test_ring_operator_matches_dense_reference(n, d, scale, seed):
             A = np.ones((n, n)) - np.eye(n)
         dense = from_adjacency(A)
         assert np.abs(g.mix(W) - dense.laplacian @ W).max() <= 16 * EPS * w_max
-        FW = dense.F @ W
+        FW = dense.apply_F(W)
         assert np.abs(g.apply_F(W) - FW).max() <= tol * np.abs(FW).max()
         assert (np.abs(g.apply_F(g.mix(W)) - (W - W.mean(axis=0))).max()
                 <= _IDENTITY_TOL * w_max)
@@ -148,10 +152,10 @@ def test_ring_operator_matches_dense_reference(n, d, scale, seed):
             assert np.array_equal(FWs[1], graph.apply_F(-W[::-1]))
         lam = np.linalg.eigvalsh(dense.laplacian)
         assert max(abs(g.rho - lam[-1]), abs(g.rho2 - lam[1])) <= 2.5e-14 * g.rho
-        # the dense views derived from the operators are the reference's
-        np.testing.assert_array_equal(g.adjacency, A)
+        # the operators applied to the identity are the reference's dense L and F
         np.testing.assert_array_equal(g.laplacian, dense.laplacian)
-        assert np.abs(g.F - dense.F).max() <= tol * np.abs(dense.F).max()
+        F, dense_F = g.apply_F(np.eye(n)), dense.apply_F(np.eye(n))
+        assert np.abs(F - dense_F).max() <= tol * np.abs(dense_F).max()
 
 
 def test_ring_run_holds_no_dense_matrix():
@@ -170,6 +174,16 @@ def test_ring_run_holds_no_dense_matrix():
     # below one dense n x n float matrix, 32 MB
     assert peak < 8 * n * n
     assert all(np.size(value) < n * n for value in vars(g).values())
+
+
+def test_only_graph_reads_the_dense_laplacian():
+    """The engine applies L and F as operators: no module of the package but
+    graph.py reads ``.laplacian``, an n x n matrix."""
+    readers = [path.name for path in sorted(Path(dcopt.__file__).parent.glob("*.py"))
+               if path.name != "graph.py" and any(
+                   isinstance(node, ast.Attribute) and node.attr == "laplacian"
+                   for node in ast.walk(ast.parse(path.read_text())))]
+    assert readers == []
 
 
 @pytest.mark.parametrize("n", [16_000, 20_000])

@@ -36,7 +36,7 @@ def test_scalar_least_squares():
     prob = make_quadratic(1, 1, seed=0, condition_number=1.0)
     # generated instance has ell = 1 by construction
     assert prob.ell == pytest.approx(1.0)
-    assert prob.f(prob.x_star) == pytest.approx(prob.f_star)
+    assert oracle.f(prob, prob.x_star) == prob.f_star
     assert prob.f_star >= prob.f_low - 1e-12
 
 
@@ -49,7 +49,7 @@ def test_quadratic_closed_form_matches_gd_oracle():
             break
         x = x - 0.9 / prob.ell * g
     assert np.linalg.norm(_grad_f(prob, x)) <= 1e-10
-    assert prob.f(x) == pytest.approx(prob.f_star, abs=1e-8)
+    assert oracle.f(prob, x) == pytest.approx(prob.f_star, abs=1e-8)
     np.testing.assert_allclose(x, prob.x_star, atol=1e-6)
 
 
@@ -128,7 +128,7 @@ def test_pl_certificate_quadratic():
     for _ in range(1000):
         x = rng.standard_normal(4) * rng.uniform(0.1, 10)
         g = _grad_f(prob, x)
-        gap = prob.f(x) - prob.f_star
+        gap = oracle.f(prob, x) - prob.f_star
         assert 0.5 * (g @ g) >= prob.pl_nu * gap * (1.0 - 1e-8)
 
 
@@ -136,7 +136,7 @@ def test_nonconvex_nonnegative_and_heterogeneous():
     prob = make_nonconvex(4, 3, seed=13)
     rng = np.random.default_rng(8)
     X = rng.standard_normal((10_000, 3)) * 3.0
-    vals = np.array([prob.f(x) for x in X[:200]])
+    vals = np.array([oracle.f(prob, x) for x in X[:200]])
     assert np.all(vals >= 0.0)
     # every agent's cost at its own row of each stacked 4 x 3 block
     for block in X[200:].reshape(-1, 4, 3):
@@ -159,12 +159,13 @@ def test_reductions_match_oracle_at_unrolled_sizes(family, n, d):
     x = X[0]
     for p in (1.0, 2.0, 3.0, np.inf):
         assert np.array_equal(pnorms(X, p), [oracle.pnorm(row, p) for row in X])
-    assert prob.f(x) == oracle.f(prob, x)
     assert np.array_equal(prob.stacked_gradients(X), oracle.stacked_gradients(prob, X))
     # the shared-point oracle: costs and gradients from one residual, at one
-    # point and at a stack of points, as f and the per-agent oracle give them
+    # point and at a stack of points, as the per-agent oracle gives them
     costs, G = prob.at_shared(x)
-    assert float(np.sum(costs)) / n == prob.f(x)
+    assert float(np.sum(costs)) / n == oracle.f(prob, x)
+    if family == "quadratic":
+        assert prob.f_star == oracle.f(prob, prob.x_star)
     assert np.array_equal(costs, [oracle.cost(prob, i, x) for i in range(n)])
     assert np.array_equal(G, [oracle.gradient(prob, i, x) for i in range(n)])
     assert np.array_equal(_grad_f(prob, x), oracle.grad_f(prob, x))
@@ -172,7 +173,7 @@ def test_reductions_match_oracle_at_unrolled_sizes(family, n, d):
     costs, G = prob.at_shared(points)
     assert costs.shape == (3, n) and G.shape == (3, n, d)
     for b, point in enumerate(points):
-        assert np.sum(costs, axis=-1)[b] / n == prob.f(point)
+        assert np.sum(costs, axis=-1)[b] / n == oracle.f(prob, point)
         assert np.array_equal(G[b], [oracle.gradient(prob, i, point) for i in range(n)])
     # a (B, n, d) block: each n x d slice as on its own
     block = rng.standard_normal((3, n, d)) * 3.0
@@ -203,7 +204,7 @@ def _by_hand(n=6, d=5, m=3):
                          ids=["by_hand", "quadratic", "nonconvex"])
 def test_shared_point_matches_the_point_tiled_to_n_rows(make):
     # the shared point reaches the family as one row; every agent's cost and
-    # gradient, and f, are those of n copies of it, bit for bit
+    # gradient are those of n copies of it, bit for bit
     prob = make()
     rng = np.random.default_rng(prob.n)
     for x in (rng.standard_normal(prob.d) * 3.0, rng.standard_normal((4, prob.d)) * 3.0):
@@ -211,5 +212,3 @@ def test_shared_point_matches_the_point_tiled_to_n_rows(make):
         costs, G = prob.at_shared(x)
         assert np.array_equal(costs, _costs(prob, X))
         assert np.array_equal(G, prob.stacked_gradients(X))
-        for point, row in zip(np.atleast_2d(x), np.atleast_2d(_costs(prob, X))):
-            assert prob.f(point) == float(np.sum(row)) / prob.n
