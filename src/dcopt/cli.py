@@ -173,11 +173,11 @@ def cmd_sweep(config: str, horizons, force: bool = False) -> int:
         try:
             trace = algorithm.run(problem, graph, compressor, plan.hyper,
                                   config_echo=plan.echo, **plan.run_kwargs)
-            first = diagnostics.status(trace)["first_nonfinite"]
-            if first:
-                raise NonFiniteState(OVERFLOW.format(**first), first["k"])
         except NonFiniteState as exc:
             raise NonFiniteState(f"T={T}: {exc}", exc.iteration) from exc
+        first = diagnostics.status(trace)["first_nonfinite"]
+        if first:
+            raise NonFiniteState(f"T={T}: " + OVERFLOW.format(**first), first["k"])
         metric = float(np.mean(trace.grad_sq[:-1] + trace.consensus[:-1]))
         rows.append({"T": T, "avg_metric": metric, "alpha": plan.hyper.alpha,
                      "bits": int(trace.bits_cum[-1])})
