@@ -7,8 +7,8 @@ table and selected hyperparameters without running).
 
 Exit codes: 0 success, 2 config error, 3 infeasible parameters, 4 numerical
 divergence, 5 verification failure; ``EXIT_CODES`` maps each library error
-to one of them for every command.  The output root can be overridden with
-the ``DCOPT_OUTPUT_ROOT`` environment variable.
+to one of them for every command.  ``DCOPT_OUTPUT_ROOT`` puts every output
+directory under one root, and refuses one that resolves outside it.
 """
 
 import argparse
@@ -67,19 +67,22 @@ PLOTS = (("iteration", "k", "metrics_vs_iterations.svg"),
          ("cumulative bits", "bits_cum", "metrics_vs_bits.svg"))
 
 
-def _out_dir(out: dict, default: str) -> Path:
-    directory = default if out["directory"] is None else out["directory"]
+def _out_dir(out: dict, default: str, force: bool, filenames) -> Path:
+    """Make the output directory, refusing one outside ``DCOPT_OUTPUT_ROOT`` when
+    that is set, and any of ``filenames`` in it unless forced by flag or config."""
+    path = Path(default if out["directory"] is None else out["directory"])
     root = os.environ.get("DCOPT_OUTPUT_ROOT")
-    return Path(root) / directory if root else Path(directory)
-
-
-def _prepare_dir(path: Path, force: bool, filenames) -> None:
+    if root:
+        path = Path(root) / path
+        if not path.resolve().is_relative_to(Path(root).resolve()):
+            raise ConfigError(f"output directory {path} is outside DCOPT_OUTPUT_ROOT={root}")
     path.mkdir(parents=True, exist_ok=True)
-    if not force:
+    if not (force or out["force"]):
         clashes = [f for f in filenames if (path / f).exists()]
         if clashes:
             raise ConfigError(f"refusing to overwrite {clashes} in {path}; "
                               f"pass --force or set output.force")
+    return path
 
 
 def _plot(trace, path: Path) -> None:
@@ -112,10 +115,9 @@ def cmd_run(config: str, force: bool = False) -> int:
     cfg = cfgmod.load_config(config)
     plan = cfgmod.build_run_plan(cfg)
     out = cfgmod.section(cfg, "output")
-    path = _out_dir(out, "dcopt-out")
-    _prepare_dir(path, force or out["force"],
-                 (["trace.csv"] if out["csv"] else []) + ["summary.json"]
-                 + ([fname for _, _, fname in PLOTS] if out["svg"] else []))
+    path = _out_dir(out, "dcopt-out", force,
+                    (["trace.csv"] if out["csv"] else []) + ["summary.json"]
+                    + ([fname for _, _, fname in PLOTS] if out["svg"] else []))
     trace = algorithm.run(plan.problem, plan.graph, plan.compressor, plan.hyper,
                           config_echo=plan.echo, **plan.run_kwargs)
 
@@ -165,8 +167,7 @@ def cmd_sweep(config: str, horizons, force: bool = False) -> int:
     compressor = cfgmod.build_compressor_from(cfg, cfgmod.section(cfg, "algorithm")["seed"])
     plans = [cfgmod.plan_at(cfg, problem, graph, compressor, T) for T in horizons]
     out = cfgmod.section(cfg, "output")
-    path = _out_dir(out, "dcopt-sweep")
-    _prepare_dir(path, force or out["force"], ["sweep.json"])
+    path = _out_dir(out, "dcopt-sweep", force, ["sweep.json"])
 
     rows = []
     for T, plan in zip(horizons, plans):

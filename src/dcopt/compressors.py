@@ -1,7 +1,7 @@
 """Communication compressors and their assumption contracts.
 
 Two contract classes are supported.  A *local* contract bounds the
-p-norm error on the ball ||x||_p <= C:
+p-norm error on the ball ||x||_p <= C, at p = 2 or p = inf:
 
     ||C(x)/r - x||_p <= C (1 - delta).
 
@@ -10,7 +10,9 @@ A *global* contract bounds the mean-square error everywhere:
     E ||C(x)/r - x||^2 <= (1 - delta) ||x||^2 + C.
 
 Deterministic kinds (1-bit, saturating quantizer, top-k, norm-sign) carry
-local contracts.  Stochastic kinds (unbiased k-bit dither, rand-k,
+local contracts, top-k at p = 2 and the rest at p = inf.  A contract at any
+other p is refused as it is built, since the local verifier samples only
+these two balls.  Stochastic kinds (unbiased k-bit dither, rand-k,
 scalarization, uniform quantizer) carry global contracts, derived from a
 noise-free base characterization: a *relative* base satisfies
 E||C(x)/r - x||^2 <= (1-delta_r)||x||^2 and an *absolute* base satisfies
@@ -46,7 +48,7 @@ class AssumptionContract:
     """Contract constants (class, p, r, C, delta) for one compressor."""
 
     cls: str            # LOCAL or GLOBAL
-    p: float            # norm index (np.inf allowed); 2 for global contracts
+    p: float            # norm index, 2 or np.inf; 2 for global contracts
     r: float
     C: float
     delta: float
@@ -54,9 +56,9 @@ class AssumptionContract:
     def __post_init__(self):
         if self.cls not in (LOCAL, GLOBAL):
             raise OutOfRange(f"contract class must be local/global, got {self.cls!r}")
-        # p is a norm index: below 1 it is no norm, and d_hat divides by it
-        if not 1 <= self.p <= math.inf:
-            raise OutOfRange(f"contract norm index p must be in [1, inf], got {self.p}")
+        # the local verifier samples the 2- and the inf-ball only
+        if self.p not in (2.0, math.inf):
+            raise OutOfRange(f"contract norm index p must be 2 or inf, got {self.p}")
         if not 0 < self.r < math.inf or not 0 < self.delta <= 1 or not 0 <= self.C < math.inf:
             raise OutOfRange(f"contract constants out of range: r={self.r}, "
                              f"C={self.C}, delta={self.delta}")
@@ -64,13 +66,9 @@ class AssumptionContract:
         if self.cls == LOCAL and self.C == 0:
             raise OutOfRange("local contracts need a positive region radius C")
 
-    def d_hat(self, d: int) -> float:
-        """The least d_hat with ||x||_p <= d_hat ||x|| on R^d."""
-        return d ** (1.0 / self.p - 0.5) if self.p <= 2 else 1.0
-
     def d_tilde(self, d: int) -> float:
         """The least d_tilde with ||x|| <= d_tilde ||x||_p on R^d."""
-        return 1.0 if self.p <= 2 else d ** (0.5 - 1.0 / self.p)
+        return 1.0 if self.p == 2 else d ** 0.5
 
 
 def meets(value, bound) -> np.ndarray:
@@ -657,8 +655,6 @@ def verify_local_assumption(compressor: Compressor, contract: AssumptionContract
     if samples < 1:
         raise OutOfRange("samples must be >= 1")
     p, C, r, delta = contract.p, contract.C, contract.r, contract.delta
-    if p not in (2.0, np.inf):
-        raise OutOfRange(f"local verification samples the 2- or inf-ball, got p={p}")
     # the points are drawn from [-C, C], whose width must be a finite float
     if not math.isfinite(2.0 * C):
         raise OutOfRange(f"cannot sample the region of radius C={C}: 2 C is not finite")

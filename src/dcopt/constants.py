@@ -80,7 +80,7 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
         raise OutOfRange(f"ell must be positive with ell / 2 > 0, got {ell}")
     rho, rho2, n = graph.rho, graph.rho2, graph.n
     r, delta, C = contract.r, contract.delta, contract.C
-    dh, dt = contract.d_hat(d), contract.d_tilde(d)
+    dt = contract.d_tilde(d)
     beta = tau_1 * gamma
 
     t = ConstantTable()
@@ -110,10 +110,11 @@ def compute_constants(graph, ell: float, gamma: float, tau_1: float, omega: floa
     t["eps_5"] = omega * r * (delta - delta ** 2 / 2.0)
 
     t["psi_2"] = t["phi_7"] + alpha * t["phi_8"]
-    t["psi_3"] = 4.0 * (1.0 + 1.0 / t["eps_5"]) * dh ** 2 * beta ** 2 * rho ** 2
+    # psi_3 and psi_4 drop the paper's factor d_hat^2, which is 1 at p = 2 and p = inf
+    t["psi_3"] = 4.0 * (1.0 + 1.0 / t["eps_5"]) * beta ** 2 * rho ** 2
     # eps_1 <= 0 marks tau_1 below its admissible floor; the dependent
     # constants degenerate rather than the whole table failing to evaluate
-    t["psi_4"] = 4.0 * (1.0 + 1.0 / t["eps_5"]) * dh ** 2 \
+    t["psi_4"] = 4.0 * (1.0 + 1.0 / t["eps_5"]) \
         * max(beta ** 2 * rho ** 2 + ell ** 2, gamma ** 2 * rho) / t["eps_1"] \
         if t["eps_1"] > 0 else math.inf
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compressors import LOCAL, meets, pnorms
+from .compressors import LOCAL, meets
 from .errors import DegenerateSeries
 
 # one trace row: the CSV columns, then the distances around the round-k
@@ -108,11 +108,11 @@ def lyapunov_components(X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
 
 
 def _pmax(D: np.ndarray, sq: np.ndarray, p: float) -> np.ndarray:
-    """Each state's largest p-norm over agents, given each agent's squared
-    distance sq: at p = inf one exact max, at p = 2 the root of sq."""
+    """Each state's largest p-norm over agents, p = inf or 2, given each
+    agent's squared distance sq: at p = inf one exact max, else the root of sq."""
     if p == np.inf:
         return np.max(np.abs(D), axis=(-2, -1))
-    return (np.sqrt(sq) if p == 2 else pnorms(D, p)).max(axis=-1)
+    return np.sqrt(sq).max(axis=-1)
 
 
 def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
@@ -123,9 +123,9 @@ def trace_rows(rows: np.ndarray, X: np.ndarray, V: np.ndarray, Xhat: np.ndarray,
     j's exchange; it has one entry fewer than X when the block ends at the
     final row, whose post-exchange distances are NaN.
 
-    A local contract sets the distances' norm p and the region radius C;
-    under any other contract the distances are Euclidean and the region
-    always holds.
+    A local contract sets the distances' norm, p = 2 or inf, and the region
+    radius C; under any other contract the distances are Euclidean and the
+    region always holds.
     """
     local = contract is not None and contract.cls == LOCAL
     p = contract.p if local else 2.0

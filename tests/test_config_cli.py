@@ -833,3 +833,45 @@ def test_output_root_env(tmp_path, monkeypatch):
     path = _write(tmp_path, text, "env.ini")
     assert cli.cmd_run(path) == cli.EXIT_OK
     assert (tmp_path / "root" / "rel-dir" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("escape", ["absolute", "parent"])
+def test_output_root_refuses_a_directory_outside_it(tmp_path, monkeypatch, capsys, escape):
+    # pathlib's / drops the root before an absolute path; .. climbs out of it
+    root, escaped = tmp_path / "root", tmp_path / "escaped"
+    monkeypatch.setenv("DCOPT_OUTPUT_ROOT", str(root))
+    directory = escaped if escape == "absolute" else "../escaped"
+    path = _write(tmp_path, BASE_CONFIG.format(out=directory))
+    for argv in (["run", path], ["sweep", path, "--horizons", "20", "40", "80"]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: config: output directory {root / directory} "
+                                           f"is outside DCOPT_OUTPUT_ROOT={root}\n")
+    assert not root.exists() and not escaped.exists()
+
+
+def test_output_force_key_lets_run_and_sweep_overwrite(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("trace.csv", "summary.json", "sweep.json"):
+        (out / name).write_text("stale\n")
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace("svg = false",
+                                                                 "svg = false\nforce = true"))
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["iterations"] == 20
+    assert (out / "trace.csv").read_text().startswith("k,")
+    assert cli.cmd_sweep(path, [20, 40, 80]) == cli.EXIT_OK
+    assert len(json.loads((out / "sweep.json").read_text())["rows"]) == 3
+
+
+@pytest.mark.parametrize("edit,init_mode,contract_C", [
+    (("seed = 9", "seed = 9"), "standard", 2.0),
+    (("mode = empirical", "mode = T2_local_exact_first"), "exact_first_round", 2.0),
+    (("kind = one_bit\nlevel = 2.0", "kind = unbiased_kbit"), "standard", None),
+])
+def test_summary_config_holds_the_run_settings(tmp_path, edit, init_mode, contract_C):
+    # algorithm.run adds T, init_mode and a local contract's C to the echoed plan
+    out = tmp_path / "out"
+    path = _write(tmp_path, BASE_CONFIG.format(out=out).replace(*edit))
+    assert cli.cmd_run(path) == cli.EXIT_OK
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert (echo["T"], echo["init_mode"], echo.get("contract_C")) == (20, init_mode, contract_C)

@@ -321,14 +321,11 @@ CONTRACT_REFUSALS = [
       for bound in (-0.5, np.nan, np.inf)
       for call in (lambda bound=bound: comp.Noisy(KBIT, bound),
                    lambda bound=bound: comp.with_noise(comp.UniformQuantizer(0.5), bound))),
-    # p is a norm index in [1, inf]: at 0 d_hat divides by zero, at -1 the local
-    # verifier asks for a negative shape, 0.5 is no norm and NaN gives NaN ratios
+    # p is 2 or inf, the balls the local verifier samples: 0, -1 and 0.5 are no
+    # norm, NaN gives NaN ratios, and 1, 1.5 and 3 are norms no verifier samples
     *((lambda p=p: comp.AssumptionContract(comp.LOCAL, p, 1.0, 1.0, 0.5), OutOfRange,
-       f"contract norm index p must be in [1, inf], got {p}") for p in (0.0, -1.0, 0.5, np.nan)),
-    # the local verifier draws its uniform points from the 2- and the inf-ball only
-    *((lambda p=p: comp.verify_local_assumption(
-        comp.OneBit(1.0), comp.AssumptionContract(comp.LOCAL, p, 1.0, 1.0, 0.5)), OutOfRange,
-       f"local verification samples the 2- or inf-ball, got p={p}") for p in (1.0, 1.5, 3.0)),
+       f"contract norm index p must be 2 or inf, got {p}")
+      for p in (0.0, -1.0, 0.5, np.nan, 1.0, 1.5, 3.0)),
     # a bound below the least normal float would certify a lossy quantizer as exact
     *((lambda step=step: comp.UniformQuantizer(step).contract(6), OutOfRange,
        f"uniform quantizer bound d step^2 / 4 = {C} is below the least normal float "
